@@ -530,10 +530,11 @@ impl FreeSpace {
         self.propagate_plane(field.as_mut_slice(), scratch);
     }
 
-    /// The single shared propagation kernel: one row-major plane given as a
-    /// raw sample slice. Both the per-sample ([`FreeSpace::propagate_with`])
-    /// and batched ([`FreeSpace::propagate_batch_into`]) entry points funnel
-    /// through here, which is what makes them bit-identical.
+    /// Propagates one row-major plane given as a raw sample slice. The
+    /// spectral path is the one-plane case of the batched convolve
+    /// ([`Fft2::convolve_spectrum_batch_with`]) that
+    /// [`FreeSpace::propagate_batch_into`] runs, which is what makes the
+    /// per-sample and batched entry points bit-identical.
     fn propagate_plane(&self, plane: &mut [Complex64], scratch: &mut PropagationScratch) {
         let (rows, cols) = self.grid.shape();
         assert_eq!(plane.len(), rows * cols, "plane/grid length mismatch");
@@ -544,7 +545,7 @@ impl FreeSpace {
         );
         match &self.inner {
             Inner::Spectral { transfer, fft } => {
-                fft.convolve_spectrum_slice_with(plane, transfer, &mut scratch.fft);
+                fft.convolve_spectrum_batch_with(plane, transfer, &mut scratch.fft);
             }
             Inner::SingleFourier {
                 post_phase,
@@ -568,8 +569,8 @@ impl FreeSpace {
     /// batched free-space hop. The spectral path runs the fused batched
     /// convolve ([`Fft2::convolve_spectrum_batch_with`]), which co-processes
     /// groups of planes per vector op at the runtime SIMD dispatch level and
-    /// broadcasts the cached transfer kernel across batch lanes; the lane
-    /// kernels mirror the scalar operation sequence, so the call stays
+    /// broadcasts the cached transfer kernel across batch lanes; every lane
+    /// runs the 1-lane operation sequence, so the call stays
     /// **bit-identical** to `B` separate [`FreeSpace::propagate_with`]
     /// calls at every dispatch level, and performs **zero heap allocations**
     /// in steady state.
@@ -655,7 +656,7 @@ impl FreeSpace {
         );
         match &self.inner {
             Inner::Spectral { transfer, fft } => {
-                fft.convolve_spectrum_adjoint_slice_with(plane, transfer, &mut scratch.fft);
+                fft.convolve_spectrum_adjoint_batch_with(plane, transfer, &mut scratch.fft);
             }
             Inner::SingleFourier {
                 post_phase,

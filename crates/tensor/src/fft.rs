@@ -32,13 +32,12 @@
 //!   [`Fft2::process_batch_with`]) transform every plane of a
 //!   [`FieldBatch`] with **one plan lookup** and one shared
 //!   [`BatchWorkspace`], streaming the same precomputed twiddles across
-//!   all `B` planes. Every plane runs the identical strided
-//!   radix-4/Stockham pipeline as the per-sample path
-//!   ([`Fft2::process_slice_with`] is the single shared kernel), so
-//!   batched and per-sample transforms are **bit-identical** — the
-//!   invariant the whole batched propagation stack (lr-optics
-//!   `propagate_batch_into`, lr-core `infer_batch_into`, the lr-serve
-//!   dispatcher) is built on.
+//!   all `B` planes. A per-sample transform ([`Fft2::process_with`]) is
+//!   the one-plane batch: both run through the same plane driver and the
+//!   same kernels, so batched and per-sample transforms are
+//!   **bit-identical** — the invariant the whole batched propagation stack
+//!   (lr-optics `propagate_batch_into`, lr-core `infer_batch_into`, the
+//!   lr-serve dispatcher) is built on.
 //!
 //! # Workspace-reuse contract
 //!
@@ -78,41 +77,54 @@
 //! remaining passes are pure radix-4. Every fast path keeps its
 //! pre-optimization oracle: `process_reference` runs plain radix-2 /
 //! reference-Bluestein kernels and the fast paths agree with it to
-//! ≤ 1e-12 relative (`radix4_agrees_with_reference_butterflies`).
+//! ≤ 1e-12 relative (`radix4_agrees_with_reference_butterflies`). The
+//! Bluestein oracle of a Stockham or Rader plan is built on the first
+//! `process_reference` call, so resident plans carry only their fast path.
 //!
-//! # Cross-plane SIMD (batched entry points)
+//! # One kernel family: scalar is the 1-lane case
 //!
-//! The batched entry points ([`Fft2::process_batch_with`],
-//! [`Fft2::convolve_spectrum_batch_with`], …) vectorize **across batch
-//! lanes**: groups of `L ∈ {2, 4}` co-resident planes are packed into a
-//! split re/im, lane-major layout (element `i` holds
-//! `[re₀‥re_{L−1}, im₀‥im_{L−1}]`), so one twiddle load drives `L` planes
-//! through the identical butterfly and every complex multiply is plain
-//! lanewise arithmetic — no shuffles. The lane width comes from
+//! Every plan kind has exactly one kernel body, generic over a
+//! complex-lane type (`ComplexLanes`) that holds one complex sample per
+//! lane in a split re/im, lane-major packed layout: element `i` occupies
+//! `2L` f64s, `[re₀‥re_{L−1}, im₀‥im_{L−1}]`. [`Complex64`] is the 1-lane
+//! case — its `#[repr(C)] (re, im)` layout already *is* the 1-lane packed
+//! layout, so a 1-lane group runs in place on the caller's samples, with
+//! no pack, no unpack and no SIMD scratch. `VComplex<F64x2>` and
+//! `VComplex<F64x4>` carry 2 and 4 lanes: one twiddle load drives `L`
+//! planes through the identical butterfly, and every complex multiply is
+//! plain lanewise arithmetic — no shuffles.
+//!
+//! The plane driver runs groups of 4, then 2, co-resident planes at the
+//! dispatched width and every remaining plane — including every
+//! per-sample call — as a 1-lane group. The lane width comes from
 //! [`crate::simd::dispatch`] (SSE2 baseline / AVX2 by runtime detection on
-//! x86-64, NEON on aarch64, scalar elsewhere; `LR_SIMD=scalar|x2|x4`
-//! overrides), and the kernel profile attributes batched FFT time to
+//! x86-64, NEON on aarch64, 1 lane elsewhere; `LR_SIMD=scalar|x2|x4`
+//! overrides), and the kernel profile attributes group time to
 //! `simd_scalar` / `simd_sse2` / `simd_avx2` / `simd_neon` cells.
 //!
-//! **Equivalence contract** (the renegotiated workspace-reuse contract):
-//! every vector lane executes the *exact scalar operation sequence* of the
-//! per-plane kernel, so batched results stay **bitwise identical** to the
-//! per-sample path at every dispatch level — including forced-scalar
-//! (`LR_SIMD=scalar`), which simply routes each plane through
-//! [`Fft2::process_slice_with`] unchanged. The serve-path bit-identity
-//! guarantee is therefore preserved unconditionally for the FFT and
-//! transfer-apply kernels. The one tolerance-renegotiated entry point is
-//! the detector readout ([`crate::simd::sum_norm_sqr`]): its lane-partial
-//! reduction re-associates the intensity sum, and scalar remains the
-//! oracle within a documented **≤ 1e-12 relative** tolerance (batched and
-//! per-sample detector readouts share one kernel, so batched-vs-per-sample
-//! stays exact; only SIMD-vs-scalar is tolerance-checked).
+//! **Equivalence contract**: every lane of an `L`-lane group executes the
+//! exact operation sequence of the 1-lane kernel — `ComplexLanes`
+//! mirrors [`Complex64`]'s formulas operation for operation — so results
+//! are **bitwise identical** at every dispatch level, and forced-scalar
+//! (`LR_SIMD=scalar`) simply runs every plane as a 1-lane group.
+//! `batch_fft::forced_simd_levels_bitwise_match_scalar_oracle` pins this
+//! lane independence (L = 2 and L = 4 equal L = 1). The serve-path
+//! bit-identity guarantee therefore holds unconditionally for the FFT and
+//! transfer-apply kernels. The one tolerance-renegotiated kernel is the
+//! detector readout ([`crate::simd::sum_norm_sqr`]): its lane-partial
+//! reduction re-associates the intensity sum, and its scalar arm stays the
+//! sequential oracle within a documented **≤ 1e-12 relative** tolerance.
+//! It is deliberately not a 1-lane instance of the vector reduction,
+//! which would sum `re²` and `im²` as separate terms and so would not be
+//! bitwise equal to `Σ (re² + im²)`. (Batched and per-sample detector
+//! readouts share one kernel, so batched-vs-per-sample stays exact; only
+//! SIMD-vs-scalar is tolerance-checked.)
 //!
-//! SIMD staging buffers live in [`Fft2Workspace`] but are **empty until a
-//! batched entry point is used** (or [`Fft2::prepare_batch_workspace`]
-//! sizes them eagerly), so per-sample workspaces pay nothing. Pooled
-//! multi-thread execution (`PAR_MIN_LEN`) keeps the scalar per-plane
-//! kernels — lane packing engages on the sequential path only.
+//! The packed staging buffer for multi-lane groups lives in
+//! [`Fft2Workspace`] but is **empty until a multi-lane group runs** (or
+//! [`Fft2::prepare_batch_workspace`] sizes it eagerly), so per-sample
+//! workspaces pay nothing. Pooled multi-thread execution (`PAR_MIN_LEN`)
+//! runs 1-lane groups — lane packing engages on the sequential path only.
 
 use crate::batch::FieldBatch;
 use crate::complex::Complex64;
@@ -124,7 +136,7 @@ use lr_obs::{KernelKind, KernelTimer};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::f64::consts::PI;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Transform direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -158,6 +170,10 @@ pub enum Direction {
 pub struct FftPlan {
     n: usize,
     kind: PlanKind,
+    /// The chirp-z oracle of a Stockham or Rader plan, built on the first
+    /// [`FftPlan::process_reference`] call so that resident plans do not
+    /// pay for oracle tables.
+    reference: OnceLock<BluesteinPlan>,
 }
 
 #[derive(Debug)]
@@ -165,20 +181,11 @@ enum PlanKind {
     Radix2(Radix2Plan),
     /// Smooth (2·3·5·7-factorable) lengths — the paper's 200/350/500
     /// resolutions — run a Stockham autosort mixed-radix pipeline, several
-    /// times cheaper than the Bluestein fallback. The pre-change Bluestein
-    /// plan is kept alongside as the `process_reference` oracle.
-    Mixed {
-        mixed: MixedRadixPlan,
-        reference: BluesteinPlan,
-    },
+    /// times cheaper than the Bluestein fallback.
+    Mixed(MixedRadixPlan),
     /// Prime lengths `p` with 2·3·5·7-smooth `p − 1` run Rader's
-    /// prime-length algorithm (a length-`p−1` cyclic convolution). The
-    /// Bluestein plan these lengths previously used is kept alongside as
-    /// the `process_reference` oracle.
-    Rader {
-        rader: RaderPlan,
-        reference: BluesteinPlan,
-    },
+    /// prime-length algorithm (a length-`p−1` cyclic convolution).
+    Rader(RaderPlan),
     Bluestein(BluesteinPlan),
 }
 
@@ -248,19 +255,17 @@ impl FftPlan {
         let kind = if n.is_power_of_two() {
             PlanKind::Radix2(Radix2Plan::new(n))
         } else if let Some(factors) = MixedRadixPlan::factorize(n) {
-            PlanKind::Mixed {
-                mixed: MixedRadixPlan::new(n, &factors),
-                reference: BluesteinPlan::new(n),
-            }
+            PlanKind::Mixed(MixedRadixPlan::new(n, &factors))
         } else if let Some(rader) = RaderPlan::try_new(n) {
-            PlanKind::Rader {
-                rader,
-                reference: BluesteinPlan::new(n),
-            }
+            PlanKind::Rader(rader)
         } else {
             PlanKind::Bluestein(BluesteinPlan::new(n))
         };
-        FftPlan { n, kind }
+        FftPlan {
+            n,
+            kind,
+            reference: OnceLock::new(),
+        }
     }
 
     /// Transform length this plan was built for.
@@ -285,26 +290,24 @@ impl FftPlan {
     /// True if this plan uses the Stockham mixed-radix pipeline
     /// (non-power-of-two, 2·3·5·7-smooth length).
     pub fn is_mixed_radix(&self) -> bool {
-        matches!(self.kind, PlanKind::Mixed { .. })
+        matches!(self.kind, PlanKind::Mixed(_))
     }
 
     /// True if this plan uses Rader's prime-length algorithm (prime `n`
     /// with 2·3·5·7-smooth `n − 1`).
     pub fn is_rader(&self) -> bool {
-        matches!(self.kind, PlanKind::Rader { .. })
+        matches!(self.kind, PlanKind::Rader(_))
     }
 
-    /// Scratch length this plan needs (`0` for pure radix-2 plans).
+    /// Scratch length (in samples) this plan's fast path needs: `0` for
+    /// power-of-two plans, `n` for the Stockham ping-pong buffer, the
+    /// length-`n−1` convolution buffer (plus its ping-pong buffer for a
+    /// Stockham inner plan) for Rader, and `m ≥ 2n−1` for Bluestein.
     pub fn scratch_len(&self) -> usize {
         match &self.kind {
             PlanKind::Radix2(_) => 0,
-            // The reference Bluestein buffer (m ≥ 2n−1) also covers the
-            // Stockham ping-pong buffer (n).
-            PlanKind::Mixed { reference, .. } => reference.m,
-            // m ≥ 2n−1 also covers Rader's needs: the length-(n−1)
-            // convolution buffer plus (for a mixed-radix inner plan) its
-            // ping-pong scratch — at most 2(n−1) elements.
-            PlanKind::Rader { reference, .. } => reference.m,
+            PlanKind::Mixed(_) => self.n,
+            PlanKind::Rader(r) => r.scratch_len(),
             PlanKind::Bluestein(b) => b.m,
         }
     }
@@ -315,19 +318,25 @@ impl FftPlan {
         vec![Complex64::ZERO; self.scratch_len()]
     }
 
-    /// Transforms `data` in place.
+    /// Transforms `data` in place (the 1-lane instance of the plan's
+    /// kernel). `scratch` grows to [`FftPlan::scratch_len`] if shorter.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex64], dir: Direction, scratch: &mut Vec<Complex64>) {
-        self.process_impl(data, dir, scratch, false);
+        assert_eq!(data.len(), self.n, "FFT buffer length mismatch");
+        if scratch.len() < self.scratch_len() {
+            scratch.resize(self.scratch_len(), Complex64::ZERO);
+        }
+        self.process_lanes::<Complex64>(as_f64s_mut(data), dir, as_f64s_mut(scratch));
     }
 
     /// Transforms `data` in place with the pre-optimization kernels: plain
-    /// radix-2 butterflies, no stage fusion. Kept as the bit-level oracle
-    /// for the radix-4 path and as the baseline the perf artifacts
-    /// (`BENCH_kernels.json`) compare against.
+    /// radix-2 butterflies, no stage fusion, and reference Bluestein for
+    /// every other length. Kept as the oracle the fast paths are checked
+    /// against; a Stockham or Rader plan builds its Bluestein oracle on the
+    /// first call.
     ///
     /// # Panics
     ///
@@ -338,35 +347,15 @@ impl FftPlan {
         dir: Direction,
         scratch: &mut Vec<Complex64>,
     ) {
-        self.process_impl(data, dir, scratch, true);
-    }
-
-    fn process_impl(
-        &self,
-        data: &mut [Complex64],
-        dir: Direction,
-        scratch: &mut Vec<Complex64>,
-        reference: bool,
-    ) {
         assert_eq!(data.len(), self.n, "FFT buffer length mismatch");
         match dir {
-            Direction::Forward => self.forward(data, scratch, reference),
+            Direction::Forward => self.forward_reference(data, scratch),
             Direction::Inverse => {
-                if let (PlanKind::Radix2(p), false) = (&self.kind, reference) {
-                    // Conjugated-twiddle kernel: bit-identical to the
-                    // conj(F(conj(·)))/n sandwich, two passes cheaper.
-                    p.backward_noscale(data);
-                    let inv_n = 1.0 / self.n as f64;
-                    for z in data.iter_mut() {
-                        *z *= inv_n;
-                    }
-                    return;
-                }
                 // x = conj(F(conj(X))) / n
                 for z in data.iter_mut() {
                     *z = z.conj();
                 }
-                self.forward(data, scratch, reference);
+                self.forward_reference(data, scratch);
                 let inv_n = 1.0 / self.n as f64;
                 for z in data.iter_mut() {
                     *z = z.conj() * inv_n;
@@ -375,87 +364,231 @@ impl FftPlan {
         }
     }
 
-    fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>, reference: bool) {
+    fn forward_reference(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>) {
         match &self.kind {
-            PlanKind::Radix2(p) => {
-                if reference {
-                    p.forward_reference(data);
-                } else {
-                    p.forward(data);
-                }
-            }
-            PlanKind::Mixed {
-                mixed,
-                reference: oracle,
-            } => {
-                if reference {
-                    oracle.forward_reference(data, scratch);
-                } else {
-                    mixed.forward(data, scratch);
-                }
-            }
-            PlanKind::Rader {
-                rader,
-                reference: oracle,
-            } => {
-                if reference {
-                    oracle.forward_reference(data, scratch);
-                } else {
-                    rader.forward(data, scratch);
-                }
-            }
-            PlanKind::Bluestein(p) => p.forward(data, scratch, reference),
+            PlanKind::Radix2(p) => p.forward_reference(data),
+            PlanKind::Bluestein(p) => p.forward_reference(data, scratch),
+            PlanKind::Mixed(_) | PlanKind::Rader(_) => self
+                .reference
+                .get_or_init(|| BluesteinPlan::new(self.n))
+                .forward_reference(data, scratch),
         }
     }
 
-    /// Lane-packed variant of [`FftPlan::process`]: transforms `V::LANES`
-    /// independent length-`n` signals stored in the split re/im lane-major
-    /// layout (element `i` at `data[i·2L..]` holds `L` re then `L` im
-    /// values). Every lane performs the scalar kernel's exact operation
-    /// sequence, so per-lane results are bitwise identical to
-    /// [`FftPlan::process`]. `scratch` must hold `scratch_len()·2L` f64s.
+    /// The plan's kernel over `C::LANES` independent length-`n` signals in
+    /// the packed layout (see [`ComplexLanes`]). `scratch` must hold
+    /// `scratch_len()·2L` f64s.
     #[cfg_attr(not(debug_assertions), inline(always))]
-    fn process_v<V: SimdF64>(&self, data: &mut [f64], dir: Direction, scratch: &mut [f64]) {
-        debug_assert_eq!(data.len(), self.n * 2 * V::LANES);
-        match dir {
-            Direction::Forward => self.forward_v::<V>(data, scratch),
-            Direction::Inverse => {
-                if let PlanKind::Radix2(p) = &self.kind {
-                    // Mirrors the scalar conjugated-twiddle inverse.
-                    p.butterflies_v::<V, true>(data);
-                    scale_packed::<V>(data, 1.0 / self.n as f64);
-                    return;
-                }
-                // x = conj(F(conj(X))) / n — the scalar sandwich, lanewise.
-                conj_packed::<V>(data);
-                self.forward_v::<V>(data, scratch);
-                conj_scale_packed::<V>(data, 1.0 / self.n as f64);
-            }
-        }
-    }
-
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn forward_v<V: SimdF64>(&self, data: &mut [f64], scratch: &mut [f64]) {
+    fn process_lanes<C: ComplexLanes>(
+        &self,
+        data: &mut [f64],
+        dir: Direction,
+        scratch: &mut [f64],
+    ) {
+        debug_assert_eq!(data.len(), self.n * 2 * C::LANES);
+        let inverse = dir == Direction::Inverse;
+        let inv_n = 1.0 / self.n as f64;
         match &self.kind {
-            PlanKind::Radix2(p) => p.butterflies_v::<V, false>(data),
-            PlanKind::Mixed { mixed, .. } => mixed.forward_slice_v::<V>(data, scratch),
-            PlanKind::Rader { rader, .. } => rader.forward_v::<V>(data, scratch),
-            PlanKind::Bluestein(p) => p.forward_v::<V>(data, scratch),
+            PlanKind::Radix2(p) if inverse => {
+                // Conjugated-twiddle kernel: bit-identical to the
+                // conj(F(conj(·)))/n sandwich, two passes cheaper.
+                C::radix2::<true>(p, data);
+                map_packed::<C>(data, |z| z.scale(inv_n));
+                return;
+            }
+            // x = conj(F(conj(X))) / n
+            _ if inverse => map_packed::<C>(data, C::conj),
+            _ => {}
+        }
+        match &self.kind {
+            PlanKind::Radix2(p) => C::radix2::<false>(p, data),
+            PlanKind::Mixed(p) => p.forward::<C>(data, scratch),
+            PlanKind::Rader(p) => C::rader(p, data, scratch),
+            PlanKind::Bluestein(p) => C::bluestein(p, data, scratch),
+        }
+        if inverse {
+            map_packed::<C>(data, |z| z.conj().scale(inv_n));
         }
     }
 }
 
-/// A complex number per vector lane, in split re/im form. The arithmetic
-/// mirrors [`Complex64`]'s formulas operation-for-operation, which is what
-/// makes the lane-packed kernels bitwise identical to the scalar path.
+/// Views samples as the interleaved `re, im, re, im, …` f64 sequence —
+/// exactly the 1-lane packed layout the kernels run on.
+fn as_f64s_mut(samples: &mut [Complex64]) -> &mut [f64] {
+    // SAFETY: `Complex64` is `#[repr(C)] { re: f64, im: f64 }` — size 16,
+    // align 8, no padding — so `len` samples are exactly `2·len`
+    // initialized, suitably aligned f64s, borrowed mutably for the same
+    // lifetime as `samples`.
+    unsafe { std::slice::from_raw_parts_mut(samples.as_mut_ptr().cast::<f64>(), 2 * samples.len()) }
+}
+
+/// A complex sample per lane, in the packed layout every FFT kernel runs
+/// on: element `i` of a buffer occupies `2·LANES` f64s at offset `i·2L` —
+/// `LANES` real parts, then `LANES` imaginary parts.
+///
+/// [`Complex64`] is the 1-lane implementation (its `(re, im)` layout is the
+/// 1-lane packing); [`VComplex`] carries 2 or 4 lanes. Every operation
+/// follows [`Complex64`]'s formulas operation for operation, which is what
+/// makes each lane of a wide group bitwise equal to the 1-lane kernel.
+trait ComplexLanes: Copy {
+    /// Number of complex samples (planes) per element.
+    const LANES: usize;
+
+    /// Broadcasts one complex value (a twiddle) to all lanes.
+    fn splat(z: Complex64) -> Self;
+
+    /// Loads one packed element. Kernels address elements by offsetting a
+    /// `*const Self` cast from the f64 buffer — never by multiplying
+    /// indices by `2L` — which tells the optimizer the offsets cannot
+    /// wrap, as when indexing a slice; the Stockham and butterfly loops
+    /// need that to compile as tightly as plain `Complex64` code.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for reading `2·LANES` f64s and 8-byte aligned (it
+    /// need not be aligned for `Self`).
+    unsafe fn load(p: *const Self) -> Self;
+
+    /// Stores one packed element.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for writing `2·LANES` f64s and 8-byte aligned.
+    unsafe fn store(self, p: *mut Self);
+
+    fn add(self, o: Self) -> Self;
+
+    fn sub(self, o: Self) -> Self;
+
+    /// Complex multiply: `re = a.re·b.re − a.im·b.im`,
+    /// `im = a.re·b.im + a.im·b.re`.
+    fn mul(self, o: Self) -> Self;
+
+    fn conj(self) -> Self;
+
+    /// Multiplies both components by a real factor.
+    fn scale(self, s: f64) -> Self;
+
+    /// `∓j` rotation: forward `(im, −re)`, inverse `(−im, re)`.
+    fn rot<const INV: bool>(self) -> Self;
+
+    // Kernel entry points, each forwarding to one kernel body. The vector
+    // instances are `inline(always)`, so every kernel flattens into the
+    // `#[target_feature]` group entry point and the intrinsics inline. The
+    // 1-lane instances carry no inlining hint: per-sample pipelines compile
+    // each kernel like an ordinary function instead of flattening every
+    // kernel into every caller.
+
+    /// [`Radix2Plan::butterflies`].
+    fn radix2<const INV: bool>(plan: &Radix2Plan, data: &mut [f64]);
+
+    /// [`MixedRadixPlan::step`].
+    fn stockham_step(stage: &MixedStage, src: &[f64], dst: &mut [f64]);
+
+    /// [`RaderPlan::forward`].
+    fn rader(plan: &RaderPlan, data: &mut [f64], scratch: &mut [f64]);
+
+    /// [`BluesteinPlan::forward`].
+    fn bluestein(plan: &BluesteinPlan, data: &mut [f64], scratch: &mut [f64]);
+}
+
+/// The [`ComplexLanes`] kernel entry points, with the given inlining.
+macro_rules! kernel_entries {
+    ($(#[$inline:meta])?) => {
+        $(#[$inline])?
+        fn radix2<const INV: bool>(plan: &Radix2Plan, data: &mut [f64]) {
+            plan.butterflies::<Self, INV>(data)
+        }
+
+        $(#[$inline])?
+        fn stockham_step(stage: &MixedStage, src: &[f64], dst: &mut [f64]) {
+            MixedRadixPlan::step::<Self>(stage, src, dst)
+        }
+
+        $(#[$inline])?
+        fn rader(plan: &RaderPlan, data: &mut [f64], scratch: &mut [f64]) {
+            plan.forward::<Self>(data, scratch)
+        }
+
+        $(#[$inline])?
+        fn bluestein(plan: &BluesteinPlan, data: &mut [f64], scratch: &mut [f64]) {
+            plan.forward::<Self>(data, scratch)
+        }
+    };
+}
+
+impl ComplexLanes for Complex64 {
+    const LANES: usize = 1;
+
+    #[inline(always)]
+    fn splat(z: Complex64) -> Self {
+        z
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const Self) -> Self {
+        // SAFETY: the caller provides two readable, 8-byte aligned f64s at
+        // `p` — one `Complex64`, whose alignment is 8.
+        unsafe { p.read() }
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut Self) {
+        // SAFETY: the caller provides two writable, 8-byte aligned f64s.
+        unsafe { p.write(self) }
+    }
+
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self + o
+    }
+
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self - o
+    }
+
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self * o
+    }
+
+    #[inline(always)]
+    fn conj(self) -> Self {
+        Complex64::conj(self)
+    }
+
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        Complex64::scale(self, s)
+    }
+
+    #[inline(always)]
+    fn rot<const INV: bool>(self) -> Self {
+        if INV {
+            Complex64::new(-self.im, self.re)
+        } else {
+            Complex64::new(self.im, -self.re)
+        }
+    }
+    kernel_entries!();
+}
+
+/// A complex number per vector lane, in split re/im form.
 #[derive(Clone, Copy)]
 struct VComplex<V> {
     re: V,
     im: V,
 }
 
-impl<V: SimdF64> VComplex<V> {
-    /// Broadcasts one complex value (a twiddle) to all lanes.
+impl<V: SimdF64> ComplexLanes for VComplex<V> {
+    // Element offsets step by `size_of::<Self>()`, which must be the packed
+    // element's `2·LANES` f64s.
+    const LANES: usize = {
+        assert!(std::mem::size_of::<Self>() == 2 * V::LANES * std::mem::size_of::<f64>());
+        V::LANES
+    };
+
     #[inline(always)]
     fn splat(z: Complex64) -> Self {
         VComplex {
@@ -464,14 +597,11 @@ impl<V: SimdF64> VComplex<V> {
         }
     }
 
-    /// Loads one packed element (`L` re values then `L` im values).
-    ///
-    /// # Safety
-    ///
-    /// `p` must be valid for reading `2·LANES` f64s.
     #[inline(always)]
-    unsafe fn load(p: *const f64) -> Self {
-        // SAFETY: caller provides 2·LANES readable f64s at `p`.
+    unsafe fn load(p: *const Self) -> Self {
+        let p = p.cast::<f64>();
+        // SAFETY: caller provides 2·LANES readable f64s at `p`; the lane
+        // loads are unaligned.
         unsafe {
             VComplex {
                 re: V::load(p),
@@ -480,13 +610,9 @@ impl<V: SimdF64> VComplex<V> {
         }
     }
 
-    /// Stores one packed element.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be valid for writing `2·LANES` f64s.
     #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
+    unsafe fn store(self, p: *mut Self) {
+        let p = p.cast::<f64>();
         // SAFETY: caller provides 2·LANES writable f64s at `p`.
         unsafe {
             self.re.store(p);
@@ -510,8 +636,6 @@ impl<V: SimdF64> VComplex<V> {
         }
     }
 
-    /// Complex multiply, in exactly [`Complex64`]'s operation order:
-    /// `re = a.re·b.re − a.im·b.im`, `im = a.re·b.im + a.im·b.re`.
     #[inline(always)]
     fn mul(self, o: Self) -> Self {
         VComplex {
@@ -520,8 +644,23 @@ impl<V: SimdF64> VComplex<V> {
         }
     }
 
-    /// `∓j` rotation exactly as the scalar butterflies write it:
-    /// forward `(im, −re)`, inverse `(−im, re)`.
+    #[inline(always)]
+    fn conj(self) -> Self {
+        VComplex {
+            re: self.re,
+            im: self.im.neg(),
+        }
+    }
+
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        let s = V::splat(s);
+        VComplex {
+            re: self.re.mul(s),
+            im: self.im.mul(s),
+        }
+    }
+
     #[inline(always)]
     fn rot<const INV: bool>(self) -> Self {
         if INV {
@@ -536,53 +675,19 @@ impl<V: SimdF64> VComplex<V> {
             }
         }
     }
+    kernel_entries!(#[inline(always)]);
 }
 
-/// Lanewise `*z *= s` over a whole packed buffer (every f64 scales).
+/// Applies `f` to every element of a packed buffer in place.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn scale_packed<V: SimdF64>(data: &mut [f64], s: f64) {
-    let s = V::splat(s);
-    let ptr = data.as_mut_ptr();
-    let vecs = data.len() / V::LANES;
-    for i in 0..vecs {
-        // SAFETY: (i+1)·LANES ≤ data.len() — packed buffers are a multiple
-        // of 2·LANES long.
+fn map_packed<C: ComplexLanes>(data: &mut [f64], f: impl Fn(C) -> C) {
+    let stride = 2 * C::LANES;
+    let ptr = data.as_mut_ptr().cast::<C>();
+    for i in 0..data.len() / stride {
+        // SAFETY: element i spans [i·2L, (i+1)·2L) ≤ data.len().
         unsafe {
-            let p = ptr.add(i * V::LANES);
-            V::load(p).mul(s).store(p);
-        }
-    }
-}
-
-/// Lanewise `*z = z.conj()` over a packed buffer (negates im halves).
-#[cfg_attr(not(debug_assertions), inline(always))]
-fn conj_packed<V: SimdF64>(data: &mut [f64]) {
-    let stride = 2 * V::LANES;
-    let count = data.len() / stride;
-    let ptr = data.as_mut_ptr();
-    for i in 0..count {
-        // SAFETY: element i's im half spans [i·2L+L, (i+1)·2L) ≤ len.
-        unsafe {
-            let p = ptr.add(i * stride + V::LANES);
-            V::load(p).neg().store(p);
-        }
-    }
-}
-
-/// Lanewise `*z = z.conj() * s` over a packed buffer.
-#[cfg_attr(not(debug_assertions), inline(always))]
-fn conj_scale_packed<V: SimdF64>(data: &mut [f64], s: f64) {
-    let s = V::splat(s);
-    let stride = 2 * V::LANES;
-    let count = data.len() / stride;
-    let ptr = data.as_mut_ptr();
-    for i in 0..count {
-        // SAFETY: both halves of element i lie inside the packed buffer.
-        unsafe {
-            let pre = ptr.add(i * stride);
-            let pim = pre.add(V::LANES);
-            V::load(pre).mul(s).store(pre);
-            V::load(pim).neg().mul(s).store(pim);
+            let p = ptr.add(i);
+            f(C::load(p)).store(p);
         }
     }
 }
@@ -591,36 +696,35 @@ fn conj_scale_packed<V: SimdF64>(data: &mut [f64], s: f64) {
 /// broadcast complex coefficient per element — the transfer-function and
 /// Rader/Bluestein spectrum multiplies.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn mul_coeffs_packed<V: SimdF64>(data: &mut [f64], coeffs: &[Complex64], conj: bool) {
-    let stride = 2 * V::LANES;
-    debug_assert!(data.len() >= coeffs.len() * stride);
-    let ptr = data.as_mut_ptr();
+fn mul_coeffs_packed<C: ComplexLanes>(data: &mut [f64], coeffs: &[Complex64], conj: bool) {
+    let stride = 2 * C::LANES;
+    assert!(data.len() >= coeffs.len() * stride);
+    let ptr = data.as_mut_ptr().cast::<C>();
     for (i, &h) in coeffs.iter().enumerate() {
-        let h = if conj { h.conj() } else { h };
-        let hv = VComplex::<V>::splat(h);
+        let h = C::splat(if conj { h.conj() } else { h });
         // SAFETY: i < coeffs.len() ≤ data.len()/2L packed elements.
         unsafe {
-            let p = ptr.add(i * stride);
-            VComplex::<V>::load(p).mul(hv).store(p);
+            let p = ptr.add(i);
+            C::load(p).mul(h).store(p);
         }
     }
 }
 
-/// Packs `LANES` contiguous row-major planes into the split re/im
-/// lane-major layout: packed element `i` is `[re₀‥re_{L−1}, im₀‥im_{L−1}]`
-/// at offset `i·2L`, lane `l` carrying plane `l` of the group.
+/// Packs `LANES` contiguous row-major planes (given as interleaved f64s)
+/// into the split re/im lane-major layout: packed element `i` is
+/// `[re₀‥re_{L−1}, im₀‥im_{L−1}]` at offset `i·2L`, lane `l` carrying
+/// plane `l` of the group.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn pack_group<V: SimdF64>(group: &[Complex64], packed: &mut [f64]) {
-    let lanes = V::LANES;
-    let n = group.len() / lanes;
-    debug_assert_eq!(packed.len(), n * 2 * lanes);
-    // Complex64 is repr(C) { re, im }: a plane is interleaved re/im pairs.
-    let src = group.as_ptr() as *const f64;
+fn pack_group<C: ComplexLanes>(group: &[f64], packed: &mut [f64]) {
+    let lanes = C::LANES;
+    let n = group.len() / (2 * lanes);
+    assert_eq!(packed.len(), group.len());
+    let src = group.as_ptr();
     let dst = packed.as_mut_ptr();
     for l in 0..lanes {
         for i in 0..n {
             // SAFETY: (l·n + i) < lanes·n samples of `group` (2 f64s each);
-            // the packed offsets are < n·2·lanes.
+            // the packed offsets are < n·2·lanes = packed.len().
             unsafe {
                 *dst.add(i * 2 * lanes + l) = *src.add((l * n + i) * 2);
                 *dst.add(i * 2 * lanes + lanes + l) = *src.add((l * n + i) * 2 + 1);
@@ -631,12 +735,12 @@ fn pack_group<V: SimdF64>(group: &[Complex64], packed: &mut [f64]) {
 
 /// Inverse of [`pack_group`].
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn unpack_group<V: SimdF64>(packed: &[f64], group: &mut [Complex64]) {
-    let lanes = V::LANES;
-    let n = group.len() / lanes;
-    debug_assert_eq!(packed.len(), n * 2 * lanes);
+fn unpack_group<C: ComplexLanes>(packed: &[f64], group: &mut [f64]) {
+    let lanes = C::LANES;
+    let n = group.len() / (2 * lanes);
+    assert_eq!(packed.len(), group.len());
     let src = packed.as_ptr();
-    let dst = group.as_mut_ptr() as *mut f64;
+    let dst = group.as_mut_ptr();
     for l in 0..lanes {
         for i in 0..n {
             // SAFETY: same bounds as `pack_group`, directions swapped.
@@ -647,7 +751,6 @@ fn unpack_group<V: SimdF64>(packed: &[f64], group: &mut [Complex64]) {
         }
     }
 }
-
 impl Radix2Plan {
     fn new(n: usize) -> Self {
         debug_assert!(n.is_power_of_two());
@@ -703,51 +806,38 @@ impl Radix2Plan {
             fused,
         }
     }
-
-    /// Bit-reversal permutation shared by both butterfly kernels.
-    #[inline]
-    fn permute(&self, data: &mut [Complex64]) {
-        for (i, &r) in self.bitrev.iter().enumerate() {
-            let r = r as usize;
-            if i < r {
-                data.swap(i, r);
-            }
-        }
-    }
-
-    /// Iterative decimation-in-time FFT with stages fused in pairs into
-    /// radix-4 butterflies (one pass over the data per pair instead of
-    /// two). `e^{-2πi/n}` kernel.
-    fn forward(&self, data: &mut [Complex64]) {
-        self.butterflies::<false>(data);
-    }
-
-    /// The unnormalized inverse (`e^{+2πi/n}` kernel, no `1/n`): the same
-    /// butterfly network with conjugated twiddles. Lets Bluestein's inner
-    /// inverse run without the two extra conjugation passes of
-    /// `conj(F(conj(·)))`.
-    fn backward_noscale(&self, data: &mut [Complex64]) {
-        self.butterflies::<true>(data);
-    }
-
-    /// Radix-4 butterfly network over bit-reversed data. The twiddle
-    /// stream is precomputed per stage in traversal order; the `k = 0`
-    /// lane (twiddles `1, 1, ∓j`) is special-cased to pure adds/swaps.
-    fn butterflies<const INV: bool>(&self, data: &mut [Complex64]) {
+    /// Radix-4 butterfly network (with the optional radix-8 or radix-2
+    /// opening stage) over `C::LANES` packed signals, bit-reversal
+    /// permutation included. The twiddle stream is precomputed per stage
+    /// in traversal order; the `k = 0` lane (twiddles `1, 1, ∓j`) is
+    /// special-cased to pure adds/swaps. `INV` conjugates every twiddle:
+    /// the unnormalized inverse, which lets the inverse transforms run
+    /// without the two extra conjugation passes of `conj(F(conj(·)))`.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn butterflies<C: ComplexLanes, const INV: bool>(&self, data: &mut [f64]) {
         #[inline(always)]
-        fn mul_tw<const INV: bool>(a: Complex64, w: Complex64) -> Complex64 {
-            if INV {
-                a * w.conj()
-            } else {
-                a * w
-            }
+        fn mul_tw<C: ComplexLanes, const INV: bool>(a: C, w: Complex64) -> C {
+            a.mul(C::splat(if INV { w.conj() } else { w }))
         }
-        let n = data.len();
+        let stride = 2 * C::LANES;
+        let n = data.len() / stride;
         if n <= 1 {
             return;
         }
-        self.permute(data);
-        let ptr = data.as_mut_ptr();
+        let ptr = data.as_mut_ptr().cast::<C>();
+        for (i, &r) in self.bitrev.iter().enumerate() {
+            let r = r as usize;
+            if i < r {
+                // SAFETY: i, r < n and i ≠ r — disjoint in-bounds packed
+                // elements swap as whole lane groups.
+                unsafe {
+                    let a = C::load(ptr.add(i));
+                    let b = C::load(ptr.add(r));
+                    a.store(ptr.add(r));
+                    b.store(ptr.add(i));
+                }
+            }
+        }
         match &self.leading {
             Leading::None => {}
             Leading::Radix2 => {
@@ -756,10 +846,12 @@ impl Radix2Plan {
                 while base < n {
                     // SAFETY: base + 1 < n (n is even here).
                     unsafe {
-                        let a = *ptr.add(base);
-                        let b = *ptr.add(base + 1);
-                        *ptr.add(base) = a + b;
-                        *ptr.add(base + 1) = a - b;
+                        let pa = ptr.add(base);
+                        let pb = ptr.add(base + 1);
+                        let a = C::load(pa);
+                        let b = C::load(pb);
+                        a.add(b).store(pa);
+                        a.sub(b).store(pb);
                     }
                     base += 2;
                 }
@@ -774,189 +866,23 @@ impl Radix2Plan {
                 } else {
                     (*w1, *w3)
                 };
-                let rot = |x: Complex64| {
-                    if INV {
-                        Complex64::new(-x.im, x.re)
-                    } else {
-                        Complex64::new(x.im, -x.re)
-                    }
-                };
-                let mut base = 0;
-                while base < n {
-                    // SAFETY: base + 7 < n (n is a multiple of 8 here).
-                    unsafe {
-                        let a0 = *ptr.add(base);
-                        let a1 = *ptr.add(base + 1);
-                        let a2 = *ptr.add(base + 2);
-                        let a3 = *ptr.add(base + 3);
-                        let a4 = *ptr.add(base + 4);
-                        let a5 = *ptr.add(base + 5);
-                        let a6 = *ptr.add(base + 6);
-                        let a7 = *ptr.add(base + 7);
-                        // Level 1 (pairs).
-                        let b0 = a0 + a1;
-                        let b1 = a0 - a1;
-                        let b2 = a2 + a3;
-                        let b3 = a2 - a3;
-                        let b4 = a4 + a5;
-                        let b5 = a4 - a5;
-                        let b6 = a6 + a7;
-                        let b7 = a6 - a7;
-                        // Level 2 (quartets, twiddles 1 and ∓j).
-                        let t3 = rot(b3);
-                        let t7 = rot(b7);
-                        let c0 = b0 + b2;
-                        let c2 = b0 - b2;
-                        let c1 = b1 + t3;
-                        let c3 = b1 - t3;
-                        let c4 = b4 + b6;
-                        let c6 = b4 - b6;
-                        let c5 = b5 + t7;
-                        let c7 = b5 - t7;
-                        // Level 3 (octet, twiddles 1, w₈, ∓j, w₈³).
-                        let e5 = c5 * w1;
-                        let t6 = rot(c6);
-                        let e7 = c7 * w3;
-                        *ptr.add(base) = c0 + c4;
-                        *ptr.add(base + 4) = c0 - c4;
-                        *ptr.add(base + 1) = c1 + e5;
-                        *ptr.add(base + 5) = c1 - e5;
-                        *ptr.add(base + 2) = c2 + t6;
-                        *ptr.add(base + 6) = c2 - t6;
-                        *ptr.add(base + 3) = c3 + e7;
-                        *ptr.add(base + 7) = c3 - e7;
-                    }
-                    base += 8;
-                }
-            }
-        }
-        for stage in &self.fused {
-            let h = stage.half;
-            let block = 4 * h;
-            let tw = stage.tw.as_ptr();
-            let mut base = 0;
-            while base < n {
-                // SAFETY: every index below is < base + 4h ≤ n, and the
-                // twiddle stream holds 3·(h−1) entries read at ti < 3(h−1).
-                unsafe {
-                    // k = 0: wa = wb0 = 1, wb1 = ∓j — no multiplies.
-                    let p0 = ptr.add(base);
-                    let p1 = ptr.add(base + h);
-                    let p2 = ptr.add(base + 2 * h);
-                    let p3 = ptr.add(base + 3 * h);
-                    let (a0, a1, a2, a3) = (*p0, *p1, *p2, *p3);
-                    let u0 = a0 + a1;
-                    let u1 = a0 - a1;
-                    let u2 = a2 + a3;
-                    let u3 = a2 - a3;
-                    let v1 = if INV {
-                        Complex64::new(-u3.im, u3.re)
-                    } else {
-                        Complex64::new(u3.im, -u3.re)
-                    };
-                    *p0 = u0 + u2;
-                    *p2 = u0 - u2;
-                    *p1 = u1 + v1;
-                    *p3 = u1 - v1;
-                    let mut ti = 0;
-                    for k in 1..h {
-                        let wa = *tw.add(ti);
-                        let wb0 = *tw.add(ti + 1);
-                        let wb1 = *tw.add(ti + 2);
-                        ti += 3;
-                        let p0 = ptr.add(base + k);
-                        let p1 = ptr.add(base + k + h);
-                        let p2 = ptr.add(base + k + 2 * h);
-                        let p3 = ptr.add(base + k + 3 * h);
-                        let a0 = *p0;
-                        let a1 = mul_tw::<INV>(*p1, wa);
-                        let a2 = *p2;
-                        let a3 = mul_tw::<INV>(*p3, wa);
-                        let u0 = a0 + a1;
-                        let u1 = a0 - a1;
-                        let u2 = a2 + a3;
-                        let u3 = a2 - a3;
-                        let v0 = mul_tw::<INV>(u2, wb0);
-                        let v1 = mul_tw::<INV>(u3, wb1);
-                        *p0 = u0 + v0;
-                        *p2 = u0 - v0;
-                        *p1 = u1 + v1;
-                        *p3 = u1 - v1;
-                    }
-                }
-                base += block;
-            }
-        }
-    }
-
-    /// Lane-packed mirror of [`Radix2Plan::butterflies`]: the identical
-    /// permutation/leading/fused-stage network with every scalar operation
-    /// replaced by its lanewise counterpart in the same order, so each
-    /// lane's result is bitwise identical to the scalar kernel.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn butterflies_v<V: SimdF64, const INV: bool>(&self, data: &mut [f64]) {
-        #[inline(always)]
-        fn mul_tw_v<V: SimdF64, const INV: bool>(a: VComplex<V>, w: Complex64) -> VComplex<V> {
-            let w = if INV { w.conj() } else { w };
-            a.mul(VComplex::splat(w))
-        }
-        let stride = 2 * V::LANES;
-        let n = data.len() / stride;
-        if n <= 1 {
-            return;
-        }
-        let ptr = data.as_mut_ptr();
-        for (i, &r) in self.bitrev.iter().enumerate() {
-            let r = r as usize;
-            if i < r {
-                // SAFETY: i, r < n and i ≠ r — disjoint in-bounds packed
-                // elements swap as whole lane groups.
-                unsafe {
-                    let a = VComplex::<V>::load(ptr.add(i * stride));
-                    let b = VComplex::<V>::load(ptr.add(r * stride));
-                    a.store(ptr.add(r * stride));
-                    b.store(ptr.add(i * stride));
-                }
-            }
-        }
-        match &self.leading {
-            Leading::None => {}
-            Leading::Radix2 => {
-                let mut base = 0;
-                while base < n {
-                    // SAFETY: base + 1 < n (n is even here).
-                    unsafe {
-                        let pa = ptr.add(base * stride);
-                        let pb = ptr.add((base + 1) * stride);
-                        let a = VComplex::<V>::load(pa);
-                        let b = VComplex::<V>::load(pb);
-                        a.add(b).store(pa);
-                        a.sub(b).store(pb);
-                    }
-                    base += 2;
-                }
-            }
-            Leading::Radix8 { w1, w3 } => {
-                let (w1, w3) = if INV {
-                    (w1.conj(), w3.conj())
-                } else {
-                    (*w1, *w3)
-                };
-                let w1 = VComplex::<V>::splat(w1);
-                let w3 = VComplex::<V>::splat(w3);
+                let w1 = C::splat(w1);
+                let w3 = C::splat(w3);
                 let mut base = 0;
                 while base < n {
                     // SAFETY: base + 7 < n (n is a multiple of 8 here); the
                     // octet's packed elements are disjoint and in bounds.
                     unsafe {
-                        let a0 = VComplex::<V>::load(ptr.add(base * stride));
-                        let a1 = VComplex::<V>::load(ptr.add((base + 1) * stride));
-                        let a2 = VComplex::<V>::load(ptr.add((base + 2) * stride));
-                        let a3 = VComplex::<V>::load(ptr.add((base + 3) * stride));
-                        let a4 = VComplex::<V>::load(ptr.add((base + 4) * stride));
-                        let a5 = VComplex::<V>::load(ptr.add((base + 5) * stride));
-                        let a6 = VComplex::<V>::load(ptr.add((base + 6) * stride));
-                        let a7 = VComplex::<V>::load(ptr.add((base + 7) * stride));
+                        let p = |k: usize| ptr.add(base + k);
+                        let a0 = C::load(p(0));
+                        let a1 = C::load(p(1));
+                        let a2 = C::load(p(2));
+                        let a3 = C::load(p(3));
+                        let a4 = C::load(p(4));
+                        let a5 = C::load(p(5));
+                        let a6 = C::load(p(6));
+                        let a7 = C::load(p(7));
+                        // Level 1 (pairs).
                         let b0 = a0.add(a1);
                         let b1 = a0.sub(a1);
                         let b2 = a2.add(a3);
@@ -965,6 +891,7 @@ impl Radix2Plan {
                         let b5 = a4.sub(a5);
                         let b6 = a6.add(a7);
                         let b7 = a6.sub(a7);
+                        // Level 2 (quartets, twiddles 1 and ∓j).
                         let t3 = b3.rot::<INV>();
                         let t7 = b7.rot::<INV>();
                         let c0 = b0.add(b2);
@@ -975,17 +902,18 @@ impl Radix2Plan {
                         let c6 = b4.sub(b6);
                         let c5 = b5.add(t7);
                         let c7 = b5.sub(t7);
+                        // Level 3 (octet, twiddles 1, w₈, ∓j, w₈³).
                         let e5 = c5.mul(w1);
                         let t6 = c6.rot::<INV>();
                         let e7 = c7.mul(w3);
-                        c0.add(c4).store(ptr.add(base * stride));
-                        c0.sub(c4).store(ptr.add((base + 4) * stride));
-                        c1.add(e5).store(ptr.add((base + 1) * stride));
-                        c1.sub(e5).store(ptr.add((base + 5) * stride));
-                        c2.add(t6).store(ptr.add((base + 2) * stride));
-                        c2.sub(t6).store(ptr.add((base + 6) * stride));
-                        c3.add(e7).store(ptr.add((base + 3) * stride));
-                        c3.sub(e7).store(ptr.add((base + 7) * stride));
+                        c0.add(c4).store(p(0));
+                        c0.sub(c4).store(p(4));
+                        c1.add(e5).store(p(1));
+                        c1.sub(e5).store(p(5));
+                        c2.add(t6).store(p(2));
+                        c2.sub(t6).store(p(6));
+                        c3.add(e7).store(p(3));
+                        c3.sub(e7).store(p(7));
                     }
                     base += 8;
                 }
@@ -999,16 +927,17 @@ impl Radix2Plan {
             while base < n {
                 // SAFETY: every packed element index below is
                 // < base + 4h ≤ n, and the twiddle stream holds 3·(h−1)
-                // entries read at ti < 3(h−1) — as in the scalar kernel.
+                // entries read at ti < 3(h−1).
                 unsafe {
-                    let p0 = ptr.add(base * stride);
-                    let p1 = ptr.add((base + h) * stride);
-                    let p2 = ptr.add((base + 2 * h) * stride);
-                    let p3 = ptr.add((base + 3 * h) * stride);
-                    let a0 = VComplex::<V>::load(p0);
-                    let a1 = VComplex::<V>::load(p1);
-                    let a2 = VComplex::<V>::load(p2);
-                    let a3 = VComplex::<V>::load(p3);
+                    // k = 0: wa = wb0 = 1, wb1 = ∓j — no multiplies.
+                    let p0 = ptr.add(base);
+                    let p1 = ptr.add(base + h);
+                    let p2 = ptr.add(base + 2 * h);
+                    let p3 = ptr.add(base + 3 * h);
+                    let a0 = C::load(p0);
+                    let a1 = C::load(p1);
+                    let a2 = C::load(p2);
+                    let a3 = C::load(p3);
                     let u0 = a0.add(a1);
                     let u1 = a0.sub(a1);
                     let u2 = a2.add(a3);
@@ -1024,20 +953,20 @@ impl Radix2Plan {
                         let wb0 = *tw.add(ti + 1);
                         let wb1 = *tw.add(ti + 2);
                         ti += 3;
-                        let p0 = ptr.add((base + k) * stride);
-                        let p1 = ptr.add((base + k + h) * stride);
-                        let p2 = ptr.add((base + k + 2 * h) * stride);
-                        let p3 = ptr.add((base + k + 3 * h) * stride);
-                        let a0 = VComplex::<V>::load(p0);
-                        let a1 = mul_tw_v::<V, INV>(VComplex::load(p1), wa);
-                        let a2 = VComplex::<V>::load(p2);
-                        let a3 = mul_tw_v::<V, INV>(VComplex::load(p3), wa);
+                        let p0 = ptr.add(base + k);
+                        let p1 = ptr.add(base + k + h);
+                        let p2 = ptr.add(base + k + 2 * h);
+                        let p3 = ptr.add(base + k + 3 * h);
+                        let a0 = C::load(p0);
+                        let a1 = mul_tw::<C, INV>(C::load(p1), wa);
+                        let a2 = C::load(p2);
+                        let a3 = mul_tw::<C, INV>(C::load(p3), wa);
                         let u0 = a0.add(a1);
                         let u1 = a0.sub(a1);
                         let u2 = a2.add(a3);
                         let u3 = a2.sub(a3);
-                        let v0 = mul_tw_v::<V, INV>(u2, wb0);
-                        let v1 = mul_tw_v::<V, INV>(u3, wb1);
+                        let v0 = mul_tw::<C, INV>(u2, wb0);
+                        let v1 = mul_tw::<C, INV>(u3, wb1);
                         u0.add(v0).store(p0);
                         u0.sub(v0).store(p2);
                         u1.add(v1).store(p1);
@@ -1055,7 +984,11 @@ impl Radix2Plan {
         if n <= 1 {
             return;
         }
-        self.permute(data);
+        for (i, &r) in self.bitrev.iter().enumerate() {
+            if i < r as usize {
+                data.swap(i, r as usize);
+            }
+        }
         let mut len = 2;
         while len <= n {
             let half = len / 2;
@@ -1092,7 +1025,7 @@ impl BluesteinPlan {
                 b[m - j] = chirp[j].conj();
             }
         }
-        inner.forward(&mut b);
+        inner.butterflies::<Complex64, false>(as_f64s_mut(&mut b));
         let inv_m = 1.0 / m as f64;
         let post_chirp = chirp.iter().map(|&c| c * inv_m).collect();
         BluesteinPlan {
@@ -1104,70 +1037,39 @@ impl BluesteinPlan {
         }
     }
 
-    fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>, reference: bool) {
-        if reference {
-            self.forward_reference(data, scratch);
-            return;
-        }
-        let n = data.len();
-        let m = self.m;
-        if scratch.len() != m {
-            scratch.clear();
-            scratch.resize(m, Complex64::ZERO);
-        }
-        // a_j = x_j · c_j, zero padded to m (only the tail needs clearing —
-        // the head is overwritten).
-        for ((s, &x), &c) in scratch.iter_mut().zip(data.iter()).zip(&self.chirp) {
-            *s = x * c;
-        }
-        scratch[n..m].fill(Complex64::ZERO);
-        self.inner.forward(scratch);
-        // Pointwise multiply with the chirp spectrum (the circular
-        // convolution theorem), then the unnormalized inner inverse.
-        for (s, &h) in scratch.iter_mut().zip(&self.chirp_spectrum) {
-            *s *= h;
-        }
-        self.inner.backward_noscale(scratch);
-        // X_k = c_k/m · conv_k.
-        for ((x, &s), &c) in data.iter_mut().zip(scratch.iter()).zip(&self.post_chirp) {
-            *x = s * c;
-        }
-    }
-
-    /// Lane-packed mirror of [`BluesteinPlan::forward`]; `scratch` must
-    /// hold at least `m·2L` f64s.
+    /// Chirp-z transform of `C::LANES` packed signals; `scratch` must hold
+    /// at least `m·2L` f64s.
     #[cfg_attr(not(debug_assertions), inline(always))]
-    fn forward_v<V: SimdF64>(&self, data: &mut [f64], scratch: &mut [f64]) {
-        let stride = 2 * V::LANES;
+    fn forward<C: ComplexLanes>(&self, data: &mut [f64], scratch: &mut [f64]) {
+        let stride = 2 * C::LANES;
         let n = data.len() / stride;
         let m = self.m;
         let buf = &mut scratch[..m * stride];
+        // a_j = x_j · c_j, zero padded to m (only the tail needs clearing —
+        // the head is overwritten).
         {
-            let dp = data.as_ptr();
-            let bp = buf.as_mut_ptr();
-            for j in 0..n {
+            let dp = data.as_ptr().cast::<C>();
+            let bp = buf.as_mut_ptr().cast::<C>();
+            for (j, &c) in self.chirp.iter().enumerate() {
                 // SAFETY: j < n ≤ m packed elements on both sides.
                 unsafe {
-                    let x = VComplex::<V>::load(dp.add(j * stride));
-                    x.mul(VComplex::splat(self.chirp[j]))
-                        .store(bp.add(j * stride));
+                    C::load(dp.add(j)).mul(C::splat(c)).store(bp.add(j));
                 }
             }
         }
         buf[n * stride..].fill(0.0);
-        self.inner.butterflies_v::<V, false>(buf);
-        mul_coeffs_packed::<V>(buf, &self.chirp_spectrum, false);
-        self.inner.butterflies_v::<V, true>(buf);
-        {
-            let bp = buf.as_ptr();
-            let dp = data.as_mut_ptr();
-            for k in 0..n {
-                // SAFETY: k < n ≤ m packed elements on both sides.
-                unsafe {
-                    let s = VComplex::<V>::load(bp.add(k * stride));
-                    s.mul(VComplex::splat(self.post_chirp[k]))
-                        .store(dp.add(k * stride));
-                }
+        // Pointwise multiply with the chirp spectrum (the circular
+        // convolution theorem), then the unnormalized inner inverse.
+        C::radix2::<false>(&self.inner, buf);
+        mul_coeffs_packed::<C>(buf, &self.chirp_spectrum, false);
+        C::radix2::<true>(&self.inner, buf);
+        // X_k = c_k/m · conv_k.
+        let bp = buf.as_ptr().cast::<C>();
+        let dp = data.as_mut_ptr().cast::<C>();
+        for (k, &c) in self.post_chirp.iter().enumerate() {
+            // SAFETY: k < n ≤ m packed elements on both sides.
+            unsafe {
+                C::load(bp.add(k)).mul(C::splat(c)).store(dp.add(k));
             }
         }
     }
@@ -1256,8 +1158,10 @@ impl RaderPlan {
             .collect();
         let mut scratch = vec![Complex64::ZERO; q];
         match &inner {
-            RaderInner::Radix2(plan) => plan.forward(&mut b),
-            RaderInner::Mixed(plan) => plan.forward_slice(&mut b, &mut scratch),
+            RaderInner::Radix2(plan) => plan.butterflies::<Complex64, false>(as_f64s_mut(&mut b)),
+            RaderInner::Mixed(plan) => {
+                plan.forward::<Complex64>(as_f64s_mut(&mut b), as_f64s_mut(&mut scratch))
+            }
         }
         Some(RaderPlan {
             p,
@@ -1268,106 +1172,67 @@ impl RaderPlan {
         })
     }
 
-    fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>) {
+    /// Scratch samples needed: the length-`q` convolution buffer, plus the
+    /// Stockham ping-pong buffer when the inner plan is mixed-radix.
+    fn scratch_len(&self) -> usize {
         let q = self.p - 1;
-        let need = match self.inner {
+        match self.inner {
             RaderInner::Radix2(_) => q,
             RaderInner::Mixed(_) => 2 * q,
-        };
-        if scratch.len() < need {
-            scratch.resize(need, Complex64::ZERO);
-        }
-        let (a, rest) = scratch.split_at_mut(q);
-        let x0 = data[0];
-        let mut x0_sum = x0;
-        for (am, &idx) in a.iter_mut().zip(&self.perm_in) {
-            let v = data[idx as usize];
-            *am = v;
-            x0_sum += v;
-        }
-        match &self.inner {
-            RaderInner::Radix2(plan) => {
-                plan.forward(a);
-                for (z, &h) in a.iter_mut().zip(&self.b_spec) {
-                    *z *= h;
-                }
-                plan.backward_noscale(a);
-            }
-            RaderInner::Mixed(plan) => {
-                let rest = &mut rest[..q];
-                plan.forward_slice(a, rest);
-                for (z, &h) in a.iter_mut().zip(&self.b_spec) {
-                    *z *= h;
-                }
-                // Unnormalized inverse via the conj sandwich (the 1/q is
-                // folded into b_spec).
-                for z in a.iter_mut() {
-                    *z = z.conj();
-                }
-                plan.forward_slice(a, rest);
-                for z in a.iter_mut() {
-                    *z = z.conj();
-                }
-            }
-        }
-        // X[0] = Σ x; X[g^{−t}] = x₀ + conv[t].
-        data[0] = x0_sum;
-        for (cv, &idx) in a.iter().zip(&self.perm_out) {
-            data[idx as usize] = x0 + *cv;
         }
     }
 
-    /// Lane-packed mirror of [`RaderPlan::forward`]; `scratch` must hold
-    /// at least `2q·2L` f64s.
+    /// Rader transform of `C::LANES` packed signals; `scratch` must hold
+    /// at least `scratch_len()·2L` f64s.
     #[cfg_attr(not(debug_assertions), inline(always))]
-    fn forward_v<V: SimdF64>(&self, data: &mut [f64], scratch: &mut [f64]) {
-        let stride = 2 * V::LANES;
+    fn forward<C: ComplexLanes>(&self, data: &mut [f64], scratch: &mut [f64]) {
+        let stride = 2 * C::LANES;
         let q = self.p - 1;
         let (a, rest) = scratch.split_at_mut(q * stride);
         let x0;
         let mut x0_sum;
         {
-            let dp = data.as_ptr();
-            let ap = a.as_mut_ptr();
+            let dp = data.as_ptr().cast::<C>();
+            let ap = a.as_mut_ptr().cast::<C>();
             // SAFETY: element 0 of a p-element packed buffer.
-            x0 = unsafe { VComplex::<V>::load(dp) };
+            x0 = unsafe { C::load(dp) };
             x0_sum = x0;
             for (mi, &idx) in self.perm_in.iter().enumerate() {
                 // SAFETY: 1 ≤ idx < p elements of data; mi < q elements
                 // of the convolution buffer.
                 unsafe {
-                    let v = VComplex::<V>::load(dp.add(idx as usize * stride));
-                    v.store(ap.add(mi * stride));
+                    let v = C::load(dp.add(idx as usize));
+                    v.store(ap.add(mi));
                     x0_sum = x0_sum.add(v);
                 }
             }
         }
         match &self.inner {
             RaderInner::Radix2(plan) => {
-                plan.butterflies_v::<V, false>(a);
-                mul_coeffs_packed::<V>(a, &self.b_spec, false);
-                plan.butterflies_v::<V, true>(a);
+                C::radix2::<false>(plan, a);
+                mul_coeffs_packed::<C>(a, &self.b_spec, false);
+                C::radix2::<true>(plan, a);
             }
             RaderInner::Mixed(plan) => {
-                let rest = &mut rest[..q * stride];
-                plan.forward_slice_v::<V>(a, rest);
-                mul_coeffs_packed::<V>(a, &self.b_spec, false);
-                conj_packed::<V>(a);
-                plan.forward_slice_v::<V>(a, rest);
-                conj_packed::<V>(a);
+                plan.forward::<C>(a, rest);
+                mul_coeffs_packed::<C>(a, &self.b_spec, false);
+                // Unnormalized inverse via the conj sandwich (the 1/q is
+                // folded into b_spec).
+                map_packed::<C>(a, C::conj);
+                plan.forward::<C>(a, rest);
+                map_packed::<C>(a, C::conj);
             }
         }
-        {
-            let ap = a.as_ptr();
-            let dp = data.as_mut_ptr();
-            // SAFETY: element 0 of the packed output.
-            unsafe { x0_sum.store(dp) };
-            for (t, &idx) in self.perm_out.iter().enumerate() {
-                // SAFETY: t < q convolution elements; 1 ≤ idx < p outputs.
-                unsafe {
-                    let conv = VComplex::<V>::load(ap.add(t * stride));
-                    x0.add(conv).store(dp.add(idx as usize * stride));
-                }
+        // X[0] = Σ x; X[g^{−t}] = x₀ + conv[t].
+        let ap = a.as_ptr().cast::<C>();
+        let dp = data.as_mut_ptr().cast::<C>();
+        // SAFETY: element 0 of the packed output.
+        unsafe { x0_sum.store(dp) };
+        for (t, &idx) in self.perm_out.iter().enumerate() {
+            // SAFETY: t < q convolution elements; 1 ≤ idx < p outputs.
+            unsafe {
+                let conv = C::load(ap.add(t));
+                x0.add(conv).store(dp.add(idx as usize));
             }
         }
     }
@@ -1428,7 +1293,6 @@ fn primitive_root(p: u64) -> u64 {
         .find(|&g| factors.iter().all(|&f| mod_pow(g, q / f, p) != 1))
         .expect("every prime has a primitive root")
 }
-
 /// Stockham autosort mixed-radix FFT (decimation in frequency) for
 /// 2·3·5·7-smooth lengths — which covers every resolution the paper
 /// evaluates (200 = 2³·5², 350 = 2·5²·7, 500 = 2²·5³). Compared to the
@@ -1514,46 +1378,17 @@ impl MixedRadixPlan {
         debug_assert_eq!(np, 1, "factorization must cover n");
         MixedRadixPlan { n, stages }
     }
-
-    fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        let n = self.n;
-        if scratch.len() < n {
-            scratch.resize(n, Complex64::ZERO);
-        }
-        self.forward_slice(data, &mut scratch[..n]);
-    }
-
-    /// [`MixedRadixPlan::forward`] over a caller-sliced ping-pong buffer of
-    /// exactly `n` elements (lets Rader's plan carve its scratch out of one
-    /// shared allocation).
-    fn forward_slice(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
-        debug_assert_eq!(scratch.len(), self.n);
-        let mut in_data = true;
-        for stage in &self.stages {
-            if in_data {
-                Self::step(stage, data, scratch);
-            } else {
-                Self::step(stage, scratch, data);
-            }
-            in_data = !in_data;
-        }
-        if !in_data {
-            data.copy_from_slice(scratch);
-        }
-    }
-
-    /// Lane-packed mirror of [`MixedRadixPlan::forward_slice`]; `scratch`
-    /// must hold at least `n·2L` f64s.
+    /// Stockham transform of `C::LANES` packed signals, ping-ponging
+    /// between `data` and `scratch` (at least `n·2L` f64s).
     #[cfg_attr(not(debug_assertions), inline(always))]
-    fn forward_slice_v<V: SimdF64>(&self, data: &mut [f64], scratch: &mut [f64]) {
-        let stride = 2 * V::LANES;
-        let scratch = &mut scratch[..self.n * stride];
+    fn forward<C: ComplexLanes>(&self, data: &mut [f64], scratch: &mut [f64]) {
+        let scratch = &mut scratch[..self.n * 2 * C::LANES];
         let mut in_data = true;
         for stage in &self.stages {
             if in_data {
-                Self::step_v::<V>(stage, data, scratch);
+                C::stockham_step(stage, data, scratch);
             } else {
-                Self::step_v::<V>(stage, scratch, data);
+                C::stockham_step(stage, scratch, data);
             }
             in_data = !in_data;
         }
@@ -1564,154 +1399,76 @@ impl MixedRadixPlan {
 
     /// One Stockham DIF pass: gather `r` points strided `s·m` apart, apply
     /// the r-point DFT, twiddle by `w^{p·u}`, scatter with stride `s`.
-    /// All indices stay below `n' · s = n` by the stage invariants.
-    fn step(stage: &MixedStage, src: &[Complex64], dst: &mut [Complex64]) {
+    /// All element indices stay below `n' · s = n` by the stage
+    /// invariants; packed offsets scale them by `2L`.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn step<C: ComplexLanes>(stage: &MixedStage, src: &[f64], dst: &mut [f64]) {
+        let stride = 2 * C::LANES;
         let (r, m, s) = (stage.radix, stage.m, stage.s);
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
+        debug_assert!(src.len() >= r * m * s * stride && dst.len() >= r * m * s * stride);
+        let sp = src.as_ptr().cast::<C>();
+        let dp = dst.as_mut_ptr().cast::<C>();
         match r {
             2 => {
                 for p in 0..m {
                     // u = 0 twiddle is 1; only the u = 1 lane twiddles.
-                    let w = stage.tw[p * 2 + 1];
+                    let w = C::splat(stage.tw[p * 2 + 1]);
                     for q in 0..s {
                         // SAFETY: q + s·(p + m·t) < s·m·r = n and
                         // q + s·(r·p + u) < n (see method docs).
                         unsafe {
-                            let a = *sp.add(q + s * p);
-                            let b = *sp.add(q + s * (p + m));
-                            *dp.add(q + s * (2 * p)) = a + b;
-                            *dp.add(q + s * (2 * p + 1)) = (a - b) * w;
+                            let a = C::load(sp.add(q + s * p));
+                            let b = C::load(sp.add(q + s * (p + m)));
+                            a.add(b).store(dp.add(q + s * (2 * p)));
+                            a.sub(b).mul(w).store(dp.add(q + s * (2 * p + 1)));
                         }
                     }
                 }
             }
             4 => {
                 for p in 0..m {
-                    let w1 = stage.tw[p * 4 + 1];
-                    let w2 = stage.tw[p * 4 + 2];
-                    let w3 = stage.tw[p * 4 + 3];
-                    for q in 0..s {
-                        // SAFETY: as above; all indices < n.
-                        unsafe {
-                            let a0 = *sp.add(q + s * p);
-                            let a1 = *sp.add(q + s * (p + m));
-                            let a2 = *sp.add(q + s * (p + 2 * m));
-                            let a3 = *sp.add(q + s * (p + 3 * m));
-                            let t0 = a0 + a2;
-                            let t1 = a1 + a3;
-                            let t2 = a0 - a2;
-                            let t3 = a1 - a3;
-                            // -j·t3 and +j·t3
-                            let jt3 = Complex64::new(t3.im, -t3.re);
-                            *dp.add(q + s * (4 * p)) = t0 + t1;
-                            *dp.add(q + s * (4 * p + 1)) = (t2 + jt3) * w1;
-                            *dp.add(q + s * (4 * p + 2)) = (t0 - t1) * w2;
-                            *dp.add(q + s * (4 * p + 3)) = (t2 - jt3) * w3;
-                        }
-                    }
-                }
-            }
-            _ => {
-                let mut at = [Complex64::ZERO; 8];
-                for p in 0..m {
-                    let wrow = &stage.tw[p * r..(p + 1) * r];
-                    for q in 0..s {
-                        // SAFETY: as above; all indices < n, r ≤ 7 < at.len().
-                        unsafe {
-                            for (t, a) in at[..r].iter_mut().enumerate() {
-                                *a = *sp.add(q + s * (p + m * t));
-                            }
-                            for (u, &w) in wrow.iter().enumerate() {
-                                let row = &stage.roots[u * r..u * r + r];
-                                let mut acc = at[0];
-                                for t in 1..r {
-                                    acc += at[t] * row[t];
-                                }
-                                *dp.add(q + s * (r * p + u)) = acc * w;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Lane-packed mirror of [`MixedRadixPlan::step`]: the same index
-    /// invariants, every element offset scaled by the packed stride `2L`.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn step_v<V: SimdF64>(stage: &MixedStage, src: &[f64], dst: &mut [f64]) {
-        let stride = 2 * V::LANES;
-        let (r, m, s) = (stage.radix, stage.m, stage.s);
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        match r {
-            2 => {
-                for p in 0..m {
-                    let w = VComplex::<V>::splat(stage.tw[p * 2 + 1]);
-                    for q in 0..s {
-                        // SAFETY: same index invariants as the scalar step;
-                        // packed offsets scale element indices by 2L.
-                        unsafe {
-                            let a = VComplex::<V>::load(sp.add((q + s * p) * stride));
-                            let b = VComplex::<V>::load(sp.add((q + s * (p + m)) * stride));
-                            a.add(b).store(dp.add((q + s * (2 * p)) * stride));
-                            a.sub(b)
-                                .mul(w)
-                                .store(dp.add((q + s * (2 * p + 1)) * stride));
-                        }
-                    }
-                }
-            }
-            4 => {
-                for p in 0..m {
-                    let w1 = VComplex::<V>::splat(stage.tw[p * 4 + 1]);
-                    let w2 = VComplex::<V>::splat(stage.tw[p * 4 + 2]);
-                    let w3 = VComplex::<V>::splat(stage.tw[p * 4 + 3]);
+                    let w1 = C::splat(stage.tw[p * 4 + 1]);
+                    let w2 = C::splat(stage.tw[p * 4 + 2]);
+                    let w3 = C::splat(stage.tw[p * 4 + 3]);
                     for q in 0..s {
                         // SAFETY: as above; all element indices < n.
                         unsafe {
-                            let a0 = VComplex::<V>::load(sp.add((q + s * p) * stride));
-                            let a1 = VComplex::<V>::load(sp.add((q + s * (p + m)) * stride));
-                            let a2 = VComplex::<V>::load(sp.add((q + s * (p + 2 * m)) * stride));
-                            let a3 = VComplex::<V>::load(sp.add((q + s * (p + 3 * m)) * stride));
+                            let a0 = C::load(sp.add(q + s * p));
+                            let a1 = C::load(sp.add(q + s * (p + m)));
+                            let a2 = C::load(sp.add(q + s * (p + 2 * m)));
+                            let a3 = C::load(sp.add(q + s * (p + 3 * m)));
                             let t0 = a0.add(a2);
                             let t1 = a1.add(a3);
                             let t2 = a0.sub(a2);
                             let t3 = a1.sub(a3);
+                            // -j·t3 (and +j·t3 through the subtraction)
                             let jt3 = t3.rot::<false>();
-                            t0.add(t1).store(dp.add((q + s * (4 * p)) * stride));
-                            t2.add(jt3)
-                                .mul(w1)
-                                .store(dp.add((q + s * (4 * p + 1)) * stride));
-                            t0.sub(t1)
-                                .mul(w2)
-                                .store(dp.add((q + s * (4 * p + 2)) * stride));
-                            t2.sub(jt3)
-                                .mul(w3)
-                                .store(dp.add((q + s * (4 * p + 3)) * stride));
+                            t0.add(t1).store(dp.add(q + s * (4 * p)));
+                            t2.add(jt3).mul(w1).store(dp.add(q + s * (4 * p + 1)));
+                            t0.sub(t1).mul(w2).store(dp.add(q + s * (4 * p + 2)));
+                            t2.sub(jt3).mul(w3).store(dp.add(q + s * (4 * p + 3)));
                         }
                     }
                 }
             }
             _ => {
+                let mut at = [C::splat(Complex64::ZERO); 8];
                 for p in 0..m {
                     let wrow = &stage.tw[p * r..(p + 1) * r];
                     for q in 0..s {
-                        // SAFETY: as in the scalar generic arm; r ≤ 7.
+                        // SAFETY: as above; all element indices < n, and
+                        // r ≤ 7 < at.len().
                         unsafe {
-                            let mut at = [VComplex::<V>::splat(Complex64::ZERO); 8];
                             for (t, a) in at[..r].iter_mut().enumerate() {
-                                *a = VComplex::load(sp.add((q + s * (p + m * t)) * stride));
+                                *a = C::load(sp.add(q + s * (p + m * t)));
                             }
                             for (u, &w) in wrow.iter().enumerate() {
                                 let row = &stage.roots[u * r..u * r + r];
                                 let mut acc = at[0];
                                 for t in 1..r {
-                                    acc = acc.add(at[t].mul(VComplex::splat(row[t])));
+                                    acc = acc.add(at[t].mul(C::splat(row[t])));
                                 }
-                                acc.mul(VComplex::splat(w))
-                                    .store(dp.add((q + s * (r * p + u)) * stride));
+                                acc.mul(C::splat(w)).store(dp.add(q + s * (r * p + u)));
                             }
                         }
                     }
@@ -1776,10 +1533,10 @@ pub fn clear_plan_cache() {
 pub fn plan_cache_len() -> usize {
     PLAN_CACHE.lock().as_ref().map_or(0, PinnedCache::len)
 }
-
-/// Number of columns staged together by the strided column kernel. 32
-/// columns of `f64` complex samples are 512 bytes per row — a handful of
-/// cache lines — so the gather/scatter runs at near-streaming bandwidth.
+/// Columns staged together by the 1-lane column pass: 32 columns of `f64`
+/// complex samples are 512 bytes per row — a handful of cache lines — so
+/// the gather/scatter runs at near-streaming bandwidth. An `L`-lane group
+/// stages `COL_BLOCK / L` columns, the same footprint in bytes.
 const COL_BLOCK: usize = 32;
 
 /// Fields with at least this many samples split their row/column FFT loops
@@ -1787,75 +1544,27 @@ const COL_BLOCK: usize = 32;
 /// resolutions).
 const PAR_MIN_LEN: usize = 32_768;
 
-/// Column-block width of the lane-packed column pass. Narrower than the
-/// scalar [`COL_BLOCK`]: each staged column already carries `2L` f64s per
-/// element, so 8 columns at 4 lanes fill the same cache footprint as 32
-/// scalar columns.
-const SIMD_COL_BLOCK: usize = 8;
-
-/// Lane-packed scratch for the batched cross-plane kernels.
-///
-/// Empty until a batched entry point actually takes the SIMD path
-/// (`Default`), so per-sample workspaces — and the serve runtime's
-/// resident-memory accounting for them — are unchanged. Sized once for the
-/// widest requested lane count and reused for every narrower group.
-#[derive(Debug, Clone, Default)]
-struct SimdScratch {
-    /// One group of `L` planes in split re/im lane-major packed form
-    /// (`rows·cols` elements × `2L` f64s).
-    packed: Vec<f64>,
-    /// Lane-packed per-plan scratch (`max(plan scratch) × 2L` f64s).
-    scratch: Vec<f64>,
-    /// Lane-packed column staging (up to [`SIMD_COL_BLOCK`] columns).
-    col_block: Vec<f64>,
-}
-
-impl SimdScratch {
-    /// Grows the buffers to serve `lanes`-wide groups of a `rows × cols`
-    /// plane whose axis plans need at most `plan_scratch` elements. A no-op
-    /// once sized (steady-state zero allocation).
-    fn ensure(&mut self, rows: usize, cols: usize, plan_scratch: usize, lanes: usize) {
-        let stride = 2 * lanes;
-        let packed = rows * cols * stride;
-        if self.packed.len() < packed {
-            self.packed.resize(packed, 0.0);
-        }
-        let scratch = plan_scratch * stride;
-        if self.scratch.len() < scratch {
-            self.scratch.resize(scratch, 0.0);
-        }
-        let col_block = rows * SIMD_COL_BLOCK.min(cols) * stride;
-        if self.col_block.len() < col_block {
-            self.col_block.resize(col_block, 0.0);
-        }
-    }
-
-    /// Heap bytes held (capacity), for resident-memory accounting.
-    fn resident_bytes(&self) -> usize {
-        (self.packed.capacity() + self.scratch.capacity() + self.col_block.capacity())
-            * std::mem::size_of::<f64>()
-    }
-}
-
 /// Owned scratch for one [`Fft2`] shape.
 ///
-/// Holds the Bluestein convolution buffers for both axes plus the staging
-/// buffer of the cache-blocked column kernel. Allocated once per shape
-/// (`Fft2::make_workspace`) and reused for every subsequent transform; see
-/// the module docs for the full workspace-reuse contract.
+/// Holds the axis plans' scratch, the staging buffer of the cache-blocked
+/// column kernel and, once a multi-lane group has run, the packed group
+/// buffer. Allocated once per shape (`Fft2::make_workspace`) and reused
+/// for every subsequent transform; see the module docs for the full
+/// workspace-reuse contract.
 #[derive(Debug, Clone)]
 pub struct Fft2Workspace {
     rows: usize,
     cols: usize,
-    /// Bluestein scratch for the row (length-`cols`) plan.
-    row_scratch: Vec<Complex64>,
-    /// Bluestein scratch for the column (length-`rows`) plan.
-    col_scratch: Vec<Complex64>,
-    /// Column staging: up to [`COL_BLOCK`] columns stored contiguously.
+    /// Axis-plan scratch for the widest group run so far: the larger
+    /// plan's `scratch_len()` elements of `L` samples each.
+    scratch: Vec<Complex64>,
+    /// Column staging: `rows × (COL_BLOCK / L)` elements of the widest
+    /// group run so far.
     col_block: Vec<Complex64>,
-    /// Lane-packed buffers for the batched cross-plane kernels; empty until
-    /// a batched entry point runs with SIMD dispatch enabled.
-    simd: SimdScratch,
+    /// One packed group of `L ≥ 2` planes (`rows·cols·2L` f64s); empty
+    /// until a multi-lane group runs, so per-sample workspaces pay nothing
+    /// for SIMD.
+    packed: Vec<f64>,
 }
 
 impl Fft2Workspace {
@@ -1867,9 +1576,8 @@ impl Fft2Workspace {
     /// Heap bytes held by this workspace's scratch buffers (capacity, not
     /// length). Feeds the serving runtime's resident-memory accounting.
     pub fn resident_bytes(&self) -> usize {
-        (self.row_scratch.capacity() + self.col_scratch.capacity() + self.col_block.capacity())
-            * std::mem::size_of::<Complex64>()
-            + self.simd.resident_bytes()
+        (self.scratch.capacity() + self.col_block.capacity()) * std::mem::size_of::<Complex64>()
+            + self.packed.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -1935,6 +1643,19 @@ pub struct Fft2 {
     col_plan: Arc<FftPlan>,
 }
 
+/// What the plane driver does to each plane.
+#[derive(Clone, Copy)]
+enum PlaneOp<'a> {
+    /// One 2-D transform.
+    Fft(Direction),
+    /// The fused `IFFT2( FFT2(plane) ⊙ H )`, with `conj(H)` for the
+    /// adjoint.
+    Convolve {
+        transfer: &'a [Complex64],
+        adjoint: bool,
+    },
+}
+
 /// Scoped kernel timer for one FFT pass, attributed to the algorithm the
 /// plan actually dispatches to (Stockham mixed-radix or Bluestein chirp-z;
 /// pure radix-2/4 plans are only charged to the pass itself). Free when
@@ -1953,9 +1674,10 @@ fn pass_timer(kind: KernelKind, plan: &FftPlan) -> KernelTimer {
     }
 }
 
-/// Profile cell attributing batched cross-plane work to the ISA that
-/// executed it (`simd_sse2` / `simd_avx2` / `simd_neon` / `simd_portable`;
-/// `simd_scalar` covers remainder planes and forced-scalar dispatch).
+/// Profile cell attributing lane-group work to the ISA that executed it
+/// (`simd_sse2` / `simd_avx2` / `simd_neon` / `simd_portable`;
+/// `simd_scalar` covers 1-lane groups: per-sample calls, remainder planes
+/// and forced-scalar dispatch).
 #[inline]
 fn simd_cell(level: SimdLevel) -> KernelKind {
     match level.isa_name() {
@@ -1984,16 +1706,18 @@ impl Fft2 {
         (self.rows, self.cols)
     }
 
-    /// Allocates a workspace sized for this engine's shape.
+    /// Allocates a workspace sized for this engine's shape (1-lane groups:
+    /// per-sample transforms and forced-scalar batches).
     pub fn make_workspace(&self) -> Fft2Workspace {
-        Fft2Workspace {
+        let mut ws = Fft2Workspace {
             rows: self.rows,
             cols: self.cols,
-            row_scratch: self.row_plan.make_scratch(),
-            col_scratch: self.col_plan.make_scratch(),
-            col_block: vec![Complex64::ZERO; self.rows * COL_BLOCK.min(self.cols)],
-            simd: SimdScratch::default(),
-        }
+            scratch: Vec::new(),
+            col_block: Vec::new(),
+            packed: Vec::new(),
+        };
+        self.reserve_lanes(&mut ws, 1);
+        ws
     }
 
     /// Allocates a batched workspace sized for this engine's shape (valid
@@ -2007,21 +1731,33 @@ impl Fft2 {
         BatchWorkspace { fft }
     }
 
-    /// Widest per-axis plan scratch requirement, in elements.
-    fn max_plan_scratch(&self) -> usize {
-        self.row_plan.scratch_len().max(self.col_plan.scratch_len())
+    /// Pre-sizes `workspace` for groups at the current runtime dispatch
+    /// width, so a later batched call does not allocate. A no-op when
+    /// dispatch is scalar or when already sized.
+    pub fn prepare_batch_workspace(&self, workspace: &mut Fft2Workspace) {
+        self.reserve_lanes(workspace, simd::dispatch().lanes());
     }
 
-    /// Pre-sizes `workspace`'s lane-packed SIMD buffers for this shape at
-    /// the current runtime dispatch width, so a later batched call does not
-    /// allocate. A no-op when dispatch is scalar (the buffers stay empty)
-    /// or when already sized.
-    pub fn prepare_batch_workspace(&self, workspace: &mut Fft2Workspace) {
-        let lanes = simd::dispatch().lanes();
-        if lanes > 1 {
-            workspace
-                .simd
-                .ensure(self.rows, self.cols, self.max_plan_scratch(), lanes);
+    /// Grows `ws` to serve `lanes`-wide groups; a no-op once sized
+    /// (steady-state zero allocation). Only multi-lane groups need the
+    /// packed buffer.
+    fn reserve_lanes(&self, ws: &mut Fft2Workspace, lanes: usize) {
+        let plan_scratch = self.row_plan.scratch_len().max(self.col_plan.scratch_len());
+        let scratch = plan_scratch * lanes;
+        if ws.scratch.len() < scratch {
+            ws.scratch.resize(scratch, Complex64::ZERO);
+        }
+        let col_block = self.rows * (COL_BLOCK / lanes).min(self.cols) * lanes;
+        if ws.col_block.len() < col_block {
+            ws.col_block.resize(col_block, Complex64::ZERO);
+        }
+        let packed = if lanes > 1 {
+            self.rows * self.cols * 2 * lanes
+        } else {
+            0
+        };
+        if ws.packed.len() < packed {
+            ws.packed.resize(packed, 0.0);
         }
     }
 
@@ -2049,69 +1785,24 @@ impl Fft2 {
         with_tls_workspace(self, |fft, ws| fft.process_with(field, dir, ws));
     }
 
-    /// In-place 2-D transform using caller-owned scratch. Performs no heap
-    /// allocation (in sequential mode; see the module docs for how large
-    /// fields borrow per-thread scratch in parallel mode instead).
+    /// In-place 2-D transform using caller-owned scratch: the one-plane
+    /// batch, so it is bit-identical to the same plane inside any batched
+    /// call. Performs no heap allocation (in sequential mode; see the
+    /// module docs for how large fields borrow per-thread scratch in
+    /// parallel mode instead).
     ///
     /// # Panics
     ///
     /// Panics if `field` or `workspace` does not match the planned shape.
     pub fn process_with(&self, field: &mut Field, dir: Direction, workspace: &mut Fft2Workspace) {
         assert_eq!(field.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
-        self.process_slice_with(field.as_mut_slice(), dir, workspace);
-    }
-
-    /// In-place 2-D transform of one row-major `rows × cols` plane given as
-    /// a raw sample slice — the single shared kernel behind both the
-    /// per-sample ([`Fft2::process_with`]) and batched
-    /// ([`Fft2::process_batch_with`]) entry points, which is what makes
-    /// them bit-identical. Zero heap allocation (sequential mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` or `workspace` does not match the planned
-    /// shape.
-    pub fn process_slice_with(
-        &self,
-        data: &mut [Complex64],
-        dir: Direction,
-        workspace: &mut Fft2Workspace,
-    ) {
-        assert_eq!(
-            data.len(),
-            self.rows * self.cols,
-            "Fft2 plane length mismatch"
-        );
-        assert_eq!(
-            workspace.shape(),
-            (self.rows, self.cols),
-            "Fft2 workspace shape mismatch"
-        );
-        let parallel_ok = self.rows * self.cols >= PAR_MIN_LEN
-            && parallel::threads() > 1
-            && !parallel::in_parallel_region();
-        {
-            let _t = pass_timer(KernelKind::FftRows, &self.row_plan);
-            if parallel_ok {
-                self.rows_pass_parallel(data, dir);
-            } else {
-                self.rows_pass(data, dir, &mut workspace.row_scratch);
-            }
-        }
-        {
-            let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
-            if parallel_ok {
-                self.cols_pass_parallel(data, dir);
-            } else {
-                self.cols_pass(data, dir, workspace);
-            }
-        }
+        self.run_planes(field.as_mut_slice(), PlaneOp::Fft(dir), workspace);
     }
 
     /// Transforms every active plane of `batch` in place: one shared
     /// workspace, one set of plans, the twiddle/chirp tables streamed over
     /// all `B` planes. Bit-identical to `B` separate
-    /// [`Fft2::process_with`] calls (see [`Fft2::process_slice_with`]).
+    /// [`Fft2::process_with`] calls.
     ///
     /// # Panics
     ///
@@ -2128,153 +1819,7 @@ impl Fft2 {
             (self.rows, self.cols),
             "Fft2 batch plane shape mismatch"
         );
-        self.process_planes(batch.as_mut_slice(), dir, &mut workspace.fft);
-    }
-
-    /// Picks how many planes to co-process per vector op for this batch:
-    /// the runtime [`simd::dispatch`] level, except when the per-plane
-    /// kernels would split across the worker pool — pooled row/column
-    /// passes already saturate the core budget, so batched work keeps the
-    /// scalar per-plane kernels there (see the module docs).
-    fn batch_level(&self) -> SimdLevel {
-        let parallel_ok = self.rows * self.cols >= PAR_MIN_LEN
-            && parallel::threads() > 1
-            && !parallel::in_parallel_region();
-        if parallel_ok {
-            SimdLevel::Scalar
-        } else {
-            simd::dispatch()
-        }
-    }
-
-    /// Transforms a contiguous run of row-major planes, co-processing
-    /// groups of 4 then 2 planes per vector op at the dispatched level and
-    /// finishing remainder planes with the scalar per-plane kernel. Every
-    /// lane executes the scalar operation sequence, so results are bitwise
-    /// identical to per-plane [`Fft2::process_slice_with`] calls at every
-    /// dispatch level.
-    fn process_planes(&self, planes: &mut [Complex64], dir: Direction, ws: &mut Fft2Workspace) {
-        let plane_len = self.rows * self.cols;
-        debug_assert_eq!(planes.len() % plane_len, 0);
-        let level = self.batch_level();
-        let mut rest = planes;
-        if level >= SimdLevel::X4 {
-            while rest.len() >= 4 * plane_len {
-                let (group, tail) = rest.split_at_mut(4 * plane_len);
-                let _t = KernelTimer::start(simd_cell(SimdLevel::X4));
-                self.process_group_x4(group, dir, ws);
-                rest = tail;
-            }
-        }
-        if level >= SimdLevel::X2 {
-            while rest.len() >= 2 * plane_len {
-                let (group, tail) = rest.split_at_mut(2 * plane_len);
-                let _t = KernelTimer::start(simd_cell(SimdLevel::X2));
-                self.process_group_v::<simd::F64x2>(group, dir, ws);
-                rest = tail;
-            }
-        }
-        for plane in rest.chunks_exact_mut(plane_len) {
-            let _t = KernelTimer::start(KernelKind::SimdScalar);
-            self.process_slice_with(plane, dir, ws);
-        }
-    }
-
-    /// Four-lane group transform, routed through the AVX2-enabled wrapper
-    /// on x86-64 so the generic kernels compile to AVX instructions.
-    #[inline]
-    fn process_group_x4(&self, group: &mut [Complex64], dir: Direction, ws: &mut Fft2Workspace) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: reached only when `batch_level() ≥ X4`, and dispatch/force
-        // clamp X4 to X2 unless AVX2 was detected at runtime on this CPU.
-        unsafe {
-            self.process_group_avx2(group, dir, ws)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        self.process_group_v::<simd::F64x4>(group, dir, ws)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn process_group_avx2(&self, group: &mut [Complex64], dir: Direction, ws: &mut Fft2Workspace) {
-        self.process_group_v::<simd::F64x4>(group, dir, ws)
-    }
-
-    /// Packs `V::LANES` planes into the split re/im lane-major layout, runs
-    /// the 2-D pipeline on the packed buffer, and unpacks.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn process_group_v<V: SimdF64>(
-        &self,
-        group: &mut [Complex64],
-        dir: Direction,
-        ws: &mut Fft2Workspace,
-    ) {
-        let stride = 2 * V::LANES;
-        let n = self.rows * self.cols;
-        // Steady-state no-op: `make_batch_workspace` pre-sizes for the
-        // dispatch width; this covers caller-assembled workspaces.
-        ws.simd
-            .ensure(self.rows, self.cols, self.max_plan_scratch(), V::LANES);
-        let SimdScratch {
-            packed,
-            scratch,
-            col_block,
-        } = &mut ws.simd;
-        let packed = &mut packed[..n * stride];
-        pack_group::<V>(group, packed);
-        self.fft2_packed_v::<V>(dir, packed, scratch, col_block);
-        unpack_group::<V>(packed, group);
-    }
-
-    /// The 2-D row/column pipeline over one lane-packed group, mirroring
-    /// [`Fft2::process_slice_with`] pass-for-pass (same pass order, same
-    /// cache-blocked column staging, same per-pass kernel attribution).
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn fft2_packed_v<V: SimdF64>(
-        &self,
-        dir: Direction,
-        packed: &mut [f64],
-        scratch: &mut [f64],
-        col_block: &mut [f64],
-    ) {
-        let (rows, cols) = (self.rows, self.cols);
-        let stride = 2 * V::LANES;
-        {
-            let _t = pass_timer(KernelKind::FftRows, &self.row_plan);
-            for row in packed.chunks_exact_mut(cols * stride) {
-                self.row_plan.process_v::<V>(row, dir, scratch);
-            }
-        }
-        {
-            let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
-            let bw_max = SIMD_COL_BLOCK.min(cols);
-            let mut c0 = 0;
-            while c0 < cols {
-                let bw = bw_max.min(cols - c0);
-                for r in 0..rows {
-                    let src = (r * cols + c0) * stride;
-                    for k in 0..bw {
-                        col_block[(k * rows + r) * stride..][..stride]
-                            .copy_from_slice(&packed[src + k * stride..][..stride]);
-                    }
-                }
-                for k in 0..bw {
-                    self.col_plan.process_v::<V>(
-                        &mut col_block[k * rows * stride..(k + 1) * rows * stride],
-                        dir,
-                        scratch,
-                    );
-                }
-                for r in 0..rows {
-                    let dst = (r * cols + c0) * stride;
-                    for k in 0..bw {
-                        packed[dst + k * stride..][..stride]
-                            .copy_from_slice(&col_block[(k * rows + r) * stride..][..stride]);
-                    }
-                }
-                c0 += bw;
-            }
-        }
+        self.run_planes(batch.as_mut_slice(), PlaneOp::Fft(dir), &mut workspace.fft);
     }
 
     /// Batched forward 2-D FFT over every active plane (see
@@ -2287,97 +1832,6 @@ impl Fft2 {
     /// [`Fft2::process_batch_with`]).
     pub fn ifft2_batch_with(&self, batch: &mut FieldBatch, workspace: &mut BatchWorkspace) {
         self.process_batch_with(batch, Direction::Inverse, workspace);
-    }
-
-    /// Row transforms, sequential, in place.
-    fn rows_pass(&self, data: &mut [Complex64], dir: Direction, scratch: &mut Vec<Complex64>) {
-        for r in 0..self.rows {
-            self.row_plan
-                .process(&mut data[r * self.cols..(r + 1) * self.cols], dir, scratch);
-        }
-    }
-
-    /// Column transforms through the cache-blocked strided kernel: gather up
-    /// to [`COL_BLOCK`] columns into contiguous staging, transform each, and
-    /// scatter back. No full-field transpose is ever materialized.
-    fn cols_pass(&self, data: &mut [Complex64], dir: Direction, workspace: &mut Fft2Workspace) {
-        let (rows, cols) = (self.rows, self.cols);
-        let block = &mut workspace.col_block;
-        let scratch = &mut workspace.col_scratch;
-        let mut c0 = 0;
-        while c0 < cols {
-            let bw = COL_BLOCK.min(cols - c0);
-            // SAFETY: `data` is exclusively borrowed and all column indices
-            // are in bounds; see gather/scatter docs.
-            unsafe {
-                gather_columns(data.as_ptr(), rows, cols, c0, bw, block);
-            }
-            for k in 0..bw {
-                self.col_plan
-                    .process(&mut block[k * rows..(k + 1) * rows], dir, scratch);
-            }
-            // SAFETY: same exclusive borrow and in-bounds argument as the
-            // gather above; the write-back targets the same columns.
-            unsafe {
-                scatter_columns(block, rows, cols, c0, bw, data.as_mut_ptr());
-            }
-            c0 += bw;
-        }
-    }
-
-    /// Row transforms split across the worker pool; per-thread scratch.
-    fn rows_pass_parallel(&self, data: &mut [Complex64], dir: Direction) {
-        let (rows, cols) = (self.rows, self.cols);
-        let tasks = parallel::threads().min(rows).max(1) * 4;
-        let chunk = rows.div_ceil(tasks);
-        let tasks = rows.div_ceil(chunk);
-        let base = RowsPtr(data.as_mut_ptr());
-        let plan = &self.row_plan;
-        parallel::par_for(tasks, |t| {
-            let base = &base; // capture the Sync wrapper, not the raw field
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(rows);
-            with_thread_scratch(plan.scratch_len(), |scratch| {
-                for r in lo..hi {
-                    // SAFETY: tasks own disjoint row ranges of the buffer,
-                    // which outlives par_for's completion barrier.
-                    let row = unsafe { std::slice::from_raw_parts_mut(base.0.add(r * cols), cols) };
-                    plan.process(row, dir, scratch);
-                }
-            });
-        });
-    }
-
-    /// Column blocks split across the worker pool; per-thread staging.
-    fn cols_pass_parallel(&self, data: &mut [Complex64], dir: Direction) {
-        let (rows, cols) = (self.rows, self.cols);
-        let blocks = cols.div_ceil(COL_BLOCK);
-        let base = RowsPtr(data.as_mut_ptr());
-        let plan = &self.col_plan;
-        parallel::par_for(blocks, |b| {
-            let base = &base; // capture the Sync wrapper, not the raw field
-            let c0 = b * COL_BLOCK;
-            let bw = COL_BLOCK.min(cols - c0);
-            with_thread_scratch(rows * bw, |block| {
-                with_thread_scratch(plan.scratch_len(), |scratch| {
-                    // SAFETY: tasks touch disjoint column ranges [c0, c0+bw)
-                    // through raw pointer arithmetic only — no task ever
-                    // forms a reference spanning another task's columns —
-                    // and the buffer outlives par_for's completion barrier.
-                    unsafe {
-                        gather_columns(base.0, rows, cols, c0, bw, block);
-                    }
-                    for k in 0..bw {
-                        plan.process(&mut block[k * rows..(k + 1) * rows], dir, scratch);
-                    }
-                    // SAFETY: write-back to this task's own disjoint
-                    // columns — the same argument as the gather above.
-                    unsafe {
-                        scatter_columns(block, rows, cols, c0, bw, base.0);
-                    }
-                });
-            });
-        });
     }
 
     /// The pre-optimization 2-D pipeline: transform rows, materialize the
@@ -2413,130 +1867,36 @@ impl Fft2 {
     ///
     /// Panics if shapes do not match.
     pub fn convolve_spectrum(&self, field: &mut Field, transfer: &Field) {
-        self.forward(field);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            field.hadamard_assign(transfer);
-        }
-        self.inverse(field);
-    }
-
-    /// [`Fft2::convolve_spectrum`] with caller-owned scratch (zero
-    /// allocation in sequential mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match.
-    pub fn convolve_spectrum_with(
-        &self,
-        field: &mut Field,
-        transfer: &Field,
-        workspace: &mut Fft2Workspace,
-    ) {
-        self.process_with(field, Direction::Forward, workspace);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            field.hadamard_assign(transfer);
-        }
-        self.process_with(field, Direction::Inverse, workspace);
+        assert_eq!(field.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
+        with_tls_workspace(self, |fft, ws| {
+            fft.convolve_spectrum_batch_with(field.as_mut_slice(), transfer, ws)
+        });
     }
 
     /// Adjoint of [`Fft2::convolve_spectrum`]: propagates a gradient with the
     /// conjugated transfer function. Under the `(1, 1/N)` normalization the
     /// adjoint of `F⁻¹ diag(H) F` is exactly `F⁻¹ diag(H̄) F`.
-    pub fn convolve_spectrum_adjoint(&self, grad: &mut Field, transfer: &Field) {
-        self.forward(grad);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            grad.hadamard_conj_assign(transfer);
-        }
-        self.inverse(grad);
-    }
-
-    /// [`Fft2::convolve_spectrum_adjoint`] with caller-owned scratch.
     ///
     /// # Panics
     ///
     /// Panics if shapes do not match.
-    pub fn convolve_spectrum_adjoint_with(
-        &self,
-        grad: &mut Field,
-        transfer: &Field,
-        workspace: &mut Fft2Workspace,
-    ) {
-        self.process_with(grad, Direction::Forward, workspace);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            grad.hadamard_conj_assign(transfer);
-        }
-        self.process_with(grad, Direction::Inverse, workspace);
+    pub fn convolve_spectrum_adjoint(&self, grad: &mut Field, transfer: &Field) {
+        assert_eq!(grad.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
+        with_tls_workspace(self, |fft, ws| {
+            fft.convolve_spectrum_adjoint_batch_with(grad.as_mut_slice(), transfer, ws)
+        });
     }
 
-    /// [`Fft2::convolve_spectrum_with`] on one raw row-major plane — the
-    /// shared kernel behind both the per-sample and batched spectral
-    /// propagation paths.
+    /// The fused `IFFT2( FFT2(plane) ⊙ transfer )` propagation step over a
+    /// contiguous run of row-major planes (one plane for a per-sample
+    /// call), with the cached transfer kernel broadcast across batch lanes.
+    /// Bitwise identical per plane at every batch size and dispatch level.
+    /// Zero heap allocation once `workspace` is sized (sequential mode).
     ///
     /// # Panics
     ///
-    /// Panics if lengths or `workspace` do not match the planned shape.
-    pub fn convolve_spectrum_slice_with(
-        &self,
-        data: &mut [Complex64],
-        transfer: &Field,
-        workspace: &mut Fft2Workspace,
-    ) {
-        assert_eq!(
-            transfer.shape(),
-            (self.rows, self.cols),
-            "transfer shape mismatch"
-        );
-        self.process_slice_with(data, Direction::Forward, workspace);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            for (a, &h) in data.iter_mut().zip(transfer.as_slice()) {
-                *a *= h;
-            }
-        }
-        self.process_slice_with(data, Direction::Inverse, workspace);
-    }
-
-    /// [`Fft2::convolve_spectrum_adjoint_with`] on one raw row-major plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or `workspace` do not match the planned shape.
-    pub fn convolve_spectrum_adjoint_slice_with(
-        &self,
-        data: &mut [Complex64],
-        transfer: &Field,
-        workspace: &mut Fft2Workspace,
-    ) {
-        assert_eq!(
-            transfer.shape(),
-            (self.rows, self.cols),
-            "transfer shape mismatch"
-        );
-        self.process_slice_with(data, Direction::Forward, workspace);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            for (a, &h) in data.iter_mut().zip(transfer.as_slice()) {
-                *a *= h.conj();
-            }
-        }
-        self.process_slice_with(data, Direction::Inverse, workspace);
-    }
-
-    /// Batched [`Fft2::convolve_spectrum_slice_with`]: the fused
-    /// `IFFT2( FFT2(plane) ⊙ transfer )` propagation step over a contiguous
-    /// run of row-major planes, with the cached transfer kernel broadcast
-    /// across batch lanes. Bitwise identical per plane to the per-sample
-    /// path at every dispatch level (each lane runs the scalar operation
-    /// sequence; the transfer multiply uses the scalar `Complex64` product
-    /// formula lanewise).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `transfer` or `planes` does not match the planned shape.
+    /// Panics if `transfer`, `planes` or `workspace` does not match the
+    /// planned shape.
     pub fn convolve_spectrum_batch_with(
         &self,
         planes: &mut [Complex64],
@@ -2546,13 +1906,13 @@ impl Fft2 {
         self.convolve_planes(planes, transfer, false, workspace);
     }
 
-    /// Batched [`Fft2::convolve_spectrum_adjoint_slice_with`]: gradient
-    /// propagation with the conjugated transfer function across batch
-    /// lanes (see [`Fft2::convolve_spectrum_batch_with`]).
+    /// Gradient propagation with the conjugated transfer function across
+    /// batch lanes: the adjoint of [`Fft2::convolve_spectrum_batch_with`].
     ///
     /// # Panics
     ///
-    /// Panics if `transfer` or `planes` does not match the planned shape.
+    /// Panics if `transfer`, `planes` or `workspace` does not match the
+    /// planned shape.
     pub fn convolve_spectrum_adjoint_batch_with(
         &self,
         planes: &mut [Complex64],
@@ -2562,13 +1922,11 @@ impl Fft2 {
         self.convolve_planes(planes, transfer, true, workspace);
     }
 
-    /// Shared grouped driver behind both batched convolve entry points;
-    /// `adj` selects the conjugated (adjoint) transfer multiply.
     fn convolve_planes(
         &self,
         planes: &mut [Complex64],
         transfer: &Field,
-        adj: bool,
+        adjoint: bool,
         ws: &mut Fft2Workspace,
     ) {
         assert_eq!(
@@ -2576,15 +1934,55 @@ impl Fft2 {
             (self.rows, self.cols),
             "transfer shape mismatch"
         );
+        let op = PlaneOp::Convolve {
+            transfer: transfer.as_slice(),
+            adjoint,
+        };
+        self.run_planes(planes, op, ws);
+    }
+
+    /// True when one plane's row/column passes split across the worker
+    /// pool: the plane is large, more than one worker is configured, and
+    /// the caller is not already inside a parallel region.
+    fn pooled(&self) -> bool {
+        self.rows * self.cols >= PAR_MIN_LEN
+            && parallel::threads() > 1
+            && !parallel::in_parallel_region()
+    }
+
+    /// Picks how many planes to co-process per vector op: the runtime
+    /// [`simd::dispatch`] level, except when the per-plane kernels would
+    /// split across the worker pool — pooled row/column passes already
+    /// saturate the core budget, so batched work keeps 1-lane groups there
+    /// (see the module docs).
+    fn batch_level(&self) -> SimdLevel {
+        if self.pooled() {
+            SimdLevel::Scalar
+        } else {
+            simd::dispatch()
+        }
+    }
+
+    /// The plane driver behind every 2-D entry point: co-processes groups
+    /// of 4, then 2, planes per vector op at the batch level and runs each
+    /// remaining plane as a 1-lane group in place. A per-sample call is the
+    /// one-plane batch. Every lane executes the 1-lane operation sequence,
+    /// so results are bitwise identical whatever the grouping.
+    fn run_planes(&self, planes: &mut [Complex64], op: PlaneOp, ws: &mut Fft2Workspace) {
         let plane_len = self.rows * self.cols;
         assert_eq!(planes.len() % plane_len, 0, "Fft2 plane length mismatch");
+        assert_eq!(
+            ws.shape(),
+            (self.rows, self.cols),
+            "Fft2 workspace shape mismatch"
+        );
         let level = self.batch_level();
         let mut rest = planes;
         if level >= SimdLevel::X4 {
             while rest.len() >= 4 * plane_len {
                 let (group, tail) = rest.split_at_mut(4 * plane_len);
                 let _t = KernelTimer::start(simd_cell(SimdLevel::X4));
-                self.convolve_group_x4(group, transfer, adj, ws);
+                self.run_group_x4(group, op, ws);
                 rest = tail;
             }
         }
@@ -2592,149 +1990,268 @@ impl Fft2 {
             while rest.len() >= 2 * plane_len {
                 let (group, tail) = rest.split_at_mut(2 * plane_len);
                 let _t = KernelTimer::start(simd_cell(SimdLevel::X2));
-                self.convolve_group_v::<simd::F64x2>(group, transfer, adj, ws);
+                self.run_group::<VComplex<simd::F64x2>>(group, op, ws);
                 rest = tail;
             }
         }
         for plane in rest.chunks_exact_mut(plane_len) {
             let _t = KernelTimer::start(KernelKind::SimdScalar);
-            if adj {
-                self.convolve_spectrum_adjoint_slice_with(plane, transfer, ws);
-            } else {
-                self.convolve_spectrum_slice_with(plane, transfer, ws);
-            }
+            self.run_group::<Complex64>(plane, op, ws);
         }
     }
 
-    /// Four-lane group convolve, routed through the AVX2-enabled wrapper
-    /// on x86-64 (see [`Fft2::process_group_x4`]).
+    /// Four-lane group, routed through the AVX2-enabled wrapper on x86-64
+    /// so the generic kernels compile to AVX instructions.
     #[inline]
-    fn convolve_group_x4(
-        &self,
-        group: &mut [Complex64],
-        transfer: &Field,
-        adj: bool,
-        ws: &mut Fft2Workspace,
-    ) {
+    fn run_group_x4(&self, group: &mut [Complex64], op: PlaneOp, ws: &mut Fft2Workspace) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: reached only when `batch_level() ≥ X4`, and dispatch/force
         // clamp X4 to X2 unless AVX2 was detected at runtime on this CPU.
         unsafe {
-            self.convolve_group_avx2(group, transfer, adj, ws)
+            self.run_group_avx2(group, op, ws)
         }
         #[cfg(not(target_arch = "x86_64"))]
-        self.convolve_group_v::<simd::F64x4>(group, transfer, adj, ws)
+        self.run_group::<VComplex<simd::F64x4>>(group, op, ws)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn convolve_group_avx2(
-        &self,
-        group: &mut [Complex64],
-        transfer: &Field,
-        adj: bool,
-        ws: &mut Fft2Workspace,
-    ) {
-        self.convolve_group_v::<simd::F64x4>(group, transfer, adj, ws)
+    fn run_group_avx2(&self, group: &mut [Complex64], op: PlaneOp, ws: &mut Fft2Workspace) {
+        self.run_group::<VComplex<simd::F64x4>>(group, op, ws)
     }
 
-    /// One packed group of the fused convolve: forward pipeline, broadcast
-    /// transfer multiply, inverse pipeline — one pack/unpack round trip for
-    /// the whole step.
+    /// Runs `op` on one group of `C::LANES` planes. A 1-lane group is the
+    /// plane itself — `Complex64`'s `(re, im)` layout is the 1-lane packed
+    /// layout — so it runs in place, on the worker pool when the plane is
+    /// large enough; wider groups only exist when it is not (see
+    /// [`Fft2::batch_level`]), and pack into the workspace's group buffer.
     #[cfg_attr(not(debug_assertions), inline(always))]
-    fn convolve_group_v<V: SimdF64>(
+    fn run_group<C: ComplexLanes>(
         &self,
         group: &mut [Complex64],
-        transfer: &Field,
-        adj: bool,
+        op: PlaneOp,
         ws: &mut Fft2Workspace,
     ) {
-        let stride = 2 * V::LANES;
-        let n = self.rows * self.cols;
-        ws.simd
-            .ensure(self.rows, self.cols, self.max_plan_scratch(), V::LANES);
-        let SimdScratch {
-            packed,
+        // Steady-state no-op: workspaces are pre-sized for the dispatch
+        // width; this covers caller-assembled ones.
+        self.reserve_lanes(ws, C::LANES);
+        let Fft2Workspace {
             scratch,
             col_block,
-        } = &mut ws.simd;
-        let packed = &mut packed[..n * stride];
-        pack_group::<V>(group, packed);
-        self.fft2_packed_v::<V>(Direction::Forward, packed, scratch, col_block);
+            packed,
+            ..
+        } = ws;
+        let (scratch, col_block) = (as_f64s_mut(scratch), as_f64s_mut(col_block));
+        let group = as_f64s_mut(group);
+        if C::LANES == 1 {
+            self.run_op::<C>(op, group, scratch, col_block, self.pooled());
+        } else {
+            let packed = &mut packed[..group.len()];
+            pack_group::<C>(group, packed);
+            self.run_op::<C>(op, packed, scratch, col_block, false);
+            unpack_group::<C>(packed, group);
+        }
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn run_op<C: ComplexLanes>(
+        &self,
+        op: PlaneOp,
+        data: &mut [f64],
+        scratch: &mut [f64],
+        col_block: &mut [f64],
+        pooled: bool,
+    ) {
+        match op {
+            PlaneOp::Fft(dir) => self.fft2::<C>(data, dir, scratch, col_block, pooled),
+            PlaneOp::Convolve { transfer, adjoint } => {
+                self.fft2::<C>(data, Direction::Forward, scratch, col_block, pooled);
+                {
+                    let _t = KernelTimer::start(KernelKind::Transfer);
+                    mul_coeffs_packed::<C>(data, transfer, adjoint);
+                }
+                self.fft2::<C>(data, Direction::Inverse, scratch, col_block, pooled);
+            }
+        }
+    }
+
+    /// The row/column pipeline over one packed group: rows transform in
+    /// place, columns through cache-blocked staging `COL_BLOCK / L` columns
+    /// wide — no transpose is ever materialized. With `pooled`, row chunks
+    /// and column blocks split across the worker pool, each worker drawing
+    /// scratch from its own thread-local pool.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn fft2<C: ComplexLanes>(
+        &self,
+        data: &mut [f64],
+        dir: Direction,
+        scratch: &mut [f64],
+        col_block: &mut [f64],
+        pooled: bool,
+    ) {
+        let (rows, cols) = (self.rows, self.cols);
+        let lanes = C::LANES;
+        debug_assert_eq!(data.len(), rows * cols * 2 * lanes);
+        let base = PlanePtr(data.as_mut_ptr());
         {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            mul_coeffs_packed::<V>(packed, transfer.as_slice(), adj);
+            let _t = pass_timer(KernelKind::FftRows, &self.row_plan);
+            if pooled {
+                let tasks = parallel::threads().min(rows).max(1) * 4;
+                let chunk = rows.div_ceil(tasks);
+                let tasks = rows.div_ceil(chunk);
+                parallel::par_for(tasks, |t| {
+                    let base = &base; // capture the Sync wrapper, not the raw plane
+                    let rows_hi = ((t + 1) * chunk).min(rows);
+                    with_thread_scratch(self.row_plan.scratch_len() * lanes, |scratch| {
+                        // SAFETY: tasks own disjoint row ranges of the
+                        // plane, which outlives par_for's completion
+                        // barrier.
+                        unsafe {
+                            self.rows_lanes::<C>(
+                                base.0,
+                                t * chunk,
+                                rows_hi,
+                                dir,
+                                as_f64s_mut(scratch),
+                            )
+                        }
+                    });
+                });
+            } else {
+                // SAFETY: all rows of the plane `data` exclusively borrows.
+                unsafe { self.rows_lanes::<C>(base.0, 0, rows, dir, scratch) }
+            }
         }
-        self.fft2_packed_v::<V>(Direction::Inverse, packed, scratch, col_block);
-        unpack_group::<V>(packed, group);
-    }
-}
-
-/// Copies columns `[c0, c0+bw)` of a row-major `rows × cols` buffer into
-/// column-major staging (`block[k·rows + r] = data[r·cols + c0 + k]`).
-///
-/// Takes a raw base pointer so concurrent tasks working on *disjoint*
-/// column ranges of one buffer never materialize overlapping `&`/`&mut`
-/// slices (which would be UB even with disjoint element access).
-///
-/// # Safety
-///
-/// `data` must point to at least `rows·cols` readable elements that no
-/// other thread writes in the accessed columns during the call, and
-/// `c0 + bw ≤ cols` must hold.
-#[inline]
-unsafe fn gather_columns(
-    data: *const Complex64,
-    rows: usize,
-    cols: usize,
-    c0: usize,
-    bw: usize,
-    block: &mut [Complex64],
-) {
-    debug_assert!(c0 + bw <= cols && block.len() >= rows * bw);
-    for r in 0..rows {
-        for k in 0..bw {
-            // SAFETY: r·cols + c0 + k < rows·cols by the caller contract.
-            block[k * rows + r] = unsafe { *data.add(r * cols + c0 + k) };
+        {
+            let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
+            let width = (COL_BLOCK / lanes).min(cols);
+            let blocks = cols.div_ceil(width);
+            if pooled {
+                parallel::par_for(blocks, |b| {
+                    let base = &base; // capture the Sync wrapper, not the raw plane
+                    let c0 = b * width;
+                    let bw = width.min(cols - c0);
+                    with_thread_scratch(rows * bw * lanes, |block| {
+                        with_thread_scratch(self.col_plan.scratch_len() * lanes, |scratch| {
+                            // SAFETY: tasks touch disjoint column ranges
+                            // [c0, c0+bw) through raw pointer arithmetic
+                            // only — no task ever forms a reference
+                            // spanning another task's columns — and the
+                            // plane outlives par_for's completion barrier.
+                            unsafe {
+                                self.cols_lanes::<C>(
+                                    base.0,
+                                    c0,
+                                    bw,
+                                    dir,
+                                    as_f64s_mut(block),
+                                    as_f64s_mut(scratch),
+                                )
+                            }
+                        });
+                    });
+                });
+            } else {
+                for b in 0..blocks {
+                    let c0 = b * width;
+                    // SAFETY: columns of the plane `data` exclusively
+                    // borrows; `col_block` is sized by `reserve_lanes`.
+                    unsafe {
+                        self.cols_lanes::<C>(
+                            base.0,
+                            c0,
+                            width.min(cols - c0),
+                            dir,
+                            col_block,
+                            scratch,
+                        )
+                    }
+                }
+            }
         }
     }
-}
 
-/// Inverse of [`gather_columns`].
-///
-/// # Safety
-///
-/// `data` must point to at least `rows·cols` writable elements whose
-/// columns `[c0, c0+bw)` no other thread accesses during the call, and
-/// `c0 + bw ≤ cols` must hold.
-#[inline]
-unsafe fn scatter_columns(
-    block: &[Complex64],
-    rows: usize,
-    cols: usize,
-    c0: usize,
-    bw: usize,
-    data: *mut Complex64,
-) {
-    debug_assert!(c0 + bw <= cols && block.len() >= rows * bw);
-    for r in 0..rows {
-        for k in 0..bw {
-            // SAFETY: r·cols + c0 + k < rows·cols by the caller contract.
-            unsafe {
-                *data.add(r * cols + c0 + k) = block[k * rows + r];
+    /// Transforms rows `lo..hi` of a packed plane in place.
+    ///
+    /// # Safety
+    ///
+    /// `base` must point to a packed `rows × cols` plane
+    /// (`rows·cols·2L` f64s) whose rows `lo..hi ≤ rows` nobody else
+    /// accesses during the call.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    unsafe fn rows_lanes<C: ComplexLanes>(
+        &self,
+        base: *mut f64,
+        lo: usize,
+        hi: usize,
+        dir: Direction,
+        scratch: &mut [f64],
+    ) {
+        let len = self.cols * 2 * C::LANES;
+        for r in lo..hi {
+            // SAFETY: row r lies inside the plane and belongs to this call
+            // alone (caller contract).
+            let row = unsafe { std::slice::from_raw_parts_mut(base.add(r * len), len) };
+            self.row_plan.process_lanes::<C>(row, dir, scratch);
+        }
+    }
+
+    /// Transforms columns `c0..c0+bw` of a packed plane: gathers them into
+    /// column-major staging (`block[k·rows + r] = plane[r·cols + c0 + k]`),
+    /// transforms each, and scatters them back.
+    ///
+    /// Takes a raw base pointer so concurrent tasks working on *disjoint*
+    /// column ranges of one plane never materialize overlapping `&`/`&mut`
+    /// slices (which would be UB even with disjoint element access).
+    ///
+    /// # Safety
+    ///
+    /// `base` must point to a packed `rows × cols` plane whose columns
+    /// `[c0, c0+bw)` nobody else accesses during the call, `c0 + bw ≤ cols`
+    /// must hold, and `block` must hold at least `rows·bw·2L` f64s.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    unsafe fn cols_lanes<C: ComplexLanes>(
+        &self,
+        base: *mut f64,
+        c0: usize,
+        bw: usize,
+        dir: Direction,
+        block: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        let (rows, cols) = (self.rows, self.cols);
+        let stride = 2 * C::LANES;
+        assert!(c0 + bw <= cols && block.len() >= rows * bw * stride);
+        let plane = base.cast::<C>();
+        let staged = block.as_mut_ptr().cast::<C>();
+        for r in 0..rows {
+            for k in 0..bw {
+                // SAFETY: element (r, c0+k) is inside the plane and in this
+                // call's columns; staging slot k·rows + r < rows·bw.
+                unsafe { C::load(plane.add(r * cols + c0 + k)).store(staged.add(k * rows + r)) }
+            }
+        }
+        for column in block.chunks_exact_mut(rows * stride).take(bw) {
+            self.col_plan.process_lanes::<C>(column, dir, scratch);
+        }
+        let staged = block.as_ptr().cast::<C>();
+        for r in 0..rows {
+            for k in 0..bw {
+                // SAFETY: the gather's bounds, directions swapped.
+                unsafe { C::load(staged.add(k * rows + r)).store(plane.add(r * cols + c0 + k)) }
             }
         }
     }
 }
 
-/// Shared-buffer pointer handed to disjoint parallel tasks.
+/// Shared-plane pointer handed to disjoint parallel tasks.
 #[derive(Clone, Copy)]
-struct RowsPtr(*mut Complex64);
+struct PlanePtr(*mut f64);
 // SAFETY: tasks dereference disjoint index ranges only (see call sites).
-unsafe impl Send for RowsPtr {}
+unsafe impl Send for PlanePtr {}
 // SAFETY: same disjointness argument as `Send` above — shared references
 // to the wrapper never alias writes to the same indices.
-unsafe impl Sync for RowsPtr {}
+unsafe impl Sync for PlanePtr {}
 
 thread_local! {
     /// Per-thread pool of scratch buffers for the parallel FFT loops.
@@ -2809,7 +2326,6 @@ pub fn dft_naive(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
     }
     out
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2904,7 +2420,7 @@ mod tests {
 
     #[test]
     fn parseval_1d() {
-        let n = 200; // Bluestein path
+        let n = 200; // 2³·5²: Stockham path
         let data: Vec<Complex64> = (0..n)
             .map(|i| Complex64::new((i as f64 * 0.1).sin(), (i as f64 * 0.2).cos()))
             .collect();
@@ -2922,24 +2438,30 @@ mod tests {
 
     #[test]
     fn plan_reports_shape_facts() {
-        // 200 = 2³·5² is smooth → mixed-radix fast path, Bluestein oracle.
+        // 200 = 2³·5² is smooth → mixed-radix fast path; its scratch is
+        // the Stockham ping-pong buffer, not the Bluestein oracle's 512.
         let plan = FftPlan::new(200);
         assert_eq!(plan.len(), 200);
         assert!(!plan.is_empty());
         assert!(plan.is_mixed_radix());
         assert!(!plan.is_bluestein());
-        assert_eq!(plan.scratch_len(), 512); // (2·200-1).next_power_of_two()
+        assert_eq!(plan.scratch_len(), 200);
 
-        // 211 is prime with smooth 210 = 2·3·5·7 → Rader path.
+        // 211 is prime with smooth 210 = 2·3·5·7 → Rader path: the
+        // length-210 convolution plus its Stockham ping-pong buffer.
         let prime = FftPlan::new(211);
         assert!(prime.is_rader());
         assert!(!prime.is_bluestein());
         assert!(!prime.is_mixed_radix());
+        assert_eq!(prime.scratch_len(), 420);
+        // 257 is prime with 256 = 2⁸ → Rader over the radix-2 kernel.
+        assert_eq!(FftPlan::new(257).scratch_len(), 256);
 
         // 23 is prime but 22 = 2·11 is not smooth → true Bluestein path.
         let rough = FftPlan::new(23);
         assert!(rough.is_bluestein());
         assert!(!rough.is_rader());
+        assert_eq!(rough.scratch_len(), 64); // (2·23−1).next_power_of_two()
 
         let pow2 = FftPlan::new(64);
         assert!(!pow2.is_bluestein());
@@ -3065,10 +2587,6 @@ mod tests {
         let mut g = f.clone();
         fft.convolve_spectrum(&mut g, &h);
         assert!(f.distance(&g) < 1e-9);
-        let mut ws = fft.make_workspace();
-        let mut g2 = f.clone();
-        fft.convolve_spectrum_with(&mut g2, &h, &mut ws);
-        assert!(f.distance(&g2) < 1e-9);
     }
 
     #[test]
@@ -3092,6 +2610,34 @@ mod tests {
             (lhs - rhs).norm() < 1e-8,
             "adjoint identity violated: {lhs:?} vs {rhs:?}"
         );
+    }
+
+    #[test]
+    fn reference_oracle_is_built_on_first_use() {
+        for n in [200usize, 211] {
+            let plan = FftPlan::new(n);
+            let mut data: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 1.0)).collect();
+            let mut scratch = plan.make_scratch();
+            plan.process(&mut data, Direction::Forward, &mut scratch);
+            assert!(
+                plan.reference.get().is_none(),
+                "fast path built the oracle at {n}"
+            );
+            plan.process_reference(&mut data, Direction::Inverse, &mut scratch);
+            assert!(plan.reference.get().is_some(), "oracle missing at {n}");
+        }
+    }
+
+    #[test]
+    fn one_lane_path_allocates_no_simd_scratch() {
+        let fft = Fft2::new(20, 24);
+        let mut ws = fft.make_workspace();
+        let before = ws.resident_bytes();
+        let mut f = Field::from_fn(20, 24, |r, c| Complex64::new(r as f64, c as f64));
+        fft.process_with(&mut f, Direction::Forward, &mut ws);
+        fft.convolve_spectrum_batch_with(f.as_mut_slice(), &Field::ones(20, 24), &mut ws);
+        assert!(ws.packed.is_empty(), "a one-plane call must not pack");
+        assert_eq!(ws.resident_bytes(), before);
     }
 
     /// Serializes the tests that clear, flood, or assert on the global
@@ -3165,7 +2711,7 @@ mod tests {
 
     #[test]
     fn linearity() {
-        let n = 48; // power-of-two? no: 48 = 16*3 -> Bluestein path
+        let n = 48; // 2⁴·3: Stockham path
         let plan = FftPlan::new(n);
         let x: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 0.5)).collect();
         let y: Vec<Complex64> = (0..n).map(|i| Complex64::new(1.0, -(i as f64))).collect();

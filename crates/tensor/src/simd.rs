@@ -31,11 +31,15 @@
 //!
 //! # Equivalence contract
 //!
-//! The vector FFT kernels keep *bitwise* scalar equivalence by packing
-//! lanes so each lane performs the exact scalar operation sequence (see
-//! `crate::fft` module docs). The one deliberate re-association lives in
-//! [`sum_norm_sqr`], whose lane-partial reduction is covered by the
-//! documented ≤1e-12 relative tolerance of the detector readout.
+//! The FFT kernels are written once, generic over the lane width: scalar
+//! execution is their 1-lane instance, and every lane of a 2- or 4-lane
+//! group performs the 1-lane operation sequence, so all widths agree
+//! *bitwise* (see `crate::fft` module docs). The one deliberate
+//! re-association lives in [`sum_norm_sqr`], whose lane-partial reduction
+//! is covered by the documented ≤1e-12 relative tolerance of the detector
+//! readout; its scalar arm stays the sequential oracle rather than a
+//! 1-lane instance of the vector reduction, which would sum `re²` and
+//! `im²` as separate terms and so not be bitwise equal to it.
 
 use crate::complex::Complex64;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -480,7 +484,8 @@ pub use backend::{F64x2, F64x4};
 /// How many planes the batched kernels co-process per vector operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Per-plane scalar kernels — the bit-identity oracle.
+    /// One plane at a time: the 1-lane instance of the same kernels the
+    /// wider levels run, so every level is bitwise equal to this one.
     Scalar,
     /// Two planes per op ([`F64x2`]: SSE2 / NEON / portable).
     X2,

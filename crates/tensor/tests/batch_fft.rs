@@ -3,7 +3,7 @@
 //! per-plane `process_with` for every plane, across batch sizes, shapes
 //! (square and non-square), and FFT code paths (radix-2, mixed-radix
 //! Stockham, Rader, and Bluestein) — and every forced SIMD dispatch level
-//! must be bitwise identical to the forced-scalar oracle. This is the
+//! must be bitwise identical to forced scalar (1-lane groups). This is the
 //! invariant the whole batched propagation stack inherits.
 
 use lr_tensor::{Complex64, Direction, Fft2, Field, FieldBatch};
@@ -114,11 +114,12 @@ fn one_workspace_serves_shrinking_and_growing_batches() {
     }
 }
 
-/// The cross-plane SIMD contract: every forced dispatch level the CPU can
-/// execute produces **bitwise identical** batched FFT and spectrum-
-/// convolution results to the forced-scalar oracle — each vector lane
-/// performs the exact scalar operation sequence, so there is no tolerance
-/// to negotiate on these paths. Covers batch sizes {1, 3, 32} (remainder
+/// Lane independence of the one kernel family: every forced dispatch level
+/// the CPU can execute (2- and 4-lane groups) produces **bitwise
+/// identical** batched FFT and spectrum-convolution results to forced
+/// scalar, where every plane runs as a 1-lane group — each vector lane
+/// performs the 1-lane operation sequence, so there is no tolerance to
+/// negotiate on these paths. Covers batch sizes {1, 3, 32} (remainder
 /// lanes at both x2 and x4 grouping), non-square grids, and every plan
 /// kind: radix-2 (16), mixed-radix Stockham (20, 24), Rader primes
 /// (31: 30 = 2·3·5), and Bluestein (23: 22 has the factor 11).

@@ -4,7 +4,7 @@
 //! on the paper's system resolutions and on non-square shapes, and the
 //! persistent worker pool must be bit-deterministic across thread counts.
 
-use lr_tensor::{parallel, Complex64, Direction, Fft2, Field};
+use lr_tensor::{parallel, Complex64, Direction, Fft2, FftPlan, Field};
 
 fn test_field(rows: usize, cols: usize, seed: u64) -> Field {
     Field::from_fn(rows, cols, |r, c| {
@@ -56,20 +56,49 @@ fn paper_resolution_500() {
     assert_matches_reference(500, 500, 3);
 }
 
+/// The fast path a 1-D plan of length `n` takes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Path {
+    Radix2,
+    Stockham,
+    Rader,
+    Bluestein,
+}
+
+fn path(n: usize) -> Path {
+    let plan = FftPlan::new(n);
+    match (plan.is_mixed_radix(), plan.is_rader(), plan.is_bluestein()) {
+        (false, false, false) => Path::Radix2,
+        (true, false, false) => Path::Stockham,
+        (false, true, false) => Path::Rader,
+        (false, false, true) => Path::Bluestein,
+        flags => panic!("plan {n} reports several paths: {flags:?}"),
+    }
+}
+
 #[test]
 fn non_square_and_mixed_plan_shapes() {
-    // Rectangles mixing radix-2, mixed-radix, and Bluestein (211 prime)
-    // row/column plans, on both sides of the column-block width (32).
-    for &(r, c, seed) in &[
-        (200usize, 64usize, 4u64),
-        (64, 200, 5),
-        (31, 97, 6),  // Bluestein × Bluestein (primes)
-        (16, 211, 7), // radix-2 × Bluestein prime
-        (211, 16, 8),
-        (100, 350, 9), // mixed × mixed, wide
-        (3, 40, 10),   // fewer rows than one column block
+    use Path::*;
+    // Rectangles mixing every plan kind per axis, on both sides of the
+    // column-block width (32). Each entry names the path its row (length
+    // `cols`) and column (length `rows`) plans must take, so a change in
+    // plan selection cannot silently drop a kind from the coverage.
+    for &(rows, cols, seed, col_path, row_path) in &[
+        (200usize, 64usize, 4u64, Stockham, Radix2),
+        (64, 200, 5, Radix2, Stockham),
+        (31, 97, 6, Rader, Rader), // primes with smooth p − 1
+        (16, 211, 7, Radix2, Rader),
+        (211, 16, 8, Rader, Radix2),
+        (100, 350, 9, Stockham, Stockham),   // mixed × mixed, wide
+        (3, 40, 10, Stockham, Stockham),     // fewer rows than one column block
+        (23, 46, 11, Bluestein, Bluestein),  // 22 and 46 have the factors 11, 23
+        (199, 23, 12, Bluestein, Bluestein), // 198 = 2·3²·11
+        (46, 199, 13, Bluestein, Bluestein),
+        (199, 64, 14, Bluestein, Radix2),
     ] {
-        assert_matches_reference(r, c, seed);
+        assert_eq!(path(rows), col_path, "column plan of {rows}x{cols}");
+        assert_eq!(path(cols), row_path, "row plan of {rows}x{cols}");
+        assert_matches_reference(rows, cols, seed);
     }
 }
 
