@@ -21,6 +21,10 @@
 //!   make CI flap; they are in the table for observability.
 //! * Everything else numeric (counters like `completed`, environment
 //!   fields like `threads`) is likewise informational and never gates.
+//! * Metrics only the current artifact has (a new kernel cell, say) are
+//!   additive: they never fail the gate until a regenerated baseline
+//!   carries them. A tracked baseline metric missing from the current
+//!   artifact, by contrast, fails it.
 //!
 //! The artifacts are this repo's own fixed format, so the parser is a
 //! deliberately small recursive-descent JSON reader — no serde (the build
@@ -797,5 +801,22 @@ mod tests {
         let cur2 = parse_json(&BASE.replace("\"completed\": 100,", "")).unwrap();
         let (_, _, missing2) = compare_values(&base, &cur2, 15.0);
         assert!(missing2.is_empty());
+    }
+
+    #[test]
+    fn new_metric_is_additive() {
+        // A metric the baseline predates (a new kernel cell such as
+        // `modulate`) neither regresses nor counts as missing; it gates
+        // once a regenerated baseline carries it.
+        let base = parse_json(BASE).unwrap();
+        let cur = parse_json(&BASE.replace(
+            "\"fft/200\": 1000.0,",
+            "\"fft/200\": 1000.0, \"modulate/200\": 5000.0,",
+        ))
+        .unwrap();
+        let (rows, regressed, missing) = compare_values(&base, &cur, 15.0);
+        assert!(!regressed);
+        assert!(missing.is_empty());
+        assert!(rows.iter().all(|r| r.path != "median_ns.modulate/200"));
     }
 }

@@ -21,6 +21,7 @@
 //! training without quantization approximations".
 
 use lr_hardware::SlmModel;
+use lr_obs::{KernelKind, KernelTimer};
 use lr_optics::{Approximation, Distance, FreeSpace, Grid, PropagationScratch, Wavelength};
 use lr_tensor::{Complex64, Field, FieldBatch};
 use rand::rngs::StdRng;
@@ -305,6 +306,7 @@ impl CodesignLayer {
     ) {
         let (rows, cols) = self.grid().shape();
         assert_eq!(u.len(), rows * cols, "plane/grid length mismatch");
+        let _t = KernelTimer::start(KernelKind::Modulate);
         if cache.propagated.shape() != (rows, cols) {
             cache.propagated = Field::zeros(rows, cols);
         }
@@ -392,17 +394,19 @@ impl CodesignLayer {
         );
         assert_eq!(u.shape(), self.grid().shape(), "input/grid shape mismatch");
         self.propagator.propagate_with(u, scratch);
-        self.infer_modulate_slice(u.as_mut_slice(), mode);
+        self.infer_modulate_planes(u.as_mut_slice(), mode);
     }
 
-    /// The inference-mode modulation kernel on one raw (already propagated)
-    /// plane — shared by [`CodesignLayer::infer_inplace`] and the batched
-    /// inference path. Weights are folded on the fly; no buffers are
-    /// touched.
-    fn infer_modulate_slice(&self, u: &mut [Complex64], mode: CodesignMode) {
+    /// The inference-mode modulation kernel over whole plane-major
+    /// (already propagated) planes — one plane for
+    /// [`CodesignLayer::infer_inplace`], the active batch for the batched
+    /// path. Weights are folded on the fly into each pixel's state, which
+    /// is computed once per call rather than once per plane; no buffers
+    /// are touched.
+    fn infer_modulate_planes(&self, planes: &mut [Complex64], mode: CodesignMode) {
         let levels = self.device.num_levels();
         let inv_tau = 1.0 / self.temperature;
-        for (p, z) in u.iter_mut().enumerate() {
+        super::modulate_planes(planes, self.num_pixels(), |p| {
             let row = &self.logits[p * levels..(p + 1) * levels];
             let m = match mode {
                 CodesignMode::Deploy => {
@@ -431,8 +435,8 @@ impl CodesignLayer {
                     num / den
                 }
             };
-            *z *= m * self.gamma;
-        }
+            m * self.gamma
+        });
     }
 
     /// Batched inference step: diffract every active plane, then modulate
@@ -455,9 +459,7 @@ impl CodesignLayer {
             "infer_batch_inplace supports Soft/Deploy; Train needs the traced forward"
         );
         self.propagator.propagate_batch_into(batch, scratch);
-        for plane in batch.planes_mut() {
-            self.infer_modulate_slice(plane, mode);
-        }
+        self.infer_modulate_planes(batch.as_mut_slice(), mode);
     }
 
     /// Batched trace-building forward pass: diffracts every active plane,
@@ -496,8 +498,7 @@ impl CodesignLayer {
     /// active plane of `grad` enters as `∂L/∂(output)̄` and leaves as
     /// `∂L/∂(input)̄`; `logit_grads` accumulates `dL/dlogits` summed over
     /// the batch in plane order. Unlike the per-sample
-    /// [`CodesignLayer::backward`], this allocates no gradient field per
-    /// sample (`dw` is the only scratch, sized once per call).
+    /// [`CodesignLayer::backward`], this allocates nothing.
     ///
     /// # Panics
     ///
@@ -524,33 +525,44 @@ impl CodesignLayer {
             self.logits.len(),
             "logit gradient buffer length mismatch"
         );
-        let levels = self.device.num_levels();
-        let pixels = self.num_pixels();
-        let inv_tau = 1.0 / self.temperature;
-        let mut dw = vec![0.0; levels];
+        let t = KernelTimer::start(KernelKind::Modulate);
         for (b, cache) in caches.iter().enumerate().take(grad.batch()) {
-            let g = grad.plane_mut(b);
-            let u = cache.propagated.as_slice();
-            for p in 0..pixels {
-                // dL/dw_l = 2·Re( conj(g_p) · u_p · γ · c_l )
-                let gu = g[p].conj() * u[p] * self.gamma;
-                for (d, &state) in dw.iter_mut().zip(&self.states) {
-                    *d = 2.0 * (gu * state).re;
-                }
-                // Softmax Jacobian with the 1/τ chain factor.
-                let w = &cache.weights[p * levels..(p + 1) * levels];
-                let dot: f64 = dw.iter().zip(w).map(|(&d, &wi)| d * wi).sum();
-                let out_row = &mut logit_grads[p * levels..(p + 1) * levels];
-                for l in 0..levels {
-                    out_row[l] += w[l] * inv_tau * (dw[l] - dot);
-                }
-            }
-            // g_u = g_out · conj(m), in place.
-            for (gi, &m) in g.iter_mut().zip(&cache.modulation) {
-                *gi *= m.conj();
+            self.backprop_modulation(grad.plane_mut(b), cache, logit_grads);
+        }
+        drop(t);
+        self.propagator.adjoint_batch_into(grad, scratch);
+    }
+
+    /// The modulation backward on one plane, allocation-free: accumulates
+    /// `dL/dlogits` into `logit_grads` (`+=`), then turns `g` from
+    /// `∂L/∂(output)̄` into `∂L/∂(propagated)̄` in place.
+    fn backprop_modulation(
+        &self,
+        g: &mut [Complex64],
+        cache: &CodesignCache,
+        logit_grads: &mut [f64],
+    ) {
+        let levels = self.device.num_levels();
+        let inv_tau = 1.0 / self.temperature;
+        let u = cache.propagated.as_slice();
+        for p in 0..self.num_pixels() {
+            // dL/dw_l = 2·Re( conj(g_p) · u_p · γ · c_l ), recomputed per
+            // use instead of staged in a buffer.
+            let gu = g[p].conj() * u[p] * self.gamma;
+            let dw = |l: usize| 2.0 * (gu * self.states[l]).re;
+            // Softmax Jacobian with the 1/τ chain factor:
+            // dL/dlogit_k = (w_k/τ)·(dL/dw_k − Σ_l dL/dw_l·w_l)
+            let w = &cache.weights[p * levels..(p + 1) * levels];
+            let dot: f64 = w.iter().enumerate().map(|(l, &wi)| dw(l) * wi).sum();
+            let out_row = &mut logit_grads[p * levels..(p + 1) * levels];
+            for l in 0..levels {
+                out_row[l] += w[l] * inv_tau * (dw(l) - dot);
             }
         }
-        self.propagator.adjoint_batch_into(grad, scratch);
+        // g_u = g_out · conj(m), in place.
+        for (gi, &m) in g.iter_mut().zip(&cache.modulation) {
+            *gi *= m.conj();
+        }
     }
 
     /// Backward pass: accumulates `dL/dlogits` into `logit_grads` (`+=`) and
@@ -575,34 +587,8 @@ impl CodesignLayer {
             self.logits.len(),
             "logit gradient buffer length mismatch"
         );
-        let levels = self.device.num_levels();
-        let pixels = self.num_pixels();
-        let inv_tau = 1.0 / self.temperature;
-
-        let g = grad_output.as_slice();
-        let u = cache.propagated.as_slice();
-        let mut dw = vec![0.0; levels];
-        for p in 0..pixels {
-            // dL/dw_l = 2·Re( conj(g_p) · u_p · γ · c_l )
-            let gu = g[p].conj() * u[p] * self.gamma;
-            for (d, &state) in dw.iter_mut().zip(&self.states) {
-                *d = 2.0 * (gu * state).re;
-            }
-            // Softmax Jacobian with the 1/τ chain factor:
-            // dL/dlogit_k = (w_k/τ)·(dL/dw_k − Σ_l dL/dw_l·w_l)
-            let w = &cache.weights[p * levels..(p + 1) * levels];
-            let dot: f64 = dw.iter().zip(w).map(|(&d, &wi)| d * wi).sum();
-            let out_row = &mut logit_grads[p * levels..(p + 1) * levels];
-            for l in 0..levels {
-                out_row[l] += w[l] * inv_tau * (dw[l] - dot);
-            }
-        }
-
-        // g_u = g_out · conj(m); then adjoint diffraction.
         let mut g_in = grad_output.clone();
-        for (gi, &m) in g_in.as_mut_slice().iter_mut().zip(&cache.modulation) {
-            *gi *= m.conj();
-        }
+        self.backprop_modulation(g_in.as_mut_slice(), cache, logit_grads);
         self.propagator.adjoint(&mut g_in);
         g_in
     }
@@ -677,6 +663,31 @@ mod tests {
         let (b, _) = layer.forward(&x, CodesignMode::Train, 2);
         assert_eq!(a, a2, "same seed must reproduce");
         assert!(a.distance(&b) > 0.0, "different seeds must differ");
+    }
+
+    #[test]
+    fn inference_modulation_spans_several_tiles() {
+        // 20×20 = 400 pixels, more than one modulation tile: the tiled
+        // inference kernel must give each pixel the state the
+        // cache-producing forward computes for it.
+        let mut layer = CodesignLayer::new(
+            Grid::square(20, PixelPitch::from_um(36.0)),
+            Wavelength::from_nm(532.0),
+            Distance::from_mm(30.0),
+            Approximation::RayleighSommerfeld,
+            SlmModel::ideal(8),
+            1.0,
+            0.7,
+        );
+        layer.randomize_logits(9);
+        let x = Field::from_fn(20, 20, |r, c| Complex64::new(0.3 + r as f64, c as f64));
+        let mut scratch = layer.propagator().make_scratch();
+        for mode in [CodesignMode::Soft, CodesignMode::Deploy] {
+            let (out, _) = layer.forward(&x, mode, 0);
+            let mut u = x.clone();
+            layer.infer_inplace(&mut u, mode, &mut scratch);
+            assert!(u.distance(&out) < 1e-12 * out.total_power().sqrt());
+        }
     }
 
     #[test]

@@ -204,17 +204,17 @@ impl DiffractiveLayer {
     /// Applies the phase modulation `U ← γ·e^{jφ}·U` in place.
     #[inline]
     fn modulate_inplace(&self, u: &mut Field) {
-        self.modulate_slice(u.as_mut_slice());
+        self.modulate_planes(u.as_mut_slice());
     }
 
-    /// The modulation kernel on one raw plane — shared by the per-sample
-    /// and batched paths.
+    /// The modulation kernel over whole plane-major planes — one plane on
+    /// the per-sample path, the active batch on the batched one. Each
+    /// pixel's `γ·e^{jφ}` is computed once per call, not once per plane.
     #[inline]
-    fn modulate_slice(&self, u: &mut [Complex64]) {
+    fn modulate_planes(&self, planes: &mut [Complex64]) {
         let gamma = self.gamma;
-        for (z, &phi) in u.iter_mut().zip(&self.phases) {
-            *z *= Complex64::cis(phi) * gamma;
-        }
+        let phases = &self.phases;
+        super::modulate_planes(planes, phases.len(), |p| Complex64::cis(phases[p]) * gamma);
     }
 
     /// In-place inference step through caller-owned scratch: diffract and
@@ -281,9 +281,7 @@ impl DiffractiveLayer {
     /// Panics if shapes do not match the layer grid.
     pub fn infer_batch_inplace(&self, batch: &mut FieldBatch, scratch: &mut PropagationScratch) {
         self.propagator.propagate_batch_into(batch, scratch);
-        for plane in batch.planes_mut() {
-            self.modulate_slice(plane);
-        }
+        self.modulate_planes(batch.as_mut_slice());
     }
 
     /// Batched trace-building forward pass: transforms every active plane
@@ -302,9 +300,7 @@ impl DiffractiveLayer {
         scratch: &mut PropagationScratch,
     ) {
         self.propagator.propagate_batch_into(batch, scratch);
-        for plane in batch.planes_mut() {
-            self.modulate_slice(plane);
-        }
+        self.modulate_planes(batch.as_mut_slice());
         cache.output.copy_from(batch);
     }
 
@@ -335,19 +331,7 @@ impl DiffractiveLayer {
             self.grid().shape(),
             "gradient shape mismatch"
         );
-        assert_eq!(
-            phase_grads.len(),
-            self.phases.len(),
-            "phase gradient buffer length mismatch"
-        );
-        for b in 0..grad.batch() {
-            let g = grad.plane_mut(b);
-            let out = cache.output.plane(b);
-            for ((g, &out), acc) in g.iter().zip(out).zip(phase_grads.iter_mut()) {
-                *acc += 2.0 * (g.conj() * (Complex64::I * out)).re;
-            }
-            self.backprop_modulation_slice(g);
-        }
+        self.backprop_planes(grad.as_mut_slice(), cache.output.as_slice(), phase_grads);
         self.propagator.adjoint_batch_into(grad, scratch);
     }
 
@@ -368,8 +352,7 @@ impl DiffractiveLayer {
         phase_grads: &mut [f64],
     ) -> Field {
         let mut g_in = grad_output.clone();
-        self.accumulate_phase_grads(grad_output, cache, phase_grads);
-        self.backprop_modulation(&mut g_in);
+        self.backprop_modulation(&mut g_in, cache, phase_grads);
         self.propagator.adjoint(&mut g_in);
         g_in
     }
@@ -389,50 +372,55 @@ impl DiffractiveLayer {
         phase_grads: &mut [f64],
         scratch: &mut PropagationScratch,
     ) {
-        self.accumulate_phase_grads(grad, cache, phase_grads);
-        self.backprop_modulation(grad);
+        self.backprop_modulation(grad, cache, phase_grads);
         self.propagator.adjoint_with(grad, scratch);
     }
 
-    /// `dL/dφ_p += 2·Re( conj(g_p) · j · out_p )`.
-    fn accumulate_phase_grads(
+    /// The per-sample modulation backward: one plane through
+    /// [`DiffractiveLayer::backprop_planes`].
+    fn backprop_modulation(
         &self,
-        grad_output: &Field,
+        g: &mut Field,
         cache: &DiffractiveCache,
         phase_grads: &mut [f64],
     ) {
-        assert_eq!(
-            grad_output.shape(),
-            self.grid().shape(),
-            "gradient shape mismatch"
-        );
+        assert_eq!(g.shape(), self.grid().shape(), "gradient shape mismatch");
+        self.backprop_planes(g.as_mut_slice(), cache.output.as_slice(), phase_grads);
+    }
+
+    /// The modulation-adjoint kernel over whole plane-major planes: per
+    /// pixel `p` and plane, in plane order,
+    /// `dL/dφ_p += 2·Re( conj(g_p) · j · out_p )`, then
+    /// `g_p ← g_p · conj(m_p)` with `m = γ e^{jφ}`. Each pixel's
+    /// `conj(m_p)` is computed once per call, not once per plane.
+    fn backprop_planes(
+        &self,
+        grad: &mut [Complex64],
+        output: &[Complex64],
+        phase_grads: &mut [f64],
+    ) {
         assert_eq!(
             phase_grads.len(),
             self.phases.len(),
             "phase gradient buffer length mismatch"
         );
-        for ((g, &out), acc) in grad_output
-            .as_slice()
-            .iter()
-            .zip(cache.output.as_slice())
-            .zip(phase_grads.iter_mut())
-        {
-            *acc += 2.0 * (g.conj() * (Complex64::I * out)).re;
-        }
-    }
-
-    /// `g_u = g_out · conj(m)`, `m = γ e^{jφ}`, in place.
-    fn backprop_modulation(&self, g: &mut Field) {
-        self.backprop_modulation_slice(g.as_mut_slice());
-    }
-
-    /// The modulation-adjoint kernel on one raw plane.
-    #[inline]
-    fn backprop_modulation_slice(&self, g: &mut [Complex64]) {
+        assert_eq!(grad.len(), output.len(), "gradient/cache length mismatch");
         let gamma = self.gamma;
-        for (g, &phi) in g.iter_mut().zip(&self.phases) {
-            *g *= Complex64::cis(-phi) * gamma;
-        }
+        let phases = &self.phases;
+        let n = phases.len();
+        super::modulate_tiles(
+            grad,
+            n,
+            |p| Complex64::cis(-phases[p]) * gamma,
+            |b, p0, g, m| {
+                let out = &output[b * n + p0..][..g.len()];
+                let acc = &mut phase_grads[p0..p0 + g.len()];
+                for (((g, &out), acc), &m) in g.iter_mut().zip(out).zip(acc).zip(m) {
+                    *acc += 2.0 * (g.conj() * (Complex64::I * out)).re;
+                    *g *= m;
+                }
+            },
+        );
     }
 
     /// The deployment view of this layer: its phases quantized to a device's
@@ -638,6 +626,37 @@ mod tests {
         b.randomize_phases(6);
         assert_ne!(a.phases(), b.phases());
         assert!(a.phases().iter().all(|&p| (0.0..TAU).contains(&p)));
+    }
+
+    #[test]
+    fn modulation_spans_several_tiles() {
+        // 20×20 = 400 pixels, more than one modulation tile: every pixel
+        // must meet its own phase, forward and backward.
+        let grid = Grid::square(20, PixelPitch::from_um(36.0));
+        let mut layer = DiffractiveLayer::new(
+            grid,
+            Wavelength::from_nm(532.0),
+            Distance::from_mm(30.0),
+            Approximation::RayleighSommerfeld,
+            1.3,
+        );
+        layer.randomize_phases(4);
+        let x = Field::from_fn(20, 20, |r, c| Complex64::new(0.2 + r as f64, c as f64));
+        let (out, cache) = layer.forward(&x);
+        let m = layer.modulation_field();
+        for ((&o, &u), &m) in out
+            .as_slice()
+            .iter()
+            .zip(cache.propagated.as_slice())
+            .zip(m.as_slice())
+        {
+            assert_eq!(o, u * m);
+        }
+        let mut phase_grads = vec![0.0; 400];
+        layer.backward(&x, &cache, &mut phase_grads);
+        for ((&acc, &g), &o) in phase_grads.iter().zip(x.as_slice()).zip(out.as_slice()) {
+            assert_eq!(acc, 2.0 * (g.conj() * (Complex64::I * o)).re);
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //!
 //! where `g = ∂L/∂ū` and `t'(I) = (1 − α)·I_sat/(I + I_sat)²`.
 
+use lr_obs::{KernelKind, KernelTimer};
 use lr_tensor::{Field, FieldBatch};
 
 /// A saturable-absorber nonlinear optical layer.
@@ -121,6 +122,7 @@ impl SaturableAbsorber {
 
     /// In-place inference step (elementwise, allocation-free).
     pub fn infer_inplace(&self, u: &mut Field) {
+        let _t = KernelTimer::start(KernelKind::Modulate);
         u.map_inplace(|z| z * self.transmission(z.norm_sqr()));
     }
 
@@ -146,6 +148,7 @@ impl SaturableAbsorber {
     /// active plane in place (elementwise, allocation-free, bit-identical
     /// per plane to [`SaturableAbsorber::infer_inplace`]).
     pub fn infer_batch_inplace(&self, batch: &mut FieldBatch) {
+        let _t = KernelTimer::start(KernelKind::Modulate);
         batch.map_inplace(|z| z * self.transmission(z.norm_sqr()));
     }
 
@@ -174,6 +177,7 @@ impl SaturableAbsorber {
             cache.input.plane_shape(),
             "gradient shape mismatch"
         );
+        let _t = KernelTimer::start(KernelKind::Modulate);
         for (g, &u) in grad.as_mut_slice().iter_mut().zip(cache.input.as_slice()) {
             let i = u.norm_sqr();
             let t = self.transmission(i);

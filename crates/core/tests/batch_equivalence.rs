@@ -3,18 +3,38 @@
 //! batch sizes {1, 3, 32}, square and non-square grids, smooth
 //! (mixed-radix) and Bluestein FFT sizes, every readout mode, and mixed
 //! layer stacks — and the batched traced forward/backward must reproduce
-//! the per-sample training step's logits and gradients exactly. Across
-//! SIMD dispatch levels the contract is tolerance-renegotiated: forced
-//! scalar vs detected-width results agree to ≤ 1e-12 relative (the
-//! detector readout's lane-partial reduction is the only re-association).
+//! the per-sample training step's logits and gradients exactly, as must
+//! the batched `evaluate` / `evaluate_deployed` accuracy. Across SIMD
+//! dispatch levels the contract is tolerance-renegotiated: forced scalar
+//! vs detected-width results agree to ≤ 1e-12 relative (the detector
+//! readout's lane-partial reduction is the only re-association).
 
+use lightridge::train::{evaluate, evaluate_deployed, LabeledImage};
 use lightridge::{
     BatchTrace, CodesignMode, Detector, DonnBuilder, DonnModel, ModelGrads, TraceRing,
 };
 use lr_nn::loss::{one_hot_into, softmax_mse_into};
+use lr_nn::metrics::argmax;
 use lr_optics::{Approximation, Distance, Grid, PixelPitch, Wavelength};
-use lr_tensor::{Complex64, Field, FieldBatch};
+use lr_tensor::simd::{self, SimdLevel};
+use lr_tensor::{parallel, Complex64, Field, FieldBatch};
 use proptest::prelude::*;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// `simd::force` and `parallel::set_threads` are process-global, and the
+/// detector readout's result depends on the dispatch level. Tests that
+/// compare two runs bit for bit hold this lock shared, tests that pin a
+/// level or a thread count hold it exclusively, so no level flips between
+/// the two halves of one comparison.
+static DISPATCH: RwLock<()> = RwLock::new(());
+
+fn same_dispatch() -> RwLockReadGuard<'static, ()> {
+    DISPATCH.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn pin_dispatch() -> RwLockWriteGuard<'static, ()> {
+    DISPATCH.write().unwrap_or_else(|e| e.into_inner())
+}
 
 fn sample_input(rows: usize, cols: usize, b: usize) -> Field {
     Field::from_fn(rows, cols, |r, c| {
@@ -71,6 +91,7 @@ fn assert_infer_batch_matches(model: &DonnModel, batch_size: usize, mode: Codesi
 
 #[test]
 fn infer_batch_bit_identical_across_sizes_grids_and_fft_paths() {
+    let _same = same_dispatch();
     // 20/24 are 2·3·5·7-smooth (Stockham), 22/26 have prime factors > 7
     // (Bluestein); non-square grids mix plan kinds per axis.
     for &(rows, cols) in &[(20, 20), (22, 22), (20, 26), (26, 24)] {
@@ -83,6 +104,7 @@ fn infer_batch_bit_identical_across_sizes_grids_and_fft_paths() {
 
 #[test]
 fn infer_batch_bit_identical_mixed_stack_and_modes() {
+    let _same = same_dispatch();
     // Diffractive → saturable absorber → codesign, in both noise-free
     // readout modes.
     let model = donn(24, 20, Approximation::RayleighSommerfeld, true);
@@ -94,6 +116,7 @@ fn infer_batch_bit_identical_mixed_stack_and_modes() {
 
 #[test]
 fn infer_batch_bit_identical_fresnel_and_fraunhofer() {
+    let _same = same_dispatch();
     // The spectral Fresnel path shares the broadcast-transfer fast path;
     // Fraunhofer exercises the per-plane shift/scale (SingleFourier) path.
     for approx in [Approximation::Fresnel, Approximation::Fraunhofer] {
@@ -108,6 +131,7 @@ fn infer_batch_bit_identical_fresnel_and_fraunhofer() {
 /// (the serving runtime's reuse pattern) without cross-contamination.
 #[test]
 fn one_batch_workspace_serves_varying_sizes() {
+    let _same = same_dispatch();
     let model = donn(22, 22, Approximation::RayleighSommerfeld, false);
     let (rows, cols) = model.grid().shape();
     let mut ws = model.make_batch_workspace(8);
@@ -128,6 +152,7 @@ fn one_batch_workspace_serves_varying_sizes() {
 /// noise in `Train` mode.
 #[test]
 fn batched_training_step_matches_per_sample_bitwise() {
+    let _same = same_dispatch();
     for mixed in [false, true] {
         let model = donn(20, 20, Approximation::RayleighSommerfeld, mixed);
         let (rows, cols) = model.grid().shape();
@@ -200,14 +225,12 @@ fn assert_rel_close(a: f64, b: f64, tol: f64, what: &str) {
 /// identical to the scalar kernels by construction, so any drift beyond
 /// the readout's re-association is a dispatch bug.
 ///
-/// `simd::force` is process-global; dispatch-level flips mid-test cannot
-/// corrupt the *other* tests in this binary (their batched-vs-per-sample
-/// comparisons hold bitwise at every level), and this test restores
-/// auto-detection before returning.
+/// `simd::force` is process-global, so this test pins levels under the
+/// exclusive [`DISPATCH`] lock and restores auto-detection before
+/// returning.
 #[test]
 fn training_step_scalar_vs_simd_within_documented_tolerance() {
-    use lr_tensor::simd::{self, SimdLevel};
-
+    let _pinned = pin_dispatch();
     const TOL: f64 = 1e-12;
     let model = donn(20, 20, Approximation::RayleighSommerfeld, false);
     let (rows, cols) = model.grid().shape();
@@ -260,6 +283,93 @@ fn training_step_scalar_vs_simd_within_documented_tolerance() {
     }
 }
 
+/// Accuracy of a per-sample [`DonnModel::infer_mode_into`] argmax loop —
+/// the reference the batched `evaluate` must reproduce.
+fn per_sample_accuracy(model: &DonnModel, data: &[LabeledImage], mode: CodesignMode) -> f64 {
+    if data.is_empty() {
+        return 0.0;
+    }
+    let (rows, cols) = model.grid().shape();
+    let mut ws = model.make_workspace();
+    let mut logits = Vec::new();
+    let mut correct = 0usize;
+    for (img, label) in data {
+        let input = Field::from_amplitudes(rows, cols, img);
+        model.infer_mode_into(&input, mode, &mut ws, &mut logits);
+        correct += usize::from(argmax(&logits) == *label);
+    }
+    correct as f64 / data.len() as f64
+}
+
+/// `evaluate` and `evaluate_deployed` run each worker shard as batched
+/// forwards; their accuracy must equal the per-sample argmax loop bit for
+/// bit. Covers the empty set, one image, and sizes that leave ragged
+/// shards and ragged batches; raw and mixed (nonlinear + codesign)
+/// stacks; one, two and three workers; and every forced SIMD level.
+#[test]
+fn evaluate_matches_per_sample_argmax_at_every_simd_level() {
+    let _pinned = pin_dispatch();
+    for mixed in [false, true] {
+        let model = donn(20, 22, Approximation::RayleighSommerfeld, mixed);
+        let (rows, cols) = model.grid().shape();
+        let classes = model.num_classes();
+        // Label every image with its per-sample prediction, except every
+        // third one, so the exact accuracy depends on every argmax.
+        let labels = |mode| -> Vec<LabeledImage> {
+            (0..17)
+                .map(|i| {
+                    let img: Vec<f64> = sample_input(rows, cols, i)
+                        .as_slice()
+                        .iter()
+                        .map(|z| z.re)
+                        .collect();
+                    let input = Field::from_amplitudes(rows, cols, &img);
+                    let predicted = argmax(&match mode {
+                        CodesignMode::Deploy => model.infer_deployed(&input),
+                        _ => model.infer(&input),
+                    });
+                    let label = if i % 3 == 2 {
+                        (predicted + 1) % classes
+                    } else {
+                        predicted
+                    };
+                    (img, label)
+                })
+                .collect()
+        };
+        type Evaluate = fn(&DonnModel, &[LabeledImage]) -> f64;
+        let runs: [(CodesignMode, Vec<LabeledImage>, Evaluate); 2] = [
+            (CodesignMode::Soft, labels(CodesignMode::Soft), evaluate),
+            (
+                CodesignMode::Deploy,
+                labels(CodesignMode::Deploy),
+                evaluate_deployed,
+            ),
+        ];
+        for level in [SimdLevel::Scalar, SimdLevel::X2, SimdLevel::X4] {
+            simd::force(Some(level));
+            for threads in [1, 2, 3] {
+                parallel::set_threads(threads);
+                for &n in &[0usize, 1, 3, 5, 9, 17] {
+                    for (mode, dataset, eval) in &runs {
+                        let data = &dataset[..n];
+                        let accuracy = eval(&model, data);
+                        let expected = per_sample_accuracy(&model, data, *mode);
+                        assert_eq!(
+                            accuracy.to_bits(),
+                            expected.to_bits(),
+                            "{mode:?} evaluate diverges from per-sample: {accuracy} vs \
+                             {expected} (n={n}, mixed={mixed}, {level:?}, {threads} threads)"
+                        );
+                    }
+                }
+            }
+        }
+        parallel::set_threads(0);
+        simd::force(None);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -271,6 +381,7 @@ proptest! {
         cols in 12usize..26,
         batch_size in 1usize..5,
     ) {
+        let _same = same_dispatch();
         let model = donn(rows, cols, Approximation::RayleighSommerfeld, false);
         assert_infer_batch_matches(&model, batch_size, CodesignMode::Soft);
     }

@@ -18,7 +18,7 @@
 //! * **Kernel profiling** — process-global scoped timers
 //!   ([`KernelTimer`]) around the hot kernels (FFT row/column passes,
 //!   Stockham vs Bluestein dispatch, transfer-function application,
-//!   detector readout), aggregated into a [`KernelProfile`] snapshot.
+//!   per-pixel layer modulation, detector readout), aggregated into a [`KernelProfile`] snapshot.
 //!   Disabled (the default), a hook costs one relaxed atomic load — no
 //!   clock read, no stores.
 //!
@@ -504,10 +504,14 @@ pub enum KernelKind {
     SimdNeon = 10,
     /// Batched cross-plane work executed by the portable array backend.
     SimdPortable = 11,
+    /// A layer's per-pixel modulation step: diffractive phase and codesign
+    /// state modulation (and their adjoints on the backward paths), and
+    /// the saturable-absorber transmission.
+    Modulate = 12,
 }
 
 /// Number of [`KernelKind`] cells.
-const KERNEL_KINDS: usize = 12;
+const KERNEL_KINDS: usize = 13;
 
 const KERNEL_NAMES: [&str; KERNEL_KINDS] = [
     "fft_rows",
@@ -522,6 +526,7 @@ const KERNEL_NAMES: [&str; KERNEL_KINDS] = [
     "simd_avx2",
     "simd_neon",
     "simd_portable",
+    "modulate",
 ];
 
 struct KernelCell {
@@ -670,6 +675,7 @@ pub fn kernel_profile() -> KernelProfile {
             KernelKind::SimdAvx2,
             KernelKind::SimdNeon,
             KernelKind::SimdPortable,
+            KernelKind::Modulate,
         ]
         .iter()
         .map(|&kind| KernelStat {

@@ -6,7 +6,8 @@
 //! `backward_batch_with` through a `BatchTraceRing`) carry the same
 //! contract: one `BatchWorkspace` serves whole batches with zero
 //! steady-state allocations and stays bit-identical to the per-sample
-//! path.
+//! path — on a codesign stack too, in Soft and Deploy inference and the
+//! Gumbel training step.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, so any concurrently running test would pollute the
@@ -272,10 +273,106 @@ fn steady_state_forward_pass_allocates_nothing() {
     );
     assert_eq!(last_batch_loss, reference_batch_loss);
 
+    // ---- Codesign stack: batched Soft and Deploy inference (the tiled
+    // per-pixel state modulation) and the batched traced forward +
+    // backward (Gumbel Train mode) allocate nothing in steady state, and
+    // inference stays bit-identical to per-sample. ----
+    let codesign = DonnBuilder::new(grid, Wavelength::from_nm(532.0))
+        .distance(Distance::from_mm(40.0))
+        .diffractive_layers(1)
+        .nonlinearity(0.3, 0.8)
+        .codesign_layers(2, lr_hardware::SlmModel::ideal(8), 0.7)
+        .detector(Detector::grid_layout(64, 64, 10, 5))
+        .build();
+    let mut cs_ws = codesign.make_batch_workspace(BATCH);
+    let mut cs_per_sample_ws = codesign.make_workspace();
+    for mode in [CodesignMode::Soft, CodesignMode::Deploy] {
+        for _ in 0..3 {
+            codesign.infer_batch_into(&input_refs, mode, &mut cs_ws, &mut outputs);
+        }
+        let reference_outputs = outputs.clone();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..10 {
+            codesign.infer_batch_into(&input_refs, mode, &mut cs_ws, &mut outputs);
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state batched {mode:?} inference on a codesign stack must not allocate \
+             (got {} allocations over 10 passes)",
+            after - before
+        );
+        assert_eq!(outputs, reference_outputs);
+        for (input, out) in inputs_vec.iter().zip(&outputs) {
+            let mut per_sample = Vec::with_capacity(codesign.num_classes());
+            codesign.infer_mode_into(input, mode, &mut cs_per_sample_ws, &mut per_sample);
+            assert_eq!(
+                out, &per_sample,
+                "batched {mode:?} inference must stay bit-identical to per-sample"
+            );
+        }
+    }
+    let mut cs_ring = BatchTraceRing::new(1);
+    let mut cs_grads = ModelGrads::zeros_like(&codesign);
+    let cs_step = |ring: &mut BatchTraceRing,
+                   grads: &mut ModelGrads,
+                   target: &mut Vec<f64>,
+                   logit_grads: &mut [Vec<f64>],
+                   ws: &mut lightridge::BatchWorkspace|
+     -> f64 {
+        let trace = ring.forward(&codesign, &batch_inputs, CodesignMode::Train, &seeds, ws);
+        let mut loss = 0.0;
+        for (b, lg) in logit_grads.iter_mut().enumerate().take(BATCH) {
+            one_hot_into(b % codesign.num_classes(), codesign.num_classes(), target);
+            loss += softmax_mse_into(&trace.logits[b], target, lg);
+        }
+        codesign.backward_batch_with(trace, logit_grads, grads, ws);
+        loss
+    };
+    for _ in 0..3 {
+        cs_step(
+            &mut cs_ring,
+            &mut cs_grads,
+            &mut target,
+            &mut batch_logit_grads,
+            &mut cs_ws,
+        );
+    }
+    let reference_cs_loss = cs_step(
+        &mut cs_ring,
+        &mut cs_grads,
+        &mut target,
+        &mut batch_logit_grads,
+        &mut cs_ws,
+    );
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut last_cs_loss = 0.0;
+    for _ in 0..10 {
+        last_cs_loss = cs_step(
+            &mut cs_ring,
+            &mut cs_grads,
+            &mut target,
+            &mut batch_logit_grads,
+            &mut cs_ws,
+        );
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state batched training step on a codesign stack must not allocate \
+         (got {} allocations over 10 steps)",
+        after - before
+    );
+    assert_eq!(last_cs_loss, reference_cs_loss);
+
     // ---- Kernel profiling: with the profiler ON, the same steady-state
     // forward pass must still allocate nothing (the aggregation cells are
-    // process-global atomics), and the profile must attribute time to the
-    // FFT passes, the transfer-function apply, and the detector readout.
+    // process-global atomics), and so must profiled batched codesign
+    // inference and training; the profile must attribute time to the FFT
+    // passes, the transfer-function apply, the per-pixel modulation, and
+    // the detector readout.
     // With it OFF again, the counters must stop moving. ----
     reset_kernel_profile();
     set_kernel_profiling(true);
@@ -283,11 +380,21 @@ fn steady_state_forward_pass_allocates_nothing() {
     for _ in 0..10 {
         model.infer_into(&input, &mut ws, &mut logits);
     }
+    for mode in [CodesignMode::Soft, CodesignMode::Deploy] {
+        codesign.infer_batch_into(&input_refs, mode, &mut cs_ws, &mut outputs);
+    }
+    cs_step(
+        &mut cs_ring,
+        &mut cs_grads,
+        &mut target,
+        &mut batch_logit_grads,
+        &mut cs_ws,
+    );
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,
         0,
-        "kernel-profiled forward pass must not allocate (got {} allocations over 10 passes)",
+        "kernel-profiled forward passes must not allocate (got {} allocations)",
         after - before
     );
     let profile = kernel_profile();
@@ -296,6 +403,7 @@ fn steady_state_forward_pass_allocates_nothing() {
         KernelKind::FftCols,
         KernelKind::Transfer,
         KernelKind::Detector,
+        KernelKind::Modulate,
     ] {
         let stat = profile.get(kind);
         assert!(
