@@ -6,7 +6,7 @@
 //! measured for both the current zero-copy pipeline and the
 //! pre-optimization reference (transpose-based FFT2, plain radix-2
 //! butterflies, clone-per-layer forward, thread-spawn-per-batch
-//! parallelism). It also sweeps the cross-plane SIMD kernels at forced
+//! parallelism). It also sweeps the SIMD kernels at forced
 //! lane widths (`simd_lanes/*`, see [`simd_lanes_entries`]) and gates the
 //! fused batched forward pass at both a pow2-friendly (200) and a prime
 //! Rader-path (197) grid. Future PRs diff this file to keep a perf
@@ -129,9 +129,10 @@ fn pooled_batched_forward(model: &DonnModel, batch: &[Field]) -> usize {
 /// Measures the fused batched forward pass (`infer_batch_into`) against a
 /// per-sample `infer_into` loop over the same inputs and emits
 /// `forward_batch/{lightridge,per_sample,speedup}/<tag>`. The two paths
-/// run the same per-plane operation sequence by construction — the delta
-/// is cross-plane SIMD, dispatch, plan-lookup, and transfer-broadcast
-/// amortization across the batch.
+/// run the same per-plane kernels by construction — the SIMD lanes span
+/// rows and columns of one plane either way — so the delta is dispatch,
+/// plan-lookup, modulation-tile and transfer-broadcast amortization across
+/// the batch.
 fn forward_batch_entries(
     entries: &mut Vec<(String, f64)>,
     model: &DonnModel,
@@ -163,14 +164,14 @@ fn forward_batch_entries(
     ));
 }
 
-/// Sweeps the cross-plane kernels at forced SIMD lane widths and emits
+/// Sweeps the SIMD kernels at forced lane widths and emits
 /// `simd_lanes/<kernel>/scalar` raw medians, scalar-relative
 /// `{x2,x4}_speedup` ratios, and `simd_lanes/dispatch_width` (the lane
 /// count the runtime detector picks on this machine).
 ///
 /// 128×128 planes stay under the pooled-parallel threshold
-/// (`PAR_MIN_LEN`), so the lane-packed path engages at every width on any
-/// machine. Widths the CPU cannot execute (`force` clamps them) are
+/// (`PAR_MIN_LEN`), so every width runs single-threaded on any machine.
+/// Widths the CPU cannot execute (`force` clamps them) are
 /// skipped — the committed baselines assume an AVX2-capable x86-64 host,
 /// which every hosted CI runner provides. `force` is process-global; this
 /// sweep runs single-threaded and restores auto-detection afterwards.
@@ -212,7 +213,6 @@ fn simd_lanes_entries(entries: &mut Vec<(String, f64)>, samples: usize) {
             std::hint::black_box(&batch);
         });
         let mut ws = fft.make_workspace();
-        fft.prepare_batch_workspace(&mut ws);
         medians[1][w] = median_ns(samples, || {
             fft.convolve_spectrum_batch_with(&mut planes, &transfer, &mut ws);
             std::hint::black_box(&planes);
@@ -323,8 +323,8 @@ fn main() {
     ));
 
     // --- Fused batched forward: one infer_batch_into vs a per-sample loop
-    // (same kernels by construction — the delta is cross-plane SIMD,
-    // dispatch, plan-lookup, and transfer-broadcast amortization).
+    // (same kernels by construction — the delta is dispatch, plan-lookup,
+    // modulation-tile and transfer-broadcast amortization).
     forward_batch_entries(&mut entries, &model, &batch, "200x3x16", fwd_samples);
 
     // --- Prime-grid honesty check: 197 is prime, so every per-plane FFT

@@ -245,9 +245,7 @@ impl BatchWorkspace {
             classes,
             u: FieldBatch::with_capacity(capacity, rows, cols),
             grad: FieldBatch::with_capacity(0, rows, cols),
-            // Batched propagation takes the lane-packed SIMD path; pre-size
-            // its buffers so the first batched call is allocation-free.
-            scratch: PropagationScratch::new_batched(rows, cols),
+            scratch: PropagationScratch::new(rows, cols),
             staged: (0..capacity).map(|_| Vec::with_capacity(classes)).collect(),
             layer_seeds: Vec::with_capacity(capacity),
         }

@@ -493,16 +493,15 @@ pub enum KernelKind {
     Detector = 5,
     /// Attribution: the pass ran Rader's prime-length plan.
     Rader = 6,
-    /// Batched work that fell back to the per-plane scalar kernels
-    /// (remainder planes, forced-scalar dispatch, or the pooled path).
+    /// 2-D FFT plane work at scalar dispatch (1-lane kernels).
     SimdScalar = 7,
-    /// Batched cross-plane work executed at 2 lanes over SSE2.
+    /// 2-D FFT plane work executed at 2 lanes over SSE2.
     SimdSse2 = 8,
-    /// Batched cross-plane work executed at 4 lanes over AVX2.
+    /// 2-D FFT plane work executed at 4 lanes over AVX2.
     SimdAvx2 = 9,
-    /// Batched cross-plane work executed over NEON lanes.
+    /// 2-D FFT plane work executed over NEON lanes.
     SimdNeon = 10,
-    /// Batched cross-plane work executed by the portable array backend.
+    /// 2-D FFT plane work executed by the portable array backend.
     SimdPortable = 11,
     /// A layer's per-pixel modulation step: diffractive phase and codesign
     /// state modulation (and their adjoints on the backward paths), and

@@ -344,19 +344,11 @@ impl PropagationScratch {
         }
     }
 
-    /// Builds scratch for a `rows × cols` plane with the lane-packed
-    /// buffers of the batched entry points pre-sized for the runtime SIMD
-    /// dispatch level ([`Fft2::prepare_batch_workspace`]), so batched
-    /// propagation through this scratch is allocation-free from the first
-    /// call.
+    /// Builds scratch for batched propagation of `rows × cols` planes.
+    /// Identical to [`PropagationScratch::new`]: one workspace serves
+    /// per-sample and batched calls alike.
     pub fn new_batched(rows: usize, cols: usize) -> Self {
-        let fft2 = Fft2::new(rows, cols);
-        let mut fft = fft2.make_workspace();
-        fft2.prepare_batch_workspace(&mut fft);
-        PropagationScratch {
-            fft,
-            shift: Field::zeros(rows, cols),
-        }
+        Self::new(rows, cols)
     }
 
     /// Plane shape this scratch serves.
@@ -567,10 +559,10 @@ impl FreeSpace {
 
     /// Propagates **every active plane** of a [`FieldBatch`] in place — the
     /// batched free-space hop. The spectral path runs the fused batched
-    /// convolve ([`Fft2::convolve_spectrum_batch_with`]), which co-processes
-    /// groups of planes per vector op at the runtime SIMD dispatch level and
-    /// broadcasts the cached transfer kernel across batch lanes; every lane
-    /// runs the 1-lane operation sequence, so the call stays
+    /// convolve ([`Fft2::convolve_spectrum_batch_with`]), which runs each
+    /// plane's rows and columns in SIMD lane groups at the runtime dispatch
+    /// level and multiplies every plane by the cached transfer kernel; every
+    /// lane runs the 1-lane operation sequence, so the call stays
     /// **bit-identical** to `B` separate [`FreeSpace::propagate_with`]
     /// calls at every dispatch level, and performs **zero heap allocations**
     /// in steady state.

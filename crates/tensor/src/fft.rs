@@ -21,12 +21,12 @@
 //!   same resolution reuse twiddle tables and chirp spectra. Plan reuse is
 //!   one of the runtime optimizations that separates LightRidge from the
 //!   LightPipes baseline (paper Table 1, Fig. 8).
-//! * A **zero-allocation 2-D pipeline**: [`Fft2`] transforms rows in place
-//!   and columns through a cache-blocked strided kernel that stages a few
-//!   columns at a time in a reusable buffer — no transpose fields are ever
-//!   materialized (earlier revisions allocated two full fields per 2-D
-//!   transform). Large fields additionally split their row/column loops
-//!   across the persistent worker pool (`crate::parallel`).
+//! * A **zero-allocation 2-D pipeline**: [`Fft2`] transforms rows a group
+//!   at a time and columns through a cache-blocked strided kernel that
+//!   stages a few columns at a time in a reusable buffer — no transpose
+//!   fields are ever materialized (earlier revisions allocated two full
+//!   fields per 2-D transform). Large fields additionally split their
+//!   row/column loops across the persistent worker pool (`crate::parallel`).
 //! * **Batched entry points**: [`Fft2::fft2_batch_with`] /
 //!   [`Fft2::ifft2_batch_with`] (and the direction-generic
 //!   [`Fft2::process_batch_with`]) transform every plane of a
@@ -59,8 +59,10 @@
 //! * **Parallel mode** — when a field is large (≥ `PAR_MIN_LEN` samples),
 //!   the current thread is not already inside a parallel region, and more
 //!   than one worker is configured, row/column loops run on the persistent
-//!   pool and each worker thread draws scratch from its own thread-local
-//!   pool (the caller's workspace is not shared across threads).
+//!   pool: each task takes whole `L`-row groups or whole column blocks, so
+//!   the pool and the SIMD lanes compose, and each worker thread draws
+//!   staging from its own thread-local pool (the caller's workspace is not
+//!   shared across threads).
 //!
 //! Normalization convention: forward transforms are unnormalized, inverse
 //! transforms carry the `1/N` factor. For the 2-D transforms the inverse
@@ -88,43 +90,47 @@
 //! lane in a split re/im, lane-major packed layout: element `i` occupies
 //! `2L` f64s, `[re₀‥re_{L−1}, im₀‥im_{L−1}]`. [`Complex64`] is the 1-lane
 //! case — its `#[repr(C)] (re, im)` layout already *is* the 1-lane packed
-//! layout, so a 1-lane group runs in place on the caller's samples, with
-//! no pack, no unpack and no SIMD scratch. `VComplex<F64x2>` and
-//! `VComplex<F64x4>` carry 2 and 4 lanes: one twiddle load drives `L`
-//! planes through the identical butterfly, and every complex multiply is
-//! plain lanewise arithmetic — no shuffles.
+//! layout, so a 1-lane row runs in place on the caller's samples.
+//! `VComplex<F64x2>` and `VComplex<F64x4>` carry 2 and 4 lanes: one
+//! twiddle load drives `L` signals through the identical butterfly, and
+//! every complex multiply is plain lanewise arithmetic — no shuffles.
 //!
-//! The plane driver runs groups of 4, then 2, co-resident planes at the
-//! dispatched width and every remaining plane — including every
-//! per-sample call — as a 1-lane group. The lane width comes from
+//! The lanes span **one plane**: the row pass packs `L` consecutive rows
+//! at a time into lane staging (a register transpose of `L × L` tiles),
+//! and the column pass stages each `COL_BLOCK`-column block as groups of
+//! `L` adjacent columns. Rows or columns left over run at 2 lanes, then at
+//! 1 lane. A batch is a loop over its planes through that one kernel, so a
+//! per-sample call (B = 1, as in serving) runs the same vector kernels as
+//! every plane of a batch. The lane width comes from
 //! [`crate::simd::dispatch`] (SSE2 baseline / AVX2 by runtime detection on
 //! x86-64, NEON on aarch64, 1 lane elsewhere; `LR_SIMD=scalar|x2|x4`
-//! overrides), and the kernel profile attributes group time to
-//! `simd_scalar` / `simd_sse2` / `simd_avx2` / `simd_neon` cells.
+//! overrides), and the kernel profile attributes plane time to the
+//! `simd_scalar` / `simd_sse2` / `simd_avx2` / `simd_neon` cell of the
+//! dispatch level.
 //!
-//! **Equivalence contract**: every lane of an `L`-lane group executes the
-//! exact operation sequence of the 1-lane kernel — `ComplexLanes`
-//! mirrors [`Complex64`]'s formulas operation for operation — so results
-//! are **bitwise identical** at every dispatch level, and forced-scalar
-//! (`LR_SIMD=scalar`) simply runs every plane as a 1-lane group.
+//! **Equivalence contract**: every lane executes the exact operation
+//! sequence of the 1-lane kernel — `ComplexLanes` mirrors [`Complex64`]'s
+//! formulas operation for operation, and a plane always runs forward rows,
+//! forward columns, the transfer multiply, inverse rows, inverse columns
+//! in that order — so results are **bitwise identical** at every dispatch
+//! level, and forced-scalar (`LR_SIMD=scalar`) simply runs every row and
+//! column as a 1-lane group.
 //! `batch_fft::forced_simd_levels_bitwise_match_scalar_oracle` pins this
-//! lane independence (L = 2 and L = 4 equal L = 1). The serve-path
-//! bit-identity guarantee therefore holds unconditionally for the FFT and
-//! transfer-apply kernels. The one tolerance-renegotiated kernel is the
-//! detector readout ([`crate::simd::sum_norm_sqr`]): its lane-partial
-//! reduction re-associates the intensity sum, and its scalar arm stays the
-//! sequential oracle within a documented **≤ 1e-12 relative** tolerance.
-//! It is deliberately not a 1-lane instance of the vector reduction,
-//! which would sum `re²` and `im²` as separate terms and so would not be
-//! bitwise equal to `Σ (re² + im²)`. (Batched and per-sample detector
-//! readouts share one kernel, so batched-vs-per-sample stays exact; only
-//! SIMD-vs-scalar is tolerance-checked.)
+//! lane independence (L = 2 and L = 4 equal L = 1, pooled too). The
+//! serve-path bit-identity guarantee therefore holds unconditionally for
+//! the FFT and transfer-apply kernels. The one tolerance-renegotiated
+//! kernel is the detector readout ([`crate::simd::sum_norm_sqr`]): its
+//! lane-partial reduction re-associates the intensity sum, and its scalar
+//! arm stays the sequential oracle within a documented **≤ 1e-12
+//! relative** tolerance. It is deliberately not a 1-lane instance of the
+//! vector reduction, which would sum `re²` and `im²` as separate terms and
+//! so would not be bitwise equal to `Σ (re² + im²)`. (Batched and
+//! per-sample detector readouts share one kernel, so batched-vs-per-sample
+//! stays exact; only SIMD-vs-scalar is tolerance-checked.)
 //!
-//! The packed staging buffer for multi-lane groups lives in
-//! [`Fft2Workspace`] but is **empty until a multi-lane group runs** (or
-//! [`Fft2::prepare_batch_workspace`] sizes it eagerly), so per-sample
-//! workspaces pay nothing. Pooled multi-thread execution (`PAR_MIN_LEN`)
-//! runs 1-lane groups — lane packing engages on the sequential path only.
+//! [`Fft2Workspace`] holds the axis-plan scratch and the lane staging —
+//! one row group or one column block, never a whole plane — sized by
+//! [`Fft2::make_workspace`] for the dispatch width.
 
 use crate::batch::FieldBatch;
 use crate::complex::Complex64;
@@ -456,6 +462,29 @@ trait ComplexLanes: Copy {
     /// `p` must be valid for writing `2·LANES` f64s and 8-byte aligned.
     unsafe fn store(self, p: *mut Self);
 
+    /// Loads `LANES` consecutive samples of an interleaved `re, im, …`
+    /// run at `p` as one element, one sample per lane in the order
+    /// [`SimdF64::load_complex`] picks.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for reading `2·LANES` f64s and 8-byte aligned.
+    unsafe fn load_run(p: *const f64) -> Self;
+
+    /// Inverse of [`ComplexLanes::load_run`].
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for writing `2·LANES` f64s and 8-byte aligned.
+    unsafe fn store_run(self, p: *mut f64);
+
+    /// Packs `LANES` consecutive rows of interleaved samples into packed
+    /// elements, lane `l` carrying row `l` (see [`SimdF64::pack_rows`]).
+    fn pack_rows(rows: &[f64], packed: &mut [f64]);
+
+    /// Inverse of [`ComplexLanes::pack_rows`].
+    fn unpack_rows(packed: &[f64], rows: &mut [f64]);
+
     fn add(self, o: Self) -> Self;
 
     fn sub(self, o: Self) -> Self;
@@ -539,6 +568,28 @@ impl ComplexLanes for Complex64 {
     }
 
     #[inline(always)]
+    unsafe fn load_run(p: *const f64) -> Self {
+        // SAFETY: one sample is the 1-lane element (caller contract).
+        unsafe { Self::load(p.cast()) }
+    }
+
+    #[inline(always)]
+    unsafe fn store_run(self, p: *mut f64) {
+        // SAFETY: as `load_run`.
+        unsafe { self.store(p.cast()) }
+    }
+
+    #[inline(always)]
+    fn pack_rows(rows: &[f64], packed: &mut [f64]) {
+        packed.copy_from_slice(rows)
+    }
+
+    #[inline(always)]
+    fn unpack_rows(packed: &[f64], rows: &mut [f64]) {
+        rows.copy_from_slice(packed)
+    }
+
+    #[inline(always)]
     fn add(self, o: Self) -> Self {
         self + o
     }
@@ -618,6 +669,29 @@ impl<V: SimdF64> ComplexLanes for VComplex<V> {
             self.re.store(p);
             self.im.store(p.add(V::LANES));
         }
+    }
+
+    #[inline(always)]
+    unsafe fn load_run(p: *const f64) -> Self {
+        // SAFETY: caller provides 2·LANES readable f64s at `p`.
+        let (re, im) = unsafe { V::load_complex(p) };
+        VComplex { re, im }
+    }
+
+    #[inline(always)]
+    unsafe fn store_run(self, p: *mut f64) {
+        // SAFETY: caller provides 2·LANES writable f64s at `p`.
+        unsafe { V::store_complex(self.re, self.im, p) }
+    }
+
+    #[inline(always)]
+    fn pack_rows(rows: &[f64], packed: &mut [f64]) {
+        V::pack_rows(rows, packed)
+    }
+
+    #[inline(always)]
+    fn unpack_rows(packed: &[f64], rows: &mut [f64]) {
+        V::unpack_rows(packed, rows)
     }
 
     #[inline(always)]
@@ -710,47 +784,6 @@ fn mul_coeffs_packed<C: ComplexLanes>(data: &mut [f64], coeffs: &[Complex64], co
     }
 }
 
-/// Packs `LANES` contiguous row-major planes (given as interleaved f64s)
-/// into the split re/im lane-major layout: packed element `i` is
-/// `[re₀‥re_{L−1}, im₀‥im_{L−1}]` at offset `i·2L`, lane `l` carrying
-/// plane `l` of the group.
-#[cfg_attr(not(debug_assertions), inline(always))]
-fn pack_group<C: ComplexLanes>(group: &[f64], packed: &mut [f64]) {
-    let lanes = C::LANES;
-    let n = group.len() / (2 * lanes);
-    assert_eq!(packed.len(), group.len());
-    let src = group.as_ptr();
-    let dst = packed.as_mut_ptr();
-    for l in 0..lanes {
-        for i in 0..n {
-            // SAFETY: (l·n + i) < lanes·n samples of `group` (2 f64s each);
-            // the packed offsets are < n·2·lanes = packed.len().
-            unsafe {
-                *dst.add(i * 2 * lanes + l) = *src.add((l * n + i) * 2);
-                *dst.add(i * 2 * lanes + lanes + l) = *src.add((l * n + i) * 2 + 1);
-            }
-        }
-    }
-}
-
-/// Inverse of [`pack_group`].
-#[cfg_attr(not(debug_assertions), inline(always))]
-fn unpack_group<C: ComplexLanes>(packed: &[f64], group: &mut [f64]) {
-    let lanes = C::LANES;
-    let n = group.len() / (2 * lanes);
-    assert_eq!(packed.len(), group.len());
-    let src = packed.as_ptr();
-    let dst = group.as_mut_ptr();
-    for l in 0..lanes {
-        for i in 0..n {
-            // SAFETY: same bounds as `pack_group`, directions swapped.
-            unsafe {
-                *dst.add((l * n + i) * 2) = *src.add(i * 2 * lanes + l);
-                *dst.add((l * n + i) * 2 + 1) = *src.add(i * 2 * lanes + lanes + l);
-            }
-        }
-    }
-}
 impl Radix2Plan {
     fn new(n: usize) -> Self {
         debug_assert!(n.is_power_of_two());
@@ -1533,10 +1566,10 @@ pub fn clear_plan_cache() {
 pub fn plan_cache_len() -> usize {
     PLAN_CACHE.lock().as_ref().map_or(0, PinnedCache::len)
 }
-/// Columns staged together by the 1-lane column pass: 32 columns of `f64`
+/// Columns staged together by the column pass: 32 columns of `f64`
 /// complex samples are 512 bytes per row — a handful of cache lines — so
-/// the gather/scatter runs at near-streaming bandwidth. An `L`-lane group
-/// stages `COL_BLOCK / L` columns, the same footprint in bytes.
+/// the gather/scatter runs at near-streaming bandwidth. At `L` lanes the
+/// block stages as `COL_BLOCK / L` groups of `L` adjacent columns.
 const COL_BLOCK: usize = 32;
 
 /// Fields with at least this many samples split their row/column FFT loops
@@ -1546,25 +1579,20 @@ const PAR_MIN_LEN: usize = 32_768;
 
 /// Owned scratch for one [`Fft2`] shape.
 ///
-/// Holds the axis plans' scratch, the staging buffer of the cache-blocked
-/// column kernel and, once a multi-lane group has run, the packed group
-/// buffer. Allocated once per shape (`Fft2::make_workspace`) and reused
-/// for every subsequent transform; see the module docs for the full
+/// Holds the axis plans' scratch and the lane staging buffer — never a
+/// whole plane. Allocated once per shape (`Fft2::make_workspace`) and
+/// reused for every subsequent transform; see the module docs for the full
 /// workspace-reuse contract.
 #[derive(Debug, Clone)]
 pub struct Fft2Workspace {
     rows: usize,
     cols: usize,
-    /// Axis-plan scratch for the widest group run so far: the larger
-    /// plan's `scratch_len()` elements of `L` samples each.
+    /// Axis-plan scratch: the larger plan's `scratch_len()` elements of
+    /// `L` lanes each.
     scratch: Vec<Complex64>,
-    /// Column staging: `rows × (COL_BLOCK / L)` elements of the widest
-    /// group run so far.
-    col_block: Vec<Complex64>,
-    /// One packed group of `L ≥ 2` planes (`rows·cols·2L` f64s); empty
-    /// until a multi-lane group runs, so per-sample workspaces pay nothing
-    /// for SIMD.
-    packed: Vec<f64>,
+    /// Lane staging: one packed group of `L` rows, or one block of
+    /// `COL_BLOCK` columns.
+    staging: Vec<Complex64>,
 }
 
 impl Fft2Workspace {
@@ -1576,8 +1604,7 @@ impl Fft2Workspace {
     /// Heap bytes held by this workspace's scratch buffers (capacity, not
     /// length). Feeds the serving runtime's resident-memory accounting.
     pub fn resident_bytes(&self) -> usize {
-        (self.scratch.capacity() + self.col_block.capacity()) * std::mem::size_of::<Complex64>()
-            + self.packed.capacity() * std::mem::size_of::<f64>()
+        (self.scratch.capacity() + self.staging.capacity()) * std::mem::size_of::<Complex64>()
     }
 }
 
@@ -1674,10 +1701,9 @@ fn pass_timer(kind: KernelKind, plan: &FftPlan) -> KernelTimer {
     }
 }
 
-/// Profile cell attributing lane-group work to the ISA that executed it
-/// (`simd_sse2` / `simd_avx2` / `simd_neon` / `simd_portable`;
-/// `simd_scalar` covers 1-lane groups: per-sample calls, remainder planes
-/// and forced-scalar dispatch).
+/// Profile cell attributing plane work to the ISA of the dispatch level
+/// that ran it (`simd_sse2` / `simd_avx2` / `simd_neon` / `simd_portable`;
+/// `simd_scalar` covers scalar dispatch).
 #[inline]
 fn simd_cell(level: SimdLevel) -> KernelKind {
     match level.isa_name() {
@@ -1706,59 +1732,51 @@ impl Fft2 {
         (self.rows, self.cols)
     }
 
-    /// Allocates a workspace sized for this engine's shape (1-lane groups:
-    /// per-sample transforms and forced-scalar batches).
+    /// Allocates a workspace sized for this engine's shape at the runtime
+    /// dispatch width, so per-sample and batched calls through it are
+    /// allocation-free from the first call.
     pub fn make_workspace(&self) -> Fft2Workspace {
         let mut ws = Fft2Workspace {
             rows: self.rows,
             cols: self.cols,
             scratch: Vec::new(),
-            col_block: Vec::new(),
-            packed: Vec::new(),
+            staging: Vec::new(),
         };
-        self.reserve_lanes(&mut ws, 1);
+        self.reserve_lanes(&mut ws, simd::dispatch().lanes());
         ws
     }
 
     /// Allocates a batched workspace sized for this engine's shape (valid
-    /// for any batch count — per-plane scratch is batch-independent), with
-    /// the lane-packed SIMD buffers pre-sized for the runtime dispatch
-    /// level so the batched entry points stay allocation-free from the
-    /// first call.
+    /// for any batch count — per-plane scratch is batch-independent).
     pub fn make_batch_workspace(&self) -> BatchWorkspace {
-        let mut fft = self.make_workspace();
-        self.prepare_batch_workspace(&mut fft);
-        BatchWorkspace { fft }
-    }
-
-    /// Pre-sizes `workspace` for groups at the current runtime dispatch
-    /// width, so a later batched call does not allocate. A no-op when
-    /// dispatch is scalar or when already sized.
-    pub fn prepare_batch_workspace(&self, workspace: &mut Fft2Workspace) {
-        self.reserve_lanes(workspace, simd::dispatch().lanes());
+        BatchWorkspace {
+            fft: self.make_workspace(),
+        }
     }
 
     /// Grows `ws` to serve `lanes`-wide groups; a no-op once sized
-    /// (steady-state zero allocation). Only multi-lane groups need the
-    /// packed buffer.
+    /// (steady-state zero allocation).
     fn reserve_lanes(&self, ws: &mut Fft2Workspace, lanes: usize) {
-        let plan_scratch = self.row_plan.scratch_len().max(self.col_plan.scratch_len());
-        let scratch = plan_scratch * lanes;
+        let scratch = self.scratch_len(lanes);
         if ws.scratch.len() < scratch {
             ws.scratch.resize(scratch, Complex64::ZERO);
         }
-        let col_block = self.rows * (COL_BLOCK / lanes).min(self.cols) * lanes;
-        if ws.col_block.len() < col_block {
-            ws.col_block.resize(col_block, Complex64::ZERO);
+        let staging = self.staging_len(lanes);
+        if ws.staging.len() < staging {
+            ws.staging.resize(staging, Complex64::ZERO);
         }
-        let packed = if lanes > 1 {
-            self.rows * self.cols * 2 * lanes
-        } else {
-            0
-        };
-        if ws.packed.len() < packed {
-            ws.packed.resize(packed, 0.0);
-        }
+    }
+
+    /// Axis-plan scratch for `lanes`-wide groups, in samples.
+    fn scratch_len(&self, lanes: usize) -> usize {
+        self.row_plan.scratch_len().max(self.col_plan.scratch_len()) * lanes
+    }
+
+    /// Lane staging for `lanes`-wide groups, in samples: a packed group of
+    /// rows (1-lane rows run in place) or one column block.
+    fn staging_len(&self, lanes: usize) -> usize {
+        let row_group = if lanes > 1 { self.cols * lanes } else { 0 };
+        row_group.max(self.rows * COL_BLOCK.min(self.cols))
     }
 
     /// In-place forward 2-D FFT.
@@ -1889,7 +1907,7 @@ impl Fft2 {
 
     /// The fused `IFFT2( FFT2(plane) ⊙ transfer )` propagation step over a
     /// contiguous run of row-major planes (one plane for a per-sample
-    /// call), with the cached transfer kernel broadcast across batch lanes.
+    /// call), every plane multiplied by the cached transfer kernel.
     /// Bitwise identical per plane at every batch size and dispatch level.
     /// Zero heap allocation once `workspace` is sized (sequential mode).
     ///
@@ -1906,8 +1924,8 @@ impl Fft2 {
         self.convolve_planes(planes, transfer, false, workspace);
     }
 
-    /// Gradient propagation with the conjugated transfer function across
-    /// batch lanes: the adjoint of [`Fft2::convolve_spectrum_batch_with`].
+    /// Gradient propagation with the conjugated transfer function: the
+    /// adjoint of [`Fft2::convolve_spectrum_batch_with`].
     ///
     /// # Panics
     ///
@@ -1950,24 +1968,11 @@ impl Fft2 {
             && !parallel::in_parallel_region()
     }
 
-    /// Picks how many planes to co-process per vector op: the runtime
-    /// [`simd::dispatch`] level, except when the per-plane kernels would
-    /// split across the worker pool — pooled row/column passes already
-    /// saturate the core budget, so batched work keeps 1-lane groups there
-    /// (see the module docs).
-    fn batch_level(&self) -> SimdLevel {
-        if self.pooled() {
-            SimdLevel::Scalar
-        } else {
-            simd::dispatch()
-        }
-    }
-
-    /// The plane driver behind every 2-D entry point: co-processes groups
-    /// of 4, then 2, planes per vector op at the batch level and runs each
-    /// remaining plane as a 1-lane group in place. A per-sample call is the
-    /// one-plane batch. Every lane executes the 1-lane operation sequence,
-    /// so results are bitwise identical whatever the grouping.
+    /// The plane driver behind every 2-D entry point: runs `op` on each
+    /// plane in turn — a per-sample call is the one-plane batch — with the
+    /// SIMD lanes of the dispatch level spanning rows and column groups of
+    /// the plane. Every lane executes the 1-lane operation sequence, so
+    /// results are bitwise identical at every level.
     fn run_planes(&self, planes: &mut [Complex64], op: PlaneOp, ws: &mut Fft2Workspace) {
         let plane_len = self.rows * self.cols;
         assert_eq!(planes.len() % plane_len, 0, "Fft2 plane length mismatch");
@@ -1976,272 +1981,243 @@ impl Fft2 {
             (self.rows, self.cols),
             "Fft2 workspace shape mismatch"
         );
-        let level = self.batch_level();
-        let mut rest = planes;
-        if level >= SimdLevel::X4 {
-            while rest.len() >= 4 * plane_len {
-                let (group, tail) = rest.split_at_mut(4 * plane_len);
-                let _t = KernelTimer::start(simd_cell(SimdLevel::X4));
-                self.run_group_x4(group, op, ws);
-                rest = tail;
-            }
-        }
-        if level >= SimdLevel::X2 {
-            while rest.len() >= 2 * plane_len {
-                let (group, tail) = rest.split_at_mut(2 * plane_len);
-                let _t = KernelTimer::start(simd_cell(SimdLevel::X2));
-                self.run_group::<VComplex<simd::F64x2>>(group, op, ws);
-                rest = tail;
-            }
-        }
-        for plane in rest.chunks_exact_mut(plane_len) {
-            let _t = KernelTimer::start(KernelKind::SimdScalar);
-            self.run_group::<Complex64>(plane, op, ws);
-        }
-    }
-
-    /// Four-lane group, routed through the AVX2-enabled wrapper on x86-64
-    /// so the generic kernels compile to AVX instructions.
-    #[inline]
-    fn run_group_x4(&self, group: &mut [Complex64], op: PlaneOp, ws: &mut Fft2Workspace) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: reached only when `batch_level() ≥ X4`, and dispatch/force
-        // clamp X4 to X2 unless AVX2 was detected at runtime on this CPU.
-        unsafe {
-            self.run_group_avx2(group, op, ws)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        self.run_group::<VComplex<simd::F64x4>>(group, op, ws)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn run_group_avx2(&self, group: &mut [Complex64], op: PlaneOp, ws: &mut Fft2Workspace) {
-        self.run_group::<VComplex<simd::F64x4>>(group, op, ws)
-    }
-
-    /// Runs `op` on one group of `C::LANES` planes. A 1-lane group is the
-    /// plane itself — `Complex64`'s `(re, im)` layout is the 1-lane packed
-    /// layout — so it runs in place, on the worker pool when the plane is
-    /// large enough; wider groups only exist when it is not (see
-    /// [`Fft2::batch_level`]), and pack into the workspace's group buffer.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn run_group<C: ComplexLanes>(
-        &self,
-        group: &mut [Complex64],
-        op: PlaneOp,
-        ws: &mut Fft2Workspace,
-    ) {
-        // Steady-state no-op: workspaces are pre-sized for the dispatch
-        // width; this covers caller-assembled ones.
-        self.reserve_lanes(ws, C::LANES);
-        let Fft2Workspace {
-            scratch,
-            col_block,
-            packed,
-            ..
-        } = ws;
-        let (scratch, col_block) = (as_f64s_mut(scratch), as_f64s_mut(col_block));
-        let group = as_f64s_mut(group);
-        if C::LANES == 1 {
-            self.run_op::<C>(op, group, scratch, col_block, self.pooled());
-        } else {
-            let packed = &mut packed[..group.len()];
-            pack_group::<C>(group, packed);
-            self.run_op::<C>(op, packed, scratch, col_block, false);
-            unpack_group::<C>(packed, group);
-        }
-    }
-
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn run_op<C: ComplexLanes>(
-        &self,
-        op: PlaneOp,
-        data: &mut [f64],
-        scratch: &mut [f64],
-        col_block: &mut [f64],
-        pooled: bool,
-    ) {
-        match op {
-            PlaneOp::Fft(dir) => self.fft2::<C>(data, dir, scratch, col_block, pooled),
-            PlaneOp::Convolve { transfer, adjoint } => {
-                self.fft2::<C>(data, Direction::Forward, scratch, col_block, pooled);
-                {
-                    let _t = KernelTimer::start(KernelKind::Transfer);
-                    mul_coeffs_packed::<C>(data, transfer, adjoint);
+        let level = simd::dispatch();
+        // Steady-state no-op: workspaces are sized for the dispatch width
+        // when made; this covers a level forced since.
+        self.reserve_lanes(ws, level.lanes());
+        let pooled = self.pooled();
+        for plane in planes.chunks_exact_mut(plane_len) {
+            let _t = KernelTimer::start(simd_cell(level));
+            let plane = as_f64s_mut(plane);
+            match op {
+                PlaneOp::Fft(dir) => self.fft2(level, plane, dir, ws, pooled),
+                PlaneOp::Convolve { transfer, adjoint } => {
+                    self.fft2(level, plane, Direction::Forward, ws, pooled);
+                    {
+                        let _t = KernelTimer::start(KernelKind::Transfer);
+                        mul_coeffs_packed::<Complex64>(plane, transfer, adjoint);
+                    }
+                    self.fft2(level, plane, Direction::Inverse, ws, pooled);
                 }
-                self.fft2::<C>(data, Direction::Inverse, scratch, col_block, pooled);
             }
         }
     }
 
-    /// The row/column pipeline over one packed group: rows transform in
-    /// place, columns through cache-blocked staging `COL_BLOCK / L` columns
-    /// wide — no transpose is ever materialized. With `pooled`, row chunks
-    /// and column blocks split across the worker pool, each worker drawing
-    /// scratch from its own thread-local pool.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn fft2<C: ComplexLanes>(
+    /// The row/column pipeline over one plane: rows transform in `L`-row
+    /// groups through packed staging (1-lane rows in place), columns in
+    /// `COL_BLOCK`-wide blocks staged as `L`-column groups — no transpose
+    /// is ever materialized. With `pooled`, whole row groups and column
+    /// blocks split across the worker pool, each worker drawing staging
+    /// from its own thread-local pool.
+    fn fft2(
         &self,
+        level: SimdLevel,
         data: &mut [f64],
         dir: Direction,
-        scratch: &mut [f64],
-        col_block: &mut [f64],
+        ws: &mut Fft2Workspace,
         pooled: bool,
     ) {
-        let (rows, cols) = (self.rows, self.cols);
-        let lanes = C::LANES;
-        debug_assert_eq!(data.len(), rows * cols * 2 * lanes);
+        let (rows, cols, lanes) = (self.rows, self.cols, level.lanes());
+        debug_assert_eq!(data.len(), rows * cols * 2);
         let base = PlanePtr(data.as_mut_ptr());
+        let (staging, scratch) = (as_f64s_mut(&mut ws.staging), as_f64s_mut(&mut ws.scratch));
+        // Runs `items` (rows or columns) of `pass` in spans of `chunk`.
+        let run = |pass, items: usize, chunk: usize, staging: &mut [f64], scratch: &mut [f64]| {
+            let span = |base: &PlanePtr, lo: usize| Span {
+                base: base.0,
+                pass,
+                lo,
+                hi: (lo + chunk).min(items),
+            };
+            if !pooled {
+                for lo in (0..items).step_by(chunk) {
+                    // SAFETY: rows or columns of the plane `data`
+                    // exclusively borrows; the buffers are sized by
+                    // `reserve_lanes`.
+                    unsafe { self.run_span(level, span(&base, lo), staging, scratch) }
+                }
+                return;
+            }
+            parallel::par_for(items.div_ceil(chunk), |t| {
+                with_thread_scratch(self.staging_len(lanes), |staging| {
+                    with_thread_scratch(self.scratch_len(lanes), |scratch| {
+                        let (staging, scratch) = (as_f64s_mut(staging), as_f64s_mut(scratch));
+                        // SAFETY: tasks own disjoint spans of the plane,
+                        // reached through raw pointer arithmetic only, and
+                        // the plane outlives par_for's completion barrier.
+                        unsafe { self.run_span(level, span(&base, t * chunk), staging, scratch) }
+                    })
+                });
+            });
+        };
         {
             let _t = pass_timer(KernelKind::FftRows, &self.row_plan);
-            if pooled {
-                let tasks = parallel::threads().min(rows).max(1) * 4;
-                let chunk = rows.div_ceil(tasks);
-                let tasks = rows.div_ceil(chunk);
-                parallel::par_for(tasks, |t| {
-                    let base = &base; // capture the Sync wrapper, not the raw plane
-                    let rows_hi = ((t + 1) * chunk).min(rows);
-                    with_thread_scratch(self.row_plan.scratch_len() * lanes, |scratch| {
-                        // SAFETY: tasks own disjoint row ranges of the
-                        // plane, which outlives par_for's completion
-                        // barrier.
-                        unsafe {
-                            self.rows_lanes::<C>(
-                                base.0,
-                                t * chunk,
-                                rows_hi,
-                                dir,
-                                as_f64s_mut(scratch),
-                            )
-                        }
-                    });
-                });
+            // Whole `L`-row groups per task: only the last runs leftovers.
+            let tasks = parallel::threads().min(rows).max(1) * 4;
+            let chunk = if pooled {
+                rows.div_ceil(tasks).next_multiple_of(lanes)
             } else {
-                // SAFETY: all rows of the plane `data` exclusively borrows.
-                unsafe { self.rows_lanes::<C>(base.0, 0, rows, dir, scratch) }
+                rows
+            };
+            run(Pass::Rows(dir), rows, chunk, staging, scratch);
+        }
+        let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
+        run(Pass::Cols(dir), cols, COL_BLOCK, staging, scratch);
+    }
+
+    /// Runs `span` in groups of the level's lane count.
+    ///
+    /// # Safety
+    ///
+    /// `span.base` must point to a `rows × cols` plane (`rows·cols·2` f64s)
+    /// whose items `lo..hi` nobody else accesses during the call; `staging`
+    /// and `scratch` must hold `staging_len` and `scratch_len` samples for
+    /// the level's lanes.
+    unsafe fn run_span(
+        &self,
+        level: SimdLevel,
+        span: Span,
+        staging: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        // SAFETY: the caller's contract covers every arm; dispatch/force
+        // clamp X4 to X2 unless AVX2 was detected at runtime on this CPU.
+        unsafe {
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::X4 => self.span_avx2(span, staging, scratch),
+                #[cfg(not(target_arch = "x86_64"))]
+                SimdLevel::X4 => self.span::<VComplex<simd::F64x4>>(span, staging, scratch),
+                SimdLevel::X2 => self.span::<VComplex<simd::F64x2>>(span, staging, scratch),
+                SimdLevel::Scalar => self.span::<Complex64>(span, staging, scratch),
             }
         }
-        {
-            let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
-            let width = (COL_BLOCK / lanes).min(cols);
-            let blocks = cols.div_ceil(width);
-            if pooled {
-                parallel::par_for(blocks, |b| {
-                    let base = &base; // capture the Sync wrapper, not the raw plane
-                    let c0 = b * width;
-                    let bw = width.min(cols - c0);
-                    with_thread_scratch(rows * bw * lanes, |block| {
-                        with_thread_scratch(self.col_plan.scratch_len() * lanes, |scratch| {
-                            // SAFETY: tasks touch disjoint column ranges
-                            // [c0, c0+bw) through raw pointer arithmetic
-                            // only — no task ever forms a reference
-                            // spanning another task's columns — and the
-                            // plane outlives par_for's completion barrier.
-                            unsafe {
-                                self.cols_lanes::<C>(
-                                    base.0,
-                                    c0,
-                                    bw,
-                                    dir,
-                                    as_f64s_mut(block),
-                                    as_f64s_mut(scratch),
-                                )
-                            }
-                        });
-                    });
-                });
-            } else {
-                for b in 0..blocks {
-                    let c0 = b * width;
-                    // SAFETY: columns of the plane `data` exclusively
-                    // borrows; `col_block` is sized by `reserve_lanes`.
-                    unsafe {
-                        self.cols_lanes::<C>(
-                            base.0,
-                            c0,
-                            width.min(cols - c0),
-                            dir,
-                            col_block,
-                            scratch,
-                        )
+    }
+
+    /// [`Fft2::run_span`] at four lanes, compiled with AVX2 enabled so the
+    /// generic kernels flatten into AVX instructions.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, plus [`Fft2::run_span`]'s contract.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn span_avx2(&self, span: Span, staging: &mut [f64], scratch: &mut [f64]) {
+        // SAFETY: the caller's contract.
+        unsafe { self.span::<VComplex<simd::F64x4>>(span, staging, scratch) }
+    }
+
+    /// Runs `span` in `C::LANES`-wide groups, then its leftovers at 2
+    /// lanes and at 1 lane.
+    ///
+    /// # Safety
+    ///
+    /// [`Fft2::run_span`]'s contract.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    unsafe fn span<C: ComplexLanes>(
+        &self,
+        mut span: Span,
+        staging: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        // SAFETY: the caller's contract; each call starts where its
+        // predecessor stopped.
+        unsafe {
+            span.lo = self.groups::<C>(span, staging, scratch);
+            if C::LANES > 2 {
+                span.lo = self.groups::<VComplex<simd::F64x2>>(span, staging, scratch);
+            }
+            if C::LANES > 1 {
+                self.groups::<Complex64>(span, staging, scratch);
+            }
+        }
+    }
+
+    /// Runs as many whole `C::LANES`-wide groups of `span` as fit and
+    /// returns the first item left over.
+    ///
+    /// # Safety
+    ///
+    /// [`Fft2::run_span`]'s contract.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    unsafe fn groups<C: ComplexLanes>(
+        &self,
+        span: Span,
+        staging: &mut [f64],
+        scratch: &mut [f64],
+    ) -> usize {
+        let (rows, cols, lanes) = (self.rows, self.cols, C::LANES);
+        let Span { base, pass, lo, hi } = span;
+        let groups = (hi - lo) / lanes;
+        match pass {
+            Pass::Rows(dir) => {
+                let len = cols * 2 * lanes;
+                assert!(lo + groups * lanes <= rows && (lanes == 1 || staging.len() >= len));
+                for g in 0..groups {
+                    // SAFETY: the group's `L` consecutive rows lie inside
+                    // the plane and belong to this call alone.
+                    let group = unsafe {
+                        std::slice::from_raw_parts_mut(base.add((lo + g * lanes) * cols * 2), len)
+                    };
+                    if lanes == 1 {
+                        self.row_plan.process_lanes::<C>(group, dir, scratch);
+                    } else {
+                        let packed = &mut staging[..len];
+                        C::pack_rows(group, packed);
+                        self.row_plan.process_lanes::<C>(packed, dir, scratch);
+                        C::unpack_rows(packed, group);
+                    }
+                }
+            }
+            Pass::Cols(dir) => {
+                let stride = 2 * lanes;
+                assert!(lo + groups * lanes <= cols && staging.len() >= rows * groups * stride);
+                // Group g of the span stages its column `L`-tuples at
+                // slots g·rows‥(g+1)·rows.
+                let sample = |r: usize, g: usize| (r * cols + lo + g * lanes) * 2;
+                let staged = staging.as_mut_ptr().cast::<C>();
+                for r in 0..rows {
+                    for g in 0..groups {
+                        // SAFETY: samples (r, lo+gL‥lo+gL+L) are inside the
+                        // plane and in this call's columns; staging slot
+                        // g·rows + r < rows·groups.
+                        unsafe {
+                            C::load_run(base.add(sample(r, g))).store(staged.add(g * rows + r))
+                        }
+                    }
+                }
+                for column in staging.chunks_exact_mut(rows * stride).take(groups) {
+                    self.col_plan.process_lanes::<C>(column, dir, scratch);
+                }
+                let staged = staging.as_ptr().cast::<C>();
+                for r in 0..rows {
+                    for g in 0..groups {
+                        // SAFETY: the gather's bounds, directions swapped.
+                        unsafe {
+                            C::load(staged.add(g * rows + r)).store_run(base.add(sample(r, g)))
+                        }
                     }
                 }
             }
         }
+        lo + groups * lanes
     }
+}
 
-    /// Transforms rows `lo..hi` of a packed plane in place.
-    ///
-    /// # Safety
-    ///
-    /// `base` must point to a packed `rows × cols` plane
-    /// (`rows·cols·2L` f64s) whose rows `lo..hi ≤ rows` nobody else
-    /// accesses during the call.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    unsafe fn rows_lanes<C: ComplexLanes>(
-        &self,
-        base: *mut f64,
-        lo: usize,
-        hi: usize,
-        dir: Direction,
-        scratch: &mut [f64],
-    ) {
-        let len = self.cols * 2 * C::LANES;
-        for r in lo..hi {
-            // SAFETY: row r lies inside the plane and belongs to this call
-            // alone (caller contract).
-            let row = unsafe { std::slice::from_raw_parts_mut(base.add(r * len), len) };
-            self.row_plan.process_lanes::<C>(row, dir, scratch);
-        }
-    }
+/// One axis pass of the 2-D pipeline: 1-D transforms of rows or columns.
+#[derive(Clone, Copy)]
+enum Pass {
+    Rows(Direction),
+    Cols(Direction),
+}
 
-    /// Transforms columns `c0..c0+bw` of a packed plane: gathers them into
-    /// column-major staging (`block[k·rows + r] = plane[r·cols + c0 + k]`),
-    /// transforms each, and scatters them back.
-    ///
-    /// Takes a raw base pointer so concurrent tasks working on *disjoint*
-    /// column ranges of one plane never materialize overlapping `&`/`&mut`
-    /// slices (which would be UB even with disjoint element access).
-    ///
-    /// # Safety
-    ///
-    /// `base` must point to a packed `rows × cols` plane whose columns
-    /// `[c0, c0+bw)` nobody else accesses during the call, `c0 + bw ≤ cols`
-    /// must hold, and `block` must hold at least `rows·bw·2L` f64s.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    unsafe fn cols_lanes<C: ComplexLanes>(
-        &self,
-        base: *mut f64,
-        c0: usize,
-        bw: usize,
-        dir: Direction,
-        block: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        let (rows, cols) = (self.rows, self.cols);
-        let stride = 2 * C::LANES;
-        assert!(c0 + bw <= cols && block.len() >= rows * bw * stride);
-        let plane = base.cast::<C>();
-        let staged = block.as_mut_ptr().cast::<C>();
-        for r in 0..rows {
-            for k in 0..bw {
-                // SAFETY: element (r, c0+k) is inside the plane and in this
-                // call's columns; staging slot k·rows + r < rows·bw.
-                unsafe { C::load(plane.add(r * cols + c0 + k)).store(staged.add(k * rows + r)) }
-            }
-        }
-        for column in block.chunks_exact_mut(rows * stride).take(bw) {
-            self.col_plan.process_lanes::<C>(column, dir, scratch);
-        }
-        let staged = block.as_ptr().cast::<C>();
-        for r in 0..rows {
-            for k in 0..bw {
-                // SAFETY: the gather's bounds, directions swapped.
-                unsafe { C::load(staged.add(k * rows + r)).store(plane.add(r * cols + c0 + k)) }
-            }
-        }
-    }
+/// Rows or columns `lo..hi` of one pass over the plane at `base`.
+#[derive(Clone, Copy)]
+struct Span {
+    base: *mut f64,
+    pass: Pass,
+    lo: usize,
+    hi: usize,
 }
 
 /// Shared-plane pointer handed to disjoint parallel tasks.
@@ -2628,16 +2604,31 @@ mod tests {
         }
     }
 
+    /// A `make_workspace()` workspace is sized for the dispatch width, so
+    /// per-sample calls run their lanes without growing it, and it holds
+    /// lane staging only — never a whole plane.
     #[test]
-    fn one_lane_path_allocates_no_simd_scratch() {
-        let fft = Fft2::new(20, 24);
-        let mut ws = fft.make_workspace();
-        let before = ws.resident_bytes();
-        let mut f = Field::from_fn(20, 24, |r, c| Complex64::new(r as f64, c as f64));
-        fft.process_with(&mut f, Direction::Forward, &mut ws);
-        fft.convolve_spectrum_batch_with(f.as_mut_slice(), &Field::ones(20, 24), &mut ws);
-        assert!(ws.packed.is_empty(), "a one-plane call must not pack");
-        assert_eq!(ws.resident_bytes(), before);
+    fn per_sample_workspace_runs_lanes_without_plane_buffer() {
+        for (rows, cols) in [(20, 24), (197, 200), (200, 200)] {
+            let fft = Fft2::new(rows, cols);
+            let mut ws = fft.make_workspace();
+            let lanes = simd::dispatch().lanes();
+            assert!(ws.staging.len() >= fft.staging_len(lanes));
+            assert!(ws.scratch.len() >= fft.scratch_len(lanes));
+            let before = ws.resident_bytes();
+            if rows * cols >= 200 * 200 {
+                let plane_bytes = rows * cols * std::mem::size_of::<Complex64>();
+                assert!(
+                    before < plane_bytes,
+                    "{rows}x{cols} workspace holds {before} B, a plane is {plane_bytes} B"
+                );
+            }
+            let mut f = Field::from_fn(rows, cols, |r, c| Complex64::new(r as f64, c as f64));
+            fft.process_with(&mut f, Direction::Forward, &mut ws);
+            let transfer = Field::ones(rows, cols);
+            fft.convolve_spectrum_batch_with(f.as_mut_slice(), &transfer, &mut ws);
+            assert_eq!(ws.resident_bytes(), before, "{rows}x{cols} workspace grew");
+        }
     }
 
     /// Serializes the tests that clear, flood, or assert on the global
@@ -2760,9 +2751,7 @@ mod tests {
         use crate::batch::FieldBatch;
         use lr_obs::{kernel_profile, reset_kernel_profile, set_kernel_profiling, KernelKind};
 
-        // 31 rows → Rader plan (30 = 2·3·5), 16 cols → radix-2; 496
-        // samples stay far under the pooled-parallel threshold, so the
-        // lane-packed path runs at the dispatched level on any machine.
+        // 31 rows → Rader plan (30 = 2·3·5), 16 cols → radix-2.
         let fft = Fft2::new(31, 16);
         let mut batch = FieldBatch::zeros(4, 31, 16);
         for b in 0..4 {

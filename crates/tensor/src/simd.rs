@@ -1,8 +1,8 @@
 //! Vendored portable-SIMD shim: `f64xN` lane types over `std::arch`.
 //!
-//! This module is the dispatch substrate for the cross-plane (batch-lane)
-//! vector kernels behind [`Fft2`](crate::Fft2) and the detector readout
-//! in lr-core.
+//! This module is the dispatch substrate for the vector kernels behind
+//! [`Fft2`](crate::Fft2), whose lanes span rows and columns of a plane,
+//! and the detector readout in lr-core.
 //! It deliberately mirrors the shape of `std::simd` (which is still
 //! nightly-only) with exactly the operations the FFT kernels need, over
 //! three backends:
@@ -44,7 +44,7 @@
 use crate::complex::Complex64;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// The operations a lane type must provide for the cross-plane kernels.
+/// The operations a lane type must provide for the vector kernels.
 ///
 /// Every method is `#[inline(always)]` in every implementation: the vector
 /// kernels are generic over `V: SimdF64` and must flatten completely into
@@ -88,15 +88,159 @@ pub trait SimdF64: Copy + Send + Sync + 'static {
     /// The fixed order makes the reduction deterministic for a given lane
     /// width, so forced-width tests are reproducible.
     fn reduce_add(self) -> f64;
+
+    // The complex-layout moves below only copy f64s, so every backend is
+    // exact. The defaults move one f64 at a time; the x86-64 backends
+    // override them with register shuffles.
+
+    /// Splits `LANES` interleaved complex samples (`re₀, im₀, re₁, im₁, …`
+    /// at `ptr`) into their real and imaginary lanes. Which lane carries
+    /// which sample is the backend's choice, the same for every call (the
+    /// defaults keep sample order), so callers must treat lanes as
+    /// independent and write back with [`SimdF64::store_complex`].
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be valid for reading `2·LANES` `f64`s.
+    #[inline(always)]
+    unsafe fn load_complex(ptr: *const f64) -> (Self, Self) {
+        let mut split = [0.0; 8];
+        for l in 0..Self::LANES {
+            // SAFETY: the caller provides 2·LANES readable f64s at `ptr`.
+            unsafe {
+                split[l] = *ptr.add(2 * l);
+                split[4 + l] = *ptr.add(2 * l + 1);
+            }
+        }
+        // SAFETY: `split` holds LANES ≤ 4 f64s from both offsets.
+        unsafe {
+            (
+                Self::load(split.as_ptr()),
+                Self::load(split.as_ptr().add(4)),
+            )
+        }
+    }
+
+    /// Inverse of [`SimdF64::load_complex`].
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be valid for writing `2·LANES` `f64`s.
+    #[inline(always)]
+    unsafe fn store_complex(re: Self, im: Self, ptr: *mut f64) {
+        let lanes = Self::LANES;
+        for (l, part) in [re, im].into_iter().enumerate() {
+            let mut split = [0.0; 4];
+            // SAFETY: `split` holds 4 ≥ LANES f64s; the caller provides
+            // 2·LANES writable f64s at `ptr`.
+            unsafe {
+                part.store(split.as_mut_ptr());
+                for (k, &x) in split[..lanes].iter().enumerate() {
+                    *ptr.add(2 * k + l) = x;
+                }
+            }
+        }
+    }
+
+    /// Transposes a tile of `LANES` rows × `LANES` interleaved complex
+    /// samples, row `l` at `src + l·stride`, into `LANES` split elements at
+    /// `dst`: element `k` is `LANES` real parts then `LANES` imaginary
+    /// parts, lane `l` carrying sample `k` of row `l`.
+    ///
+    /// # Safety
+    ///
+    /// Each row must be valid for reading `2·LANES` `f64`s, and `dst` for
+    /// writing `2·LANES²`.
+    #[inline(always)]
+    unsafe fn pack_tile(src: *const f64, stride: usize, dst: *mut f64) {
+        let lanes = Self::LANES;
+        for (k, l) in (0..lanes).flat_map(|k| (0..lanes).map(move |l| (k, l))) {
+            // SAFETY: sample k of row l and lane l of element k (caller
+            // contract).
+            unsafe {
+                *dst.add(2 * lanes * k + l) = *src.add(l * stride + 2 * k);
+                *dst.add(2 * lanes * k + lanes + l) = *src.add(l * stride + 2 * k + 1);
+            }
+        }
+    }
+
+    /// Inverse of [`SimdF64::pack_tile`].
+    ///
+    /// # Safety
+    ///
+    /// `src` must be valid for reading `2·LANES²` `f64`s, and each row at
+    /// `dst + l·stride` for writing `2·LANES`.
+    #[inline(always)]
+    unsafe fn unpack_tile(src: *const f64, dst: *mut f64, stride: usize) {
+        let lanes = Self::LANES;
+        for (k, l) in (0..lanes).flat_map(|k| (0..lanes).map(move |l| (k, l))) {
+            // SAFETY: as `pack_tile`, directions swapped.
+            unsafe {
+                *dst.add(l * stride + 2 * k) = *src.add(2 * lanes * k + l);
+                *dst.add(l * stride + 2 * k + 1) = *src.add(2 * lanes * k + lanes + l);
+            }
+        }
+    }
+
+    /// Packs `LANES` consecutive rows of `n` interleaved complex samples
+    /// each (`rows.len() = 2·n·LANES`) into `n` split elements, element `i`
+    /// laid out as in [`SimdF64::pack_tile`]. Whole tiles go through
+    /// `pack_tile`; the last `n mod LANES` samples move one f64 at a time.
+    #[inline(always)]
+    fn pack_rows(rows: &[f64], packed: &mut [f64]) {
+        let lanes = Self::LANES;
+        let n = rows.len() / (2 * lanes);
+        assert_eq!(packed.len(), rows.len());
+        let (src, dst) = (rows.as_ptr(), packed.as_mut_ptr());
+        let tiled = n - n % lanes;
+        for i in (0..tiled).step_by(lanes) {
+            // SAFETY: samples i‥i+L of every row and elements i‥i+L are in
+            // bounds (i + L ≤ n).
+            unsafe { Self::pack_tile(src.add(2 * i), 2 * n, dst.add(2 * lanes * i)) }
+        }
+        for i in tiled..n {
+            for l in 0..lanes {
+                // SAFETY: sample i of row l and element i are in bounds.
+                unsafe {
+                    *dst.add(2 * lanes * i + l) = *src.add(2 * (l * n + i));
+                    *dst.add(2 * lanes * i + lanes + l) = *src.add(2 * (l * n + i) + 1);
+                }
+            }
+        }
+    }
+
+    /// Inverse of [`SimdF64::pack_rows`].
+    #[inline(always)]
+    fn unpack_rows(packed: &[f64], rows: &mut [f64]) {
+        let lanes = Self::LANES;
+        let n = rows.len() / (2 * lanes);
+        assert_eq!(packed.len(), rows.len());
+        let (src, dst) = (packed.as_ptr(), rows.as_mut_ptr());
+        let tiled = n - n % lanes;
+        for i in (0..tiled).step_by(lanes) {
+            // SAFETY: as `pack_rows`, directions swapped.
+            unsafe { Self::unpack_tile(src.add(2 * lanes * i), dst.add(2 * i), 2 * n) }
+        }
+        for i in tiled..n {
+            for l in 0..lanes {
+                // SAFETY: as `pack_rows`, directions swapped.
+                unsafe {
+                    *dst.add(2 * (l * n + i)) = *src.add(2 * lanes * i + l);
+                    *dst.add(2 * (l * n + i) + 1) = *src.add(2 * lanes * i + lanes + l);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod backend {
     use super::SimdF64;
     use std::arch::x86_64::{
-        __m128d, __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
-        _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd, _mm_add_pd, _mm_loadu_pd, _mm_mul_pd,
-        _mm_set1_pd, _mm_storeu_pd, _mm_sub_pd, _mm_xor_pd,
+        __m128d, __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd,
+        _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
+        _mm256_xor_pd, _mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_storeu_pd,
+        _mm_sub_pd, _mm_unpackhi_pd, _mm_unpacklo_pd, _mm_xor_pd,
     };
 
     /// Two `f64` lanes over SSE2 (part of the x86-64 baseline).
@@ -157,6 +301,58 @@ mod backend {
             // SAFETY: `lanes` is a writable array of exactly 2 f64s.
             unsafe { _mm_storeu_pd(lanes.as_mut_ptr(), self.0) };
             lanes[0] + lanes[1]
+        }
+
+        #[inline(always)]
+        unsafe fn load_complex(ptr: *const f64) -> (Self, Self) {
+            // SAFETY: the caller guarantees 4 readable f64s; SSE2 is
+            // baseline on x86-64.
+            unsafe {
+                let (a, b) = (_mm_loadu_pd(ptr), _mm_loadu_pd(ptr.add(2)));
+                (F64x2(_mm_unpacklo_pd(a, b)), F64x2(_mm_unpackhi_pd(a, b)))
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn store_complex(re: Self, im: Self, ptr: *mut f64) {
+            // SAFETY: the caller guarantees 4 writable f64s; SSE2 is
+            // baseline on x86-64.
+            unsafe {
+                _mm_storeu_pd(ptr, _mm_unpacklo_pd(re.0, im.0));
+                _mm_storeu_pd(ptr.add(2), _mm_unpackhi_pd(re.0, im.0));
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn pack_tile(src: *const f64, stride: usize, dst: *mut f64) {
+            // Element k is [a_k, b_k] split into re and im lanes.
+            for k in 0..2 {
+                // SAFETY: sample k of both rows and element k of the tile
+                // (caller contract); SSE2 is baseline on x86-64.
+                unsafe {
+                    let (a, b) = (
+                        _mm_loadu_pd(src.add(2 * k)),
+                        _mm_loadu_pd(src.add(stride + 2 * k)),
+                    );
+                    _mm_storeu_pd(dst.add(4 * k), _mm_unpacklo_pd(a, b));
+                    _mm_storeu_pd(dst.add(4 * k + 2), _mm_unpackhi_pd(a, b));
+                }
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn unpack_tile(src: *const f64, dst: *mut f64, stride: usize) {
+            for k in 0..2 {
+                // SAFETY: as `pack_tile`, directions swapped.
+                unsafe {
+                    let (re, im) = (
+                        _mm_loadu_pd(src.add(4 * k)),
+                        _mm_loadu_pd(src.add(4 * k + 2)),
+                    );
+                    _mm_storeu_pd(dst.add(2 * k), _mm_unpacklo_pd(re, im));
+                    _mm_storeu_pd(dst.add(stride + 2 * k), _mm_unpackhi_pd(re, im));
+                }
+            }
         }
     }
 
@@ -225,6 +421,80 @@ mod backend {
             // execution is behind the runtime AVX2 dispatch guard.
             unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), self.0) };
             ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
+        }
+
+        // The moves below shuffle within 128-bit halves (`unpack`) and
+        // across them (`permute2f128`: 0x20 joins the low halves of both
+        // operands, 0x31 the high halves).
+
+        #[inline(always)]
+        unsafe fn load_complex(ptr: *const f64) -> (Self, Self) {
+            // Lanes carry samples 0, 2, 1, 3: unpacking within the 128-bit
+            // halves needs no lane-crossing shuffle.
+            // SAFETY: the caller guarantees 8 readable f64s; execution is
+            // behind the runtime AVX2 dispatch guard.
+            unsafe {
+                let (x, y) = (_mm256_loadu_pd(ptr), _mm256_loadu_pd(ptr.add(4)));
+                (
+                    F64x4(_mm256_unpacklo_pd(x, y)),
+                    F64x4(_mm256_unpackhi_pd(x, y)),
+                )
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn store_complex(re: Self, im: Self, ptr: *mut f64) {
+            // SAFETY: the caller guarantees 8 writable f64s; execution is
+            // behind the runtime AVX2 dispatch guard.
+            unsafe {
+                _mm256_storeu_pd(ptr, _mm256_unpacklo_pd(re.0, im.0));
+                _mm256_storeu_pd(ptr.add(4), _mm256_unpackhi_pd(re.0, im.0));
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn pack_tile(src: *const f64, stride: usize, dst: *mut f64) {
+            // Rows a‥d, two samples (k, k+1) per load.
+            for k in [0, 2] {
+                // SAFETY: samples k, k+1 of every row and elements k, k+1
+                // of the tile (caller contract); execution is behind the
+                // runtime AVX2 dispatch guard.
+                unsafe {
+                    let a = _mm256_loadu_pd(src.add(2 * k));
+                    let b = _mm256_loadu_pd(src.add(stride + 2 * k));
+                    let c = _mm256_loadu_pd(src.add(2 * stride + 2 * k));
+                    let d = _mm256_loadu_pd(src.add(3 * stride + 2 * k));
+                    // [a_k.re b_k.re a_k+1.re b_k+1.re], likewise im and c, d.
+                    let (re_ab, im_ab) = (_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b));
+                    let (re_cd, im_cd) = (_mm256_unpacklo_pd(c, d), _mm256_unpackhi_pd(c, d));
+                    let e = dst.add(8 * k);
+                    _mm256_storeu_pd(e, _mm256_permute2f128_pd::<0x20>(re_ab, re_cd));
+                    _mm256_storeu_pd(e.add(4), _mm256_permute2f128_pd::<0x20>(im_ab, im_cd));
+                    _mm256_storeu_pd(e.add(8), _mm256_permute2f128_pd::<0x31>(re_ab, re_cd));
+                    _mm256_storeu_pd(e.add(12), _mm256_permute2f128_pd::<0x31>(im_ab, im_cd));
+                }
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn unpack_tile(src: *const f64, dst: *mut f64, stride: usize) {
+            for k in [0, 2] {
+                // SAFETY: as `pack_tile`, directions swapped.
+                unsafe {
+                    let e = src.add(8 * k);
+                    let (re0, im0) = (_mm256_loadu_pd(e), _mm256_loadu_pd(e.add(4)));
+                    let (re1, im1) = (_mm256_loadu_pd(e.add(8)), _mm256_loadu_pd(e.add(12)));
+                    let re_ab = _mm256_permute2f128_pd::<0x20>(re0, re1);
+                    let re_cd = _mm256_permute2f128_pd::<0x31>(re0, re1);
+                    let im_ab = _mm256_permute2f128_pd::<0x20>(im0, im1);
+                    let im_cd = _mm256_permute2f128_pd::<0x31>(im0, im1);
+                    let row = dst.add(2 * k);
+                    _mm256_storeu_pd(row, _mm256_unpacklo_pd(re_ab, im_ab));
+                    _mm256_storeu_pd(row.add(stride), _mm256_unpackhi_pd(re_ab, im_ab));
+                    _mm256_storeu_pd(row.add(2 * stride), _mm256_unpacklo_pd(re_cd, im_cd));
+                    _mm256_storeu_pd(row.add(3 * stride), _mm256_unpackhi_pd(re_cd, im_cd));
+                }
+            }
         }
     }
 
@@ -734,6 +1004,86 @@ mod tests {
             unsafe { V::splat(3.25).store(out.as_mut_ptr()) };
             assert!(out.iter().all(|&x| x == 3.25));
         }
+        check::<F64x2>();
+        if backend::x4_available() {
+            check::<F64x4>();
+        }
+    }
+
+    /// Four plain lanes inheriting every default method of [`SimdF64`]
+    /// (what the aarch64 and portable backends run).
+    #[derive(Clone, Copy)]
+    struct Plain([f64; 4]);
+
+    impl SimdF64 for Plain {
+        const LANES: usize = 4;
+        fn splat(v: f64) -> Self {
+            Plain([v; 4])
+        }
+        unsafe fn load(ptr: *const f64) -> Self {
+            // SAFETY: the caller provides 4 readable f64s.
+            Plain(unsafe { ptr.cast::<[f64; 4]>().read_unaligned() })
+        }
+        unsafe fn store(self, ptr: *mut f64) {
+            // SAFETY: the caller provides 4 writable f64s.
+            unsafe { ptr.cast::<[f64; 4]>().write_unaligned(self.0) }
+        }
+        fn add(self, _: Self) -> Self {
+            unimplemented!()
+        }
+        fn sub(self, _: Self) -> Self {
+            unimplemented!()
+        }
+        fn mul(self, _: Self) -> Self {
+            unimplemented!()
+        }
+        fn neg(self) -> Self {
+            unimplemented!()
+        }
+        fn reduce_add(self) -> f64 {
+            unimplemented!()
+        }
+    }
+
+    #[test]
+    fn complex_layout_moves_match_index_formulas() {
+        fn check<V: SimdF64>() {
+            let lanes = V::LANES;
+            // Three whole tiles per row plus one leftover sample.
+            let n = 3 * lanes + 1;
+            let rows: Vec<f64> = (0..2 * n * lanes).map(|i| i as f64).collect();
+            let mut packed = vec![0.0; rows.len()];
+            V::pack_rows(&rows, &mut packed);
+            for (i, l) in (0..n).flat_map(|i| (0..lanes).map(move |l| (i, l))) {
+                assert_eq!(packed[2 * lanes * i + l], rows[2 * (l * n + i)]);
+                assert_eq!(packed[2 * lanes * i + lanes + l], rows[2 * (l * n + i) + 1]);
+            }
+            let mut back = vec![0.0; rows.len()];
+            V::unpack_rows(&packed, &mut back);
+            assert_eq!(back, rows);
+            // SAFETY: `rows`, `packed` and `back` hold ≥ 2·LANES f64s.
+            unsafe {
+                let (re, im) = V::load_complex(rows.as_ptr());
+                re.store(packed.as_mut_ptr());
+                im.store(packed.as_mut_ptr().add(lanes));
+                V::store_complex(re, im, back.as_mut_ptr());
+            }
+            // Each lane holds one whole sample, every sample exactly once.
+            let mut samples: Vec<usize> = (0..lanes)
+                .map(|l| {
+                    let s = packed[l] as usize / 2;
+                    assert_eq!(
+                        (packed[l], packed[lanes + l]),
+                        (rows[2 * s], rows[2 * s + 1])
+                    );
+                    s
+                })
+                .collect();
+            samples.sort_unstable();
+            assert_eq!(samples, (0..lanes).collect::<Vec<_>>());
+            assert_eq!(back[..2 * lanes], rows[..2 * lanes]);
+        }
+        check::<Plain>();
         check::<F64x2>();
         if backend::x4_available() {
             check::<F64x4>();

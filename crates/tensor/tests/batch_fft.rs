@@ -115,26 +115,45 @@ fn one_workspace_serves_shrinking_and_growing_batches() {
 }
 
 /// Lane independence of the one kernel family: every forced dispatch level
-/// the CPU can execute (2- and 4-lane groups) produces **bitwise
-/// identical** batched FFT and spectrum-convolution results to forced
-/// scalar, where every plane runs as a 1-lane group — each vector lane
-/// performs the 1-lane operation sequence, so there is no tolerance to
-/// negotiate on these paths. Covers batch sizes {1, 3, 32} (remainder
-/// lanes at both x2 and x4 grouping), non-square grids, and every plan
-/// kind: radix-2 (16), mixed-radix Stockham (20, 24), Rader primes
-/// (31: 30 = 2·3·5), and Bluestein (23: 22 has the factor 11).
+/// the CPU can execute (lanes spanning 2 and 4 rows or columns of a plane)
+/// produces **bitwise identical** batched FFT and spectrum-convolution
+/// results to forced scalar, where every row and column runs as a 1-lane
+/// group — each vector lane performs the 1-lane operation sequence, so
+/// there is no tolerance to negotiate on these paths. Covers batch sizes
+/// {1, 3, 32}, row and column counts that leave 2-lane and 1-lane
+/// leftovers at x4, non-square grids, and every plan kind: radix-2 (16),
+/// mixed-radix Stockham (20, 24, 200), Rader primes (31: 30 = 2·3·5; 197:
+/// 196 = 2²·7²), and Bluestein (23 and 198, whose 22 and 198 have the
+/// factor 11). The grids of at least 32768 samples run the vector levels
+/// at two threads, so their row groups and column blocks split across the
+/// worker pool, against an oracle run on one thread.
 ///
-/// `simd::force` is process-global; a level flip mid-run cannot break the
-/// other tests here (batched == per-plane holds bitwise at every level),
-/// and auto-detection is restored before returning.
+/// `simd::force` and `parallel::set_threads` are process-global; a level
+/// or thread-count flip mid-run cannot break the other tests here
+/// (batched == per-plane holds bitwise at every level and thread count),
+/// and both are restored before returning.
 #[test]
 fn forced_simd_levels_bitwise_match_scalar_oracle() {
+    use lr_tensor::parallel;
     use lr_tensor::simd::{self, SimdLevel};
 
-    for &(rows, cols) in &[(16, 16), (20, 24), (31, 31), (23, 23), (31, 24), (16, 23)] {
+    let small: &[usize] = &[1, 3, 32];
+    let pooled: &[usize] = &[1, 3];
+    for &(rows, cols, batch_sizes) in &[
+        (16, 16, small),
+        (20, 24, small),
+        (31, 31, small),
+        (23, 23, small),
+        (31, 24, small),
+        (16, 23, small),
+        (197, 200, pooled),
+        (200, 198, pooled),
+        (198, 197, pooled),
+    ] {
+        let threads = if rows * cols >= 32_768 { 2 } else { 0 };
         let fft = Fft2::new(rows, cols);
         let transfer = Field::from_fn(rows, cols, |r, c| plane_value(9, r, c, 5));
-        for &batch_size in &[1usize, 3, 32] {
+        for &batch_size in batch_sizes {
             let fill = |batch: &mut FieldBatch| {
                 for b in 0..batch_size {
                     let f = Field::from_fn(rows, cols, |r, c| plane_value(b, r, c, 3));
@@ -143,6 +162,7 @@ fn forced_simd_levels_bitwise_match_scalar_oracle() {
             };
 
             // Scalar oracle: one forward transform, one spectrum convolve.
+            parallel::set_threads(1);
             simd::force(Some(SimdLevel::Scalar));
             let mut oracle_fft = FieldBatch::zeros(batch_size, rows, cols);
             fill(&mut oracle_fft);
@@ -151,9 +171,9 @@ fn forced_simd_levels_bitwise_match_scalar_oracle() {
             let mut oracle_conv = FieldBatch::zeros(batch_size, rows, cols);
             fill(&mut oracle_conv);
             let mut plane_ws = fft.make_workspace();
-            fft.prepare_batch_workspace(&mut plane_ws);
             fft.convolve_spectrum_batch_with(oracle_conv.as_mut_slice(), &transfer, &mut plane_ws);
 
+            parallel::set_threads(threads);
             for level in [SimdLevel::X2, SimdLevel::X4] {
                 simd::force(Some(level));
                 if simd::dispatch() != level {
@@ -186,6 +206,7 @@ fn forced_simd_levels_bitwise_match_scalar_oracle() {
         }
     }
     simd::force(None);
+    parallel::set_threads(0);
 }
 
 proptest! {
