@@ -19,13 +19,22 @@
 //! As τ anneals toward 0 the soft mixture approaches the hard argmax, so the
 //! deployed (quantized) model matches what was trained — "quantization-aware
 //! training without quantization approximations".
+//!
+//! The Soft and Deploy states depend only on the logits, τ and γ, so the
+//! layer keeps each as a per-pixel table (16 B per pixel per mode used),
+//! filled on the first inference in that mode after a write. Every `&mut`
+//! mutator empties both; clones share the logits and tables until one of
+//! them writes. `Train` mode draws fresh noise per sample and computes its
+//! states per call.
 
+use super::Masked;
 use lr_hardware::SlmModel;
 use lr_obs::{KernelKind, KernelTimer};
 use lr_optics::{Approximation, Distance, FreeSpace, Grid, PropagationScratch, Wavelength};
 use lr_tensor::{Complex64, Field, FieldBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// How a codesign layer computes its modulation state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,9 +55,15 @@ pub struct CodesignLayer {
     device: SlmModel,
     /// Complex modulation state per device level: `c_l = a_l·e^{jθ_l}`.
     states: Vec<Complex64>,
+    gamma: f64,
+    /// Logits and τ, with their Soft (table 0) and Deploy (table 1) states.
+    mask: Arc<Masked<LogitMask, 2>>,
+}
+
+#[derive(Debug, Clone)]
+struct LogitMask {
     /// Trainable logits, layout `[pixel * num_levels + level]`.
     logits: Vec<f64>,
-    gamma: f64,
     temperature: f64,
 }
 
@@ -61,6 +76,18 @@ pub struct CodesignCache {
     pub weights: Vec<f64>,
     /// Realized modulation per pixel.
     pub modulation: Vec<Complex64>,
+}
+
+impl CodesignCache {
+    /// A cache for a `rows × cols` layer; the per-pixel buffers are sized
+    /// by the first pass through it.
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
+        CodesignCache {
+            propagated: Field::zeros(rows, cols),
+            weights: Vec::new(),
+            modulation: Vec::new(),
+        }
+    }
 }
 
 impl CodesignLayer {
@@ -99,9 +126,11 @@ impl CodesignLayer {
             propagator,
             device,
             states,
-            logits: vec![0.0; n],
             gamma,
-            temperature,
+            mask: Arc::new(Masked::new(LogitMask {
+                logits: vec![0.0; n],
+                temperature,
+            })),
         }
     }
 
@@ -109,7 +138,7 @@ impl CodesignLayer {
     /// symmetry deterministically per `seed`.
     pub fn randomize_logits(&mut self, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for l in &mut self.logits {
+        for l in &mut Masked::write(&mut self.mask).logits {
             *l = rng.gen_range(-0.1..0.1);
         }
     }
@@ -125,10 +154,11 @@ impl CodesignLayer {
         let pixels = self.num_pixels();
         assert_eq!(phases.len(), pixels, "phase mask length mismatch");
         let levels = self.device.num_levels();
+        let logits = &mut Masked::write(&mut self.mask).logits;
         for (p, &phase) in phases.iter().enumerate() {
             let (best, _) = self.device.nearest_level(phase);
             for l in 0..levels {
-                self.logits[p * levels + l] = if l == best { sharpness } else { 0.0 };
+                logits[p * levels + l] = if l == best { sharpness } else { 0.0 };
             }
         }
     }
@@ -150,7 +180,7 @@ impl CodesignLayer {
 
     /// Gumbel-Softmax temperature τ.
     pub fn temperature(&self) -> f64 {
-        self.temperature
+        self.mask.params.temperature
     }
 
     /// Updates τ (annealed across epochs by the trainer).
@@ -163,7 +193,7 @@ impl CodesignLayer {
             tau.is_finite() && tau > 0.0,
             "temperature must be finite and positive"
         );
-        self.temperature = tau;
+        Masked::write(&mut self.mask).temperature = tau;
     }
 
     /// Amplitude regularization factor γ.
@@ -179,33 +209,28 @@ impl CodesignLayer {
 
     /// Number of trainable parameters (`pixels × levels`).
     pub fn num_params(&self) -> usize {
-        self.logits.len()
+        self.mask.params.logits.len()
     }
 
     /// Immutable view of the logits.
     pub fn logits(&self) -> &[f64] {
-        &self.logits
+        &self.mask.params.logits
     }
 
-    /// Mutable view of the logits (the optimizer's target).
+    /// Mutable view of the logits (the optimizer's target). Empties the
+    /// inference tables; the next inference refills them.
     pub fn logits_mut(&mut self) -> &mut [f64] {
-        &mut self.logits
+        &mut Masked::write(&mut self.mask).logits
     }
 
     /// The hard (deployable) level per pixel: `argmax` of the logits.
     pub fn hard_levels(&self) -> Vec<usize> {
         let levels = self.device.num_levels();
-        (0..self.num_pixels())
-            .map(|p| {
-                let row = &self.logits[p * levels..(p + 1) * levels];
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
+        self.mask
+            .params
+            .logits
+            .chunks_exact(levels)
+            .map(argmax)
             .collect()
     }
 
@@ -234,27 +259,9 @@ impl CodesignLayer {
     }
 
     /// Forward pass transforming `u` in place through caller-owned scratch
-    /// and returning a fresh cache — the trace-building fast path
-    /// ([`crate::DonnModel::forward_trace_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match the layer grid.
-    pub fn forward_through(
-        &self,
-        u: &mut Field,
-        mode: CodesignMode,
-        seed: u64,
-        scratch: &mut PropagationScratch,
-    ) -> CodesignCache {
-        assert_eq!(u.shape(), self.grid().shape(), "input/grid shape mismatch");
-        self.propagator.propagate_with(u, scratch);
-        self.modulate_with_cache(u, mode, seed)
-    }
-
-    /// [`CodesignLayer::forward_through`] reusing a caller-owned cache —
-    /// the trace-ring fast path: once the cache buffers are sized for this
-    /// layer, the pass performs no heap allocation.
+    /// into a reusable cache — the trace-building fast path: once the
+    /// cache buffers are sized for this layer, the pass performs no heap
+    /// allocation.
     ///
     /// # Panics
     ///
@@ -269,30 +276,15 @@ impl CodesignLayer {
     ) {
         assert_eq!(u.shape(), self.grid().shape(), "input/grid shape mismatch");
         self.propagator.propagate_with(u, scratch);
-        self.modulate_into(u, mode, seed, cache);
+        self.modulate_slice_into(u.as_mut_slice(), mode, seed, cache);
     }
 
     /// Computes the per-pixel modulation for `mode`, applies it to the
     /// already-propagated `u` in place, and returns the activation cache.
     fn modulate_with_cache(&self, u: &mut Field, mode: CodesignMode, seed: u64) -> CodesignCache {
-        let mut cache = CodesignCache {
-            propagated: Field::zeros(u.rows(), u.cols()),
-            weights: Vec::new(),
-            modulation: Vec::new(),
-        };
-        self.modulate_into(u, mode, seed, &mut cache);
+        let mut cache = CodesignCache::zeros(u.rows(), u.cols());
+        self.modulate_slice_into(u.as_mut_slice(), mode, seed, &mut cache);
         cache
-    }
-
-    /// [`CodesignLayer::modulate_with_cache`] writing into a reusable cache.
-    fn modulate_into(
-        &self,
-        u: &mut Field,
-        mode: CodesignMode,
-        seed: u64,
-        cache: &mut CodesignCache,
-    ) {
-        self.modulate_slice_into(u.as_mut_slice(), mode, seed, cache);
     }
 
     /// The cache-producing modulation kernel on one raw plane — shared by
@@ -321,21 +313,13 @@ impl CodesignLayer {
         let weights = &mut cache.weights;
         let modulation = &mut cache.modulation;
         let mut rng = StdRng::seed_from_u64(seed);
-        let inv_tau = 1.0 / self.temperature;
+        let inv_tau = 1.0 / self.mask.params.temperature;
 
         for p in 0..pixels {
-            let row = &self.logits[p * levels..(p + 1) * levels];
+            let row = &self.mask.params.logits[p * levels..(p + 1) * levels];
             let w = &mut weights[p * levels..(p + 1) * levels];
             match mode {
-                CodesignMode::Deploy => {
-                    let mut best = 0;
-                    for (i, &v) in row.iter().enumerate() {
-                        if v > row[best] {
-                            best = i;
-                        }
-                    }
-                    w[best] = 1.0;
-                }
+                CodesignMode::Deploy => w[argmax(row)] = 1.0,
                 CodesignMode::Train | CodesignMode::Soft => {
                     // y_l = (logit_l [+ gumbel]) / τ, w = softmax(y)
                     let mut max = f64::NEG_INFINITY;
@@ -397,46 +381,60 @@ impl CodesignLayer {
         self.infer_modulate_planes(u.as_mut_slice(), mode);
     }
 
-    /// The inference-mode modulation kernel over whole plane-major
-    /// (already propagated) planes — one plane for
-    /// [`CodesignLayer::infer_inplace`], the active batch for the batched
-    /// path. Weights are folded on the fly into each pixel's state, which
-    /// is computed once per call rather than once per plane; no buffers
-    /// are touched.
+    /// The inference-mode modulation over whole plane-major (already
+    /// propagated) planes — one plane for [`CodesignLayer::infer_inplace`],
+    /// the active batch for the batched path — straight from the mode's
+    /// table.
     fn infer_modulate_planes(&self, planes: &mut [Complex64], mode: CodesignMode) {
-        let levels = self.device.num_levels();
-        let inv_tau = 1.0 / self.temperature;
-        super::modulate_planes(planes, self.num_pixels(), |p| {
-            let row = &self.logits[p * levels..(p + 1) * levels];
-            let m = match mode {
-                CodesignMode::Deploy => {
-                    let mut best = 0;
-                    for (i, &v) in row.iter().enumerate() {
-                        if v > row[best] {
-                            best = i;
-                        }
-                    }
-                    self.states[best]
+        super::modulate_planes(planes, || self.transmission(mode));
+    }
+
+    /// The per-pixel inference state `γ·m` for [`CodesignMode::Soft`] or
+    /// [`CodesignMode::Deploy`], row-major: the table inference reads,
+    /// computed on the first call in that mode after a write. Weights are
+    /// folded on the fly into each pixel's state. Safe to call from many
+    /// threads at once; one of them fills it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode` is [`CodesignMode::Train`] (its noise is per
+    /// sample, so it has no table).
+    pub(crate) fn transmission(&self, mode: CodesignMode) -> &[Complex64] {
+        let table = match mode {
+            CodesignMode::Soft => 0,
+            CodesignMode::Deploy => 1,
+            CodesignMode::Train => panic!("Train mode has no transmission table"),
+        };
+        self.mask.table(table, |m| {
+            m.logits
+                .chunks_exact(self.device.num_levels())
+                .map(|row| self.inference_state(row, mode, 1.0 / m.temperature))
+                .collect()
+        })
+    }
+
+    /// One pixel's Soft or Deploy state `γ·m` from its logit `row`.
+    fn inference_state(&self, row: &[f64], mode: CodesignMode, inv_tau: f64) -> Complex64 {
+        let m = match mode {
+            CodesignMode::Deploy => self.states[argmax(row)],
+            _ => {
+                // Soft mixture without materializing the weights:
+                // m = Σ_l softmax_l·c_l = Σ_l e^{(v_l−max)/τ}·c_l / Σ_l e^{(v_l−max)/τ}
+                let mut max = f64::NEG_INFINITY;
+                for &v in row {
+                    max = max.max(v * inv_tau);
                 }
-                _ => {
-                    // Soft mixture without materializing the weights:
-                    // m = Σ_l softmax_l·c_l = Σ_l e^{(v_l−max)/τ}·c_l / Σ_l e^{(v_l−max)/τ}
-                    let mut max = f64::NEG_INFINITY;
-                    for &v in row {
-                        max = max.max(v * inv_tau);
-                    }
-                    let mut num = Complex64::ZERO;
-                    let mut den = 0.0;
-                    for (l, &v) in row.iter().enumerate() {
-                        let e = (v * inv_tau - max).exp();
-                        num += self.states[l] * e;
-                        den += e;
-                    }
-                    num / den
+                let mut num = Complex64::ZERO;
+                let mut den = 0.0;
+                for (l, &v) in row.iter().enumerate() {
+                    let e = (v * inv_tau - max).exp();
+                    num += self.states[l] * e;
+                    den += e;
                 }
-            };
-            m * self.gamma
-        });
+                num / den
+            }
+        };
+        m * self.gamma
     }
 
     /// Batched inference step: diffract every active plane, then modulate
@@ -483,11 +481,8 @@ impl CodesignLayer {
         assert_eq!(seeds.len(), batch.batch(), "one seed per batch plane");
         self.propagator.propagate_batch_into(batch, scratch);
         if caches.len() < batch.batch() {
-            caches.resize_with(batch.batch(), || CodesignCache {
-                propagated: Field::zeros(self.grid().rows(), self.grid().cols()),
-                weights: Vec::new(),
-                modulation: Vec::new(),
-            });
+            let (rows, cols) = self.grid().shape();
+            caches.resize_with(batch.batch(), || CodesignCache::zeros(rows, cols));
         }
         for (b, (plane, cache)) in batch.planes_mut().zip(caches.iter_mut()).enumerate() {
             self.modulate_slice_into(plane, mode, seeds[b], cache);
@@ -522,7 +517,7 @@ impl CodesignLayer {
         );
         assert_eq!(
             logit_grads.len(),
-            self.logits.len(),
+            self.num_params(),
             "logit gradient buffer length mismatch"
         );
         let t = KernelTimer::start(KernelKind::Modulate);
@@ -543,7 +538,7 @@ impl CodesignLayer {
         logit_grads: &mut [f64],
     ) {
         let levels = self.device.num_levels();
-        let inv_tau = 1.0 / self.temperature;
+        let inv_tau = 1.0 / self.mask.params.temperature;
         let u = cache.propagated.as_slice();
         for p in 0..self.num_pixels() {
             // dL/dw_l = 2·Re( conj(g_p) · u_p · γ · c_l ), recomputed per
@@ -584,7 +579,7 @@ impl CodesignLayer {
         );
         assert_eq!(
             logit_grads.len(),
-            self.logits.len(),
+            self.num_params(),
             "logit gradient buffer length mismatch"
         );
         let mut g_in = grad_output.clone();
@@ -592,6 +587,17 @@ impl CodesignLayer {
         self.propagator.adjoint(&mut g_in);
         g_in
     }
+}
+
+/// The first index of the largest logit in `row`: the deployed level.
+fn argmax(row: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -666,10 +672,9 @@ mod tests {
     }
 
     #[test]
-    fn inference_modulation_spans_several_tiles() {
-        // 20×20 = 400 pixels, more than one modulation tile: the tiled
-        // inference kernel must give each pixel the state the
-        // cache-producing forward computes for it.
+    fn inference_tables_match_the_cache_producing_forward() {
+        // On a 20×20 plane each mode's table must give each pixel the state
+        // the cache-producing forward computes for it.
         let mut layer = CodesignLayer::new(
             Grid::square(20, PixelPitch::from_um(36.0)),
             Wavelength::from_nm(532.0),

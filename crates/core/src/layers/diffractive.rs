@@ -7,18 +7,28 @@
 //! paper's complex-valued regularization factor (§3.2) that rebalances
 //! amplitude/phase gradient magnitudes.
 //!
+//! The per-pixel transmission `m = γ·e^{jφ}` changes only when `φ` or `γ`
+//! does, so the layer keeps it as a table (16 B per pixel), filled on the
+//! first pass after a write and read by every forward, inference and
+//! backward pass until the next one. Every `&mut` mutator empties it.
+//! Clones share the phases and the table until one of them writes.
+//!
 //! Backward passes are hand-derived Wirtinger gradients (gradient convention
 //! `g = ∂L/∂ū`):
 //!
-//! * through modulation: `g_u = g_out · m̄`,
+//! * through modulation: `g_u = g_out · m̄`, with `m̄` read as the
+//!   conjugated table entry,
 //! * phase parameter:    `dL/dφ = 2·Re( ḡ_out · j·out )`,
 //! * through diffraction: adjoint propagation (conjugated transfer function).
 
+use super::Masked;
+use lr_obs::{KernelKind, KernelTimer};
 use lr_optics::{Approximation, Distance, FreeSpace, Grid, PropagationScratch, Wavelength};
 use lr_tensor::{Complex64, Field, FieldBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::TAU;
+use std::sync::Arc;
 
 /// A free-phase (hardware-unaware) trainable diffractive layer.
 ///
@@ -44,6 +54,12 @@ use std::f64::consts::TAU;
 #[derive(Debug, Clone)]
 pub struct DiffractiveLayer {
     propagator: FreeSpace,
+    /// Phases and γ, with their transmission table `γ·e^{jφ}`.
+    mask: Arc<Masked<PhaseMask, 1>>,
+}
+
+#[derive(Debug, Clone)]
+struct PhaseMask {
     /// Trainable per-pixel phases (radians), row-major.
     phases: Vec<f64>,
     /// Amplitude regularization factor γ (paper §3.2).
@@ -108,15 +124,17 @@ impl DiffractiveLayer {
         let n = grid.rows() * grid.cols();
         DiffractiveLayer {
             propagator,
-            phases: vec![0.0; n],
-            gamma,
+            mask: Arc::new(Masked::new(PhaseMask {
+                phases: vec![0.0; n],
+                gamma,
+            })),
         }
     }
 
     /// Randomizes phases uniformly in `[0, 2π)` (the usual DONN init).
     pub fn randomize_phases(&mut self, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for p in &mut self.phases {
+        for p in &mut Masked::write(&mut self.mask).phases {
             *p = rng.gen_range(0.0..TAU);
         }
     }
@@ -133,7 +151,7 @@ impl DiffractiveLayer {
 
     /// Amplitude regularization factor γ.
     pub fn gamma(&self) -> f64 {
-        self.gamma
+        self.mask.params.gamma
     }
 
     /// Replaces γ (used by the Fig. 7 regularization sweep).
@@ -146,36 +164,41 @@ impl DiffractiveLayer {
             gamma.is_finite() && gamma > 0.0,
             "gamma must be finite and positive"
         );
-        self.gamma = gamma;
+        Masked::write(&mut self.mask).gamma = gamma;
     }
 
     /// Immutable view of the trainable phases.
     pub fn phases(&self) -> &[f64] {
-        &self.phases
+        &self.mask.params.phases
     }
 
     /// Mutable view of the trainable phases (the optimizer's target).
+    /// Empties the transmission table; the next pass refills it.
     pub fn phases_mut(&mut self) -> &mut [f64] {
-        &mut self.phases
+        &mut Masked::write(&mut self.mask).phases
     }
 
     /// Number of trainable parameters.
     pub fn num_params(&self) -> usize {
-        self.phases.len()
+        self.mask.params.phases.len()
+    }
+
+    /// The per-pixel transmission `γ·e^{jφ}`, row-major: the table every
+    /// pass reads, computed on the first call after a write. Safe to call
+    /// from many threads at once; one of them fills it.
+    pub(crate) fn transmission(&self) -> &[Complex64] {
+        self.mask.table(0, |m| {
+            m.phases
+                .iter()
+                .map(|&p| Complex64::cis(p) * m.gamma)
+                .collect()
+        })
     }
 
     /// Current phase mask as a field of unit phasors `γ·e^{jφ}`.
     pub fn modulation_field(&self) -> Field {
         let (rows, cols) = self.grid().shape();
-        let gamma = self.gamma;
-        Field::from_vec(
-            rows,
-            cols,
-            self.phases
-                .iter()
-                .map(|&p| Complex64::cis(p) * gamma)
-                .collect(),
-        )
+        Field::from_vec(rows, cols, self.transmission().to_vec())
     }
 
     /// Forward pass: diffract, then modulate. Returns the output field and
@@ -188,7 +211,7 @@ impl DiffractiveLayer {
         let mut u = input.clone();
         self.propagator.propagate(&mut u);
         let propagated = u.clone();
-        self.modulate_inplace(&mut u);
+        self.modulate_planes(u.as_mut_slice());
         let output = u.clone();
         (u, DiffractiveCache { propagated, output })
     }
@@ -197,24 +220,16 @@ impl DiffractiveLayer {
     pub fn infer(&self, input: &Field) -> Field {
         let mut u = input.clone();
         self.propagator.propagate(&mut u);
-        self.modulate_inplace(&mut u);
+        self.modulate_planes(u.as_mut_slice());
         u
     }
 
-    /// Applies the phase modulation `U ← γ·e^{jφ}·U` in place.
-    #[inline]
-    fn modulate_inplace(&self, u: &mut Field) {
-        self.modulate_planes(u.as_mut_slice());
-    }
-
-    /// The modulation kernel over whole plane-major planes — one plane on
-    /// the per-sample path, the active batch on the batched one. Each
-    /// pixel's `γ·e^{jφ}` is computed once per call, not once per plane.
+    /// The phase modulation `U ← γ·e^{jφ}·U` over whole plane-major
+    /// planes — one plane on the per-sample path, the active batch on the
+    /// batched one — straight from the transmission table.
     #[inline]
     fn modulate_planes(&self, planes: &mut [Complex64]) {
-        let gamma = self.gamma;
-        let phases = &self.phases;
-        super::modulate_planes(planes, phases.len(), |p| Complex64::cis(phases[p]) * gamma);
+        super::modulate_planes(planes, || self.transmission());
     }
 
     /// In-place inference step through caller-owned scratch: diffract and
@@ -225,7 +240,7 @@ impl DiffractiveLayer {
     /// Panics if shapes do not match the layer grid.
     pub fn infer_inplace(&self, u: &mut Field, scratch: &mut PropagationScratch) {
         self.propagator.propagate_with(u, scratch);
-        self.modulate_inplace(u);
+        self.modulate_planes(u.as_mut_slice());
     }
 
     /// Forward pass through caller-owned scratch and a reusable cache: `u`
@@ -246,28 +261,8 @@ impl DiffractiveLayer {
             *cache = DiffractiveCache::zeros(u.rows(), u.cols());
         }
         cache.propagated.copy_from(u);
-        self.modulate_inplace(u);
+        self.modulate_planes(u.as_mut_slice());
         cache.output.copy_from(u);
-    }
-
-    /// Forward pass transforming `u` in place and returning a fresh cache —
-    /// the trace-building fast path ([`crate::DonnModel::forward_trace_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match the layer grid.
-    pub fn forward_through(
-        &self,
-        u: &mut Field,
-        scratch: &mut PropagationScratch,
-    ) -> DiffractiveCache {
-        self.propagator.propagate_with(u, scratch);
-        let propagated = u.clone();
-        self.modulate_inplace(u);
-        DiffractiveCache {
-            propagated,
-            output: u.clone(),
-        }
     }
 
     /// Batched inference step: diffract and modulate **every active
@@ -352,7 +347,7 @@ impl DiffractiveLayer {
         phase_grads: &mut [f64],
     ) -> Field {
         let mut g_in = grad_output.clone();
-        self.backprop_modulation(&mut g_in, cache, phase_grads);
+        self.backprop_planes(g_in.as_mut_slice(), cache.output.as_slice(), phase_grads);
         self.propagator.adjoint(&mut g_in);
         g_in
     }
@@ -372,61 +367,50 @@ impl DiffractiveLayer {
         phase_grads: &mut [f64],
         scratch: &mut PropagationScratch,
     ) {
-        self.backprop_modulation(grad, cache, phase_grads);
+        self.backprop_planes(grad.as_mut_slice(), cache.output.as_slice(), phase_grads);
         self.propagator.adjoint_with(grad, scratch);
-    }
-
-    /// The per-sample modulation backward: one plane through
-    /// [`DiffractiveLayer::backprop_planes`].
-    fn backprop_modulation(
-        &self,
-        g: &mut Field,
-        cache: &DiffractiveCache,
-        phase_grads: &mut [f64],
-    ) {
-        assert_eq!(g.shape(), self.grid().shape(), "gradient shape mismatch");
-        self.backprop_planes(g.as_mut_slice(), cache.output.as_slice(), phase_grads);
     }
 
     /// The modulation-adjoint kernel over whole plane-major planes: per
     /// pixel `p` and plane, in plane order,
     /// `dL/dφ_p += 2·Re( conj(g_p) · j · out_p )`, then
-    /// `g_p ← g_p · conj(m_p)` with `m = γ e^{jφ}`. Each pixel's
-    /// `conj(m_p)` is computed once per call, not once per plane.
+    /// `g_p ← g_p · conj(m_p)` with `m` the transmission table.
+    /// `conj(cis(φ)·γ)` is bitwise `cis(−φ)·γ` (cosine even, sine odd,
+    /// sign-symmetric rounding), so the table serves the adjoint too.
     fn backprop_planes(
         &self,
         grad: &mut [Complex64],
         output: &[Complex64],
         phase_grads: &mut [f64],
     ) {
+        let n = self.num_params();
         assert_eq!(
             phase_grads.len(),
-            self.phases.len(),
+            n,
             "phase gradient buffer length mismatch"
         );
         assert_eq!(grad.len(), output.len(), "gradient/cache length mismatch");
-        let gamma = self.gamma;
-        let phases = &self.phases;
-        let n = phases.len();
-        super::modulate_tiles(
-            grad,
-            n,
-            |p| Complex64::cis(-phases[p]) * gamma,
-            |b, p0, g, m| {
-                let out = &output[b * n + p0..][..g.len()];
-                let acc = &mut phase_grads[p0..p0 + g.len()];
-                for (((g, &out), acc), &m) in g.iter_mut().zip(out).zip(acc).zip(m) {
-                    *acc += 2.0 * (g.conj() * (Complex64::I * out)).re;
-                    *g *= m;
-                }
-            },
+        assert!(
+            grad.len().is_multiple_of(n),
+            "planes must hold whole planes"
         );
+        if grad.is_empty() {
+            return;
+        }
+        let _t = KernelTimer::start(KernelKind::Modulate);
+        let table = self.transmission();
+        for (g, out) in grad.chunks_exact_mut(n).zip(output.chunks_exact(n)) {
+            for (((g, &out), acc), &m) in g.iter_mut().zip(out).zip(&mut *phase_grads).zip(table) {
+                *acc += 2.0 * (g.conj() * (Complex64::I * out)).re;
+                *g *= m.conj();
+            }
+        }
     }
 
     /// The deployment view of this layer: its phases quantized to a device's
     /// nearest levels (post-training quantization, the paper's *raw* flow).
     pub fn quantized_phases(&self, device: &lr_hardware::SlmModel) -> Vec<f64> {
-        device.quantize_mask(&self.phases).1
+        device.quantize_mask(&self.mask.params.phases).1
     }
 }
 
@@ -481,8 +465,8 @@ mod tests {
 
     #[test]
     fn workspace_paths_match_forward() {
-        // infer_inplace, forward_into (reusable cache), and forward_through
-        // must all reproduce the allocating forward pass bit for bit.
+        // infer_inplace and forward_into (reusable cache) must reproduce
+        // the allocating forward pass bit for bit.
         let layer = small_layer();
         let x = test_input();
         let (out, cache) = layer.forward(&x);
@@ -502,11 +486,6 @@ mod tests {
         let mut u2 = out.clone();
         layer.forward_into(&mut u2, &mut reused, &mut scratch);
         assert_eq!(reused.output, u2);
-
-        let mut u = x.clone();
-        let through = layer.forward_through(&mut u, &mut scratch);
-        assert_eq!(u, out);
-        assert_eq!(through.propagated, cache.propagated);
     }
 
     #[test]
@@ -629,9 +608,44 @@ mod tests {
     }
 
     #[test]
-    fn modulation_spans_several_tiles() {
-        // 20×20 = 400 pixels, more than one modulation tile: every pixel
-        // must meet its own phase, forward and backward.
+    fn table_conjugate_is_bitwise_cis_of_negated_phase() {
+        // The backward reads conj(table) where the per-call formula it
+        // replaced computed cis(−φ)·γ: the two must agree to the bit over
+        // negative phases, one turn, and phases far outside it.
+        let mut rng = StdRng::seed_from_u64(17);
+        for i in 0..200_000 {
+            let phi = match i % 3 {
+                0 => rng.gen_range(-TAU..0.0),
+                1 => rng.gen_range(0.0..TAU),
+                _ => rng.gen_range(-1e3..1e3),
+            };
+            let gamma = rng.gen_range(1e-3..10.0);
+            let table = (Complex64::cis(phi) * gamma).conj();
+            let formula = Complex64::cis(-phi) * gamma;
+            assert_eq!(
+                (table.re.to_bits(), table.im.to_bits()),
+                (formula.re.to_bits(), formula.im.to_bits()),
+                "φ = {phi:e}, γ = {gamma:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn clones_share_the_table_until_a_write() {
+        let a = small_layer();
+        let mut b = a.clone();
+        assert!(std::ptr::eq(a.transmission(), b.transmission()));
+        b.phases_mut()[0] += 1.0;
+        assert!(!std::ptr::eq(a.transmission(), b.transmission()));
+        assert_eq!(a.transmission()[0], Complex64::cis(a.phases()[0]));
+        assert_eq!(b.transmission()[0], Complex64::cis(b.phases()[0]));
+        assert_eq!(a.transmission()[1..], b.transmission()[1..]);
+    }
+
+    #[test]
+    fn modulation_meets_every_pixel_phase() {
+        // On a 20×20 plane every pixel must meet its own phase, forward
+        // and backward.
         let grid = Grid::square(20, PixelPitch::from_um(36.0));
         let mut layer = DiffractiveLayer::new(
             grid,

@@ -126,16 +126,9 @@ impl SaturableAbsorber {
         u.map_inplace(|z| z * self.transmission(z.norm_sqr()));
     }
 
-    /// Forward pass transforming `u` in place and returning a fresh cache —
-    /// the trace-building fast path.
-    pub fn forward_through(&self, u: &mut Field) -> NonlinearCache {
-        let cache = NonlinearCache { input: u.clone() };
-        self.infer_inplace(u);
-        cache
-    }
-
-    /// [`SaturableAbsorber::forward_through`] reusing a caller-owned cache
-    /// (allocation-free once the cache field matches `u`'s shape).
+    /// Forward pass transforming `u` in place into a reusable cache — the
+    /// trace-building fast path (allocation-free once the cache field
+    /// matches `u`'s shape).
     pub fn forward_into(&self, u: &mut Field, cache: &mut NonlinearCache) {
         if cache.input.shape() != u.shape() {
             cache.input = Field::zeros(u.rows(), u.cols());

@@ -152,7 +152,7 @@ impl ModelGrads {
 
 /// Reusable per-thread buffers for forward/backward passes: one running
 /// wavefield, one gradient field, and the propagation scratch (FFT
-/// workspace + shift staging) shared by every layer of one model shape.
+/// workspace) shared by every layer of one model shape.
 ///
 /// Build one per `(thread, model)` via [`DonnModel::make_workspace`] and
 /// thread it through [`DonnModel::infer_into`],
@@ -160,6 +160,13 @@ impl ModelGrads {
 /// inference path then performs **zero heap allocations** in steady state
 /// (verified by the counting-allocator test in `tests/zero_alloc.rs`).
 /// Workspaces are not `Sync`; each worker thread owns its own.
+///
+/// The model's layers own their transmission tables (see
+/// [`crate::layers`]): the first pass after a parameter write allocates
+/// one table per written layer, so a training step allocates that once
+/// after each optimizer update. [`DonnModel::prewarm`], which serving
+/// registration runs, fills every table, so serving stays zero-alloc from
+/// the first request.
 #[derive(Debug, Clone)]
 pub struct PropagationWorkspace {
     rows: usize,
@@ -619,43 +626,14 @@ impl DonnModel {
         seed: u64,
         ws: &mut PropagationWorkspace,
     ) -> Trace {
-        assert_eq!(
-            input.shape(),
-            self.grid.shape(),
-            "input/grid shape mismatch"
-        );
-        ws.u.copy_from(input);
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            match layer {
-                Layer::Diffractive(l) => {
-                    caches.push(LayerCache::Diffractive(
-                        l.forward_through(&mut ws.u, &mut ws.scratch),
-                    ));
-                }
-                Layer::Codesign(l) => {
-                    // Decorrelate noise across layers.
-                    let layer_seed = seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64);
-                    caches.push(LayerCache::Codesign(l.forward_through(
-                        &mut ws.u,
-                        mode,
-                        layer_seed,
-                        &mut ws.scratch,
-                    )));
-                }
-                Layer::Nonlinear(l) => {
-                    caches.push(LayerCache::Nonlinear(l.forward_through(&mut ws.u)));
-                }
-            }
-        }
-        self.final_propagator
-            .propagate_with(&mut ws.u, &mut ws.scratch);
-        let logits = self.detector.read(&ws.u);
-        Trace {
-            caches,
-            detector_field: ws.u.clone(),
-            logits,
-        }
+        let (rows, cols) = self.grid.shape();
+        let mut trace = Trace {
+            caches: Vec::with_capacity(self.layers.len()),
+            detector_field: Field::zeros(rows, cols),
+            logits: Vec::with_capacity(self.num_classes()),
+        };
+        self.forward_trace_into(input, mode, seed, ws, &mut trace);
+        trace
     }
 
     /// [`DonnModel::forward_trace_with`] through a caller-owned, reusable
@@ -705,17 +683,25 @@ impl DonnModel {
                     l.forward_into(&mut ws.u, c);
                 }
                 (layer, slot) => {
+                    let (rows, cols) = self.grid.shape();
                     let fresh = match layer {
                         Layer::Diffractive(l) => {
-                            LayerCache::Diffractive(l.forward_through(&mut ws.u, &mut ws.scratch))
+                            let mut c = DiffractiveCache::zeros(rows, cols);
+                            l.forward_into(&mut ws.u, &mut c, &mut ws.scratch);
+                            LayerCache::Diffractive(c)
                         }
-                        Layer::Codesign(l) => LayerCache::Codesign(l.forward_through(
-                            &mut ws.u,
-                            mode,
-                            layer_seed,
-                            &mut ws.scratch,
-                        )),
-                        Layer::Nonlinear(l) => LayerCache::Nonlinear(l.forward_through(&mut ws.u)),
+                        Layer::Codesign(l) => {
+                            let mut c = CodesignCache::zeros(rows, cols);
+                            l.forward_into(&mut ws.u, mode, layer_seed, &mut ws.scratch, &mut c);
+                            LayerCache::Codesign(c)
+                        }
+                        Layer::Nonlinear(l) => {
+                            let mut c = NonlinearCache {
+                                input: Field::zeros(rows, cols),
+                            };
+                            l.forward_into(&mut ws.u, &mut c);
+                            LayerCache::Nonlinear(c)
+                        }
                     };
                     match slot {
                         Some(slot) => *slot = fresh,
@@ -1020,15 +1006,24 @@ impl DonnModel {
 
     /// Forces every lazily-built piece of this model's inference fast path
     /// into the global and per-thread caches: FFT plans and diffraction
-    /// transfer kernels for every hop, plus one dummy end-to-end inference
-    /// to size scratch. Serving registries call this at registration time
-    /// so the first real request pays no plan-construction latency; it
-    /// allocates, so never call it from a hot path.
+    /// transfer kernels for every hop, every layer's transmission table
+    /// (both inference modes of a codesign layer), plus one dummy
+    /// end-to-end inference to size scratch. Serving registries call this
+    /// at registration time so the first real request pays no
+    /// plan-construction or table-filling latency; it allocates, so never
+    /// call it from a hot path.
     pub fn prewarm(&self) {
         for layer in &self.layers {
             match layer {
-                Layer::Diffractive(l) => l.propagator().prewarm(),
-                Layer::Codesign(l) => l.propagator().prewarm(),
+                Layer::Diffractive(l) => {
+                    l.propagator().prewarm();
+                    l.transmission();
+                }
+                Layer::Codesign(l) => {
+                    l.propagator().prewarm();
+                    l.transmission(CodesignMode::Soft);
+                    l.transmission(CodesignMode::Deploy);
+                }
                 Layer::Nonlinear(_) => {}
             }
         }
@@ -1387,6 +1382,79 @@ mod tests {
         assert!(
             logits.iter().sum::<f64>() > 0.0,
             "some light must reach the detector"
+        );
+    }
+
+    #[test]
+    fn raw_backward_batch_matches_per_call_cis_formula() {
+        // The raw layer's backward reads `conj` of its transmission table;
+        // it must give the gradients of the formula it replaced, which
+        // computed `cis(−φ)·γ` per pixel per call.
+        let grid = Grid::square(16, PixelPitch::from_um(36.0));
+        let model = DonnBuilder::new(grid, Wavelength::from_nm(532.0))
+            .distance(Distance::from_mm(20.0))
+            .gamma(1.3)
+            .diffractive_layers(3)
+            .detector(Detector::grid_layout(16, 16, 4, 3))
+            .build();
+        let b = 3;
+        let mut inputs = FieldBatch::zeros(b, 16, 16);
+        for bi in 0..b {
+            for (p, z) in inputs.plane_mut(bi).iter_mut().enumerate() {
+                *z = Complex64::new(((p + 5 * bi) % 7) as f64 * 0.2, (p % 3) as f64 * 0.1);
+            }
+        }
+        let mut ws = model.make_batch_workspace(b);
+        let mut trace = BatchTrace::new();
+        model.forward_trace_batch_into(&inputs, CodesignMode::Soft, &[0; 3], &mut ws, &mut trace);
+        let logit_grads: Vec<Vec<f64>> = trace
+            .logits
+            .iter()
+            .map(|l| l.iter().map(|x| 0.5 * x - 0.1).collect())
+            .collect();
+        let mut grads = ModelGrads::zeros_like(&model);
+        model.backward_batch_with(&trace, &logit_grads, &mut grads, &mut ws);
+
+        let mut g = FieldBatch::zeros(b, 16, 16);
+        for (bi, row) in logit_grads.iter().enumerate() {
+            model.detector.backward_plane_into(
+                trace.detector_fields.plane(bi),
+                row,
+                g.plane_mut(bi),
+            );
+        }
+        let mut scratch = model.final_propagator.make_scratch();
+        model
+            .final_propagator
+            .adjoint_batch_into(&mut g, &mut scratch);
+        let mut expected = ModelGrads::zeros_like(&model);
+        for (i, layer) in model.layers.iter().enumerate().rev() {
+            let (Layer::Diffractive(l), BatchLayerCache::Diffractive(c)) =
+                (layer, &trace.caches[i])
+            else {
+                panic!("raw stack");
+            };
+            let acc = &mut expected.per_layer[i];
+            for bi in 0..b {
+                let out = c.output.plane(bi);
+                for (p, z) in g.plane_mut(bi).iter_mut().enumerate() {
+                    acc[p] += 2.0 * (z.conj() * (Complex64::I * out[p])).re;
+                    *z *= Complex64::cis(-l.phases()[p]) * l.gamma();
+                }
+            }
+            l.propagator().adjoint_batch_into(&mut g, &mut scratch);
+        }
+        let bits = |g: &ModelGrads| -> Vec<Vec<u64>> {
+            g.per_layer
+                .iter()
+                .map(|l| l.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&grads), bits(&expected));
+        assert_eq!(
+            ws.input_grad_batch().as_slice(),
+            g.as_slice(),
+            "input gradients"
         );
     }
 

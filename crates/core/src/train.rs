@@ -378,10 +378,9 @@ fn apply(model: &mut DonnModel, opt: &mut Adam, grads: &ModelGrads) {
 /// states).
 ///
 /// The dataset is sharded across worker threads; each worker streams its
-/// shard through one [`BatchWorkspace`] in batches of up to 8 images
-/// (two 4-lane SIMD groups), so every layer hop is one batched [`FieldBatch`]
-/// pass and each phase mask is computed once per batch instead of once
-/// per image. Accuracy is bitwise equal to running
+/// shard through one [`BatchWorkspace`] in batches of up to 8 images, so
+/// every layer hop is one batched [`FieldBatch`] pass. Accuracy is
+/// bitwise equal to running
 /// [`DonnModel::infer_mode_into`] on each image and taking the argmax,
 /// because batched inference is bit-identical to per-sample inference.
 /// An empty dataset scores 0.
@@ -396,8 +395,10 @@ pub fn evaluate_deployed(model: &DonnModel, data: &[LabeledImage]) -> f64 {
     evaluate_mode(model, data, CodesignMode::Deploy)
 }
 
-/// Images per batched forward in [`evaluate`]: two 4-lane SIMD groups, so
-/// each worker runs whole lane groups.
+/// Images per batched forward in [`evaluate`]. The SIMD lanes run inside
+/// each plane, so the batch size does not feed them: it bounds each
+/// worker's workspace to 8 planes and spreads the per-call setup (plan
+/// lookups, dispatch) over the batch.
 const EVAL_BATCH: usize = 8;
 
 fn evaluate_mode(model: &DonnModel, data: &[LabeledImage], mode: CodesignMode) -> f64 {

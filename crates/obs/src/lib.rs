@@ -503,8 +503,10 @@ pub enum KernelKind {
     SimdNeon = 10,
     /// 2-D FFT plane work executed by the portable array backend.
     SimdPortable = 11,
-    /// A layer's per-pixel modulation step: diffractive phase and codesign
-    /// state modulation (and their adjoints on the backward paths), and
+    /// A layer's per-pixel modulation step: the multiply by a diffractive
+    /// or codesign layer's cached transmission table (plus the table fill
+    /// on the first pass after a parameter write), codesign `Train`-mode
+    /// states computed per call, the adjoints on the backward paths, and
     /// the saturable-absorber transmission.
     Modulate = 12,
 }

@@ -18,7 +18,7 @@
 use crate::grid::Grid;
 use crate::units::{Distance, PixelPitch, Wavelength};
 use lr_tensor::{
-    fftshift_slice_into, ifftshift_slice_into, Complex64, Direction, Fft2, Fft2Workspace, Field,
+    fftshift_in_place, ifftshift_in_place, Complex64, Direction, Fft2, Fft2Workspace, Field,
     FieldBatch, PinnedCache, J,
 };
 use parking_lot::Mutex;
@@ -324,15 +324,14 @@ enum Inner {
 /// Caller-owned scratch for allocation-free propagation
 /// ([`FreeSpace::propagate_with`] / [`FreeSpace::adjoint_with`]).
 ///
-/// Owns the 2-D FFT workspace plus the staging field the Fraunhofer shifts
-/// write through. Build one per `(thread, grid shape)` via
+/// Owns the 2-D FFT workspace; the Fraunhofer shifts run in place, so no
+/// plane is staged. Build one per `(thread, grid shape)` via
 /// [`FreeSpace::make_scratch`] and reuse it for every propagation at that
 /// shape; the spectral (Rayleigh-Sommerfeld / Fresnel) paths then perform
 /// zero heap allocations in steady state.
 #[derive(Debug, Clone)]
 pub struct PropagationScratch {
     fft: Fft2Workspace,
-    shift: Field,
 }
 
 impl PropagationScratch {
@@ -340,7 +339,6 @@ impl PropagationScratch {
     pub fn new(rows: usize, cols: usize) -> Self {
         PropagationScratch {
             fft: Fft2::new(rows, cols).make_workspace(),
-            shift: Field::zeros(rows, cols),
         }
     }
 
@@ -359,7 +357,7 @@ impl PropagationScratch {
     /// Heap bytes held by this scratch's buffers. Feeds the serving
     /// runtime's resident-memory accounting.
     pub fn resident_bytes(&self) -> usize {
-        self.fft.resident_bytes() + self.shift.resident_bytes()
+        self.fft.resident_bytes()
     }
 }
 
@@ -495,9 +493,10 @@ impl FreeSpace {
                 scale,
                 fft,
             } => {
-                let mut shifted = field.ifftshift();
-                fft.forward(&mut shifted);
-                shifted.fftshift_into(field);
+                let (rows, cols) = self.grid.shape();
+                ifftshift_in_place(field.as_mut_slice(), rows, cols);
+                fft.forward(field);
+                fftshift_in_place(field.as_mut_slice(), rows, cols);
                 field.hadamard_assign(post_phase);
                 for z in field.as_mut_slice() {
                     *z *= *scale;
@@ -544,9 +543,9 @@ impl FreeSpace {
                 scale,
                 fft,
             } => {
-                ifftshift_slice_into(plane, rows, cols, scratch.shift.as_mut_slice());
-                fft.process_with(&mut scratch.shift, Direction::Forward, &mut scratch.fft);
-                fftshift_slice_into(scratch.shift.as_slice(), rows, cols, plane);
+                ifftshift_in_place(plane, rows, cols);
+                fft.process_planes_with(plane, Direction::Forward, &mut scratch.fft);
+                fftshift_in_place(plane, rows, cols);
                 for (z, &p) in plane.iter_mut().zip(post_phase.as_slice()) {
                     *z *= p;
                 }
@@ -612,11 +611,12 @@ impl FreeSpace {
                 // A = s · P₂ F P₁ with diag(post) after P₂:
                 // A = diag(post)·P₂·F·P₁·s  ⇒  Aᴴ = s̄·P₁⁻¹·Fᴴ·P₂⁻¹·diag(post̄)
                 // with Fᴴ = N·F⁻¹.
-                let n = (self.grid.rows() * self.grid.cols()) as f64;
+                let (rows, cols) = self.grid.shape();
+                let n = (rows * cols) as f64;
                 grad.hadamard_conj_assign(post_phase);
-                let mut g = grad.ifftshift();
-                fft.inverse(&mut g);
-                g.fftshift_into(grad);
+                ifftshift_in_place(grad.as_mut_slice(), rows, cols);
+                fft.inverse(grad);
+                fftshift_in_place(grad.as_mut_slice(), rows, cols);
                 let s = scale.conj() * n;
                 for z in grad.as_mut_slice() {
                     *z *= s;
@@ -659,9 +659,9 @@ impl FreeSpace {
                 for (z, &p) in plane.iter_mut().zip(post_phase.as_slice()) {
                     *z *= p.conj();
                 }
-                ifftshift_slice_into(plane, rows, cols, scratch.shift.as_mut_slice());
-                fft.process_with(&mut scratch.shift, Direction::Inverse, &mut scratch.fft);
-                fftshift_slice_into(scratch.shift.as_slice(), rows, cols, plane);
+                ifftshift_in_place(plane, rows, cols);
+                fft.process_planes_with(plane, Direction::Inverse, &mut scratch.fft);
+                fftshift_in_place(plane, rows, cols);
                 let s = scale.conj() * n;
                 for z in plane.iter_mut() {
                     *z *= s;
@@ -928,6 +928,87 @@ mod tests {
             Approximation::Fraunhofer,
         );
         check_adjoint(&prop);
+    }
+
+    #[test]
+    fn fraunhofer_in_place_shifts_match_the_staged_path() {
+        // The shifts run in place on the plane; the path they replaced
+        // staged the shifted plane in a second buffer. Same samples moved,
+        // same FFT, so every entry point must agree to the bit.
+        for (rows, cols) in [(8, 8), (7, 9), (9, 6)] {
+            let grid = Grid::new(rows, cols, PixelPitch::from_um(10.0));
+            let prop = FreeSpace::new(
+                grid,
+                Wavelength::from_nm(GREEN),
+                Distance::from_meters(1.0),
+                Approximation::Fraunhofer,
+            );
+            let Inner::SingleFourier {
+                post_phase,
+                scale,
+                fft,
+            } = &prop.inner
+            else {
+                unreachable!("Fraunhofer plans a single Fourier hop");
+            };
+            let n = (rows * cols) as f64;
+            let staged = |x: &Field, adjoint: bool| {
+                let mut u = x.clone();
+                if adjoint {
+                    u.hadamard_conj_assign(post_phase);
+                }
+                let mut shifted = u.ifftshift();
+                let dir = if adjoint {
+                    Direction::Inverse
+                } else {
+                    Direction::Forward
+                };
+                fft.process_with(&mut shifted, dir, &mut fft.make_workspace());
+                let mut u = shifted.fftshift();
+                if !adjoint {
+                    u.hadamard_assign(post_phase);
+                }
+                let s = if adjoint { scale.conj() * n } else { *scale };
+                for z in u.as_mut_slice() {
+                    *z *= s;
+                }
+                u
+            };
+            let inputs: Vec<Field> = (0..3)
+                .map(|b| {
+                    Field::from_fn(rows, cols, |r, c| {
+                        Complex64::new((r * cols + c + b) as f64 * 0.1, (r + 2 * b) as f64)
+                    })
+                })
+                .collect();
+            let mut scratch = prop.make_scratch();
+            for adjoint in [false, true] {
+                let mut batch = FieldBatch::zeros(inputs.len(), rows, cols);
+                for (b, x) in inputs.iter().enumerate() {
+                    let expect = staged(x, adjoint);
+                    let (mut u, mut v) = (x.clone(), x.clone());
+                    if adjoint {
+                        prop.adjoint(&mut u);
+                        prop.adjoint_with(&mut v, &mut scratch);
+                    } else {
+                        prop.propagate(&mut u);
+                        prop.propagate_with(&mut v, &mut scratch);
+                    }
+                    assert_eq!(u, expect, "{rows}x{cols} adjoint={adjoint}");
+                    assert_eq!(v, expect, "{rows}x{cols} adjoint={adjoint} (scratch)");
+                    batch.copy_plane_from(b, x);
+                }
+                if adjoint {
+                    prop.adjoint_batch_into(&mut batch, &mut scratch);
+                } else {
+                    prop.propagate_batch_into(&mut batch, &mut scratch);
+                }
+                for (b, x) in inputs.iter().enumerate() {
+                    let expect = staged(x, adjoint);
+                    assert_eq!(batch.plane(b), expect.as_slice(), "{rows}x{cols} batched");
+                }
+            }
+        }
     }
 
     fn check_adjoint(prop: &FreeSpace) {

@@ -108,8 +108,9 @@
 //!   (per-sample requests are B=1 batched calls over the same plane
 //!   kernels, so there is only one propagation code path to trust).
 //! * **Flat first-request latency.** Registration — at startup *and* live
-//!   ([`Server::register_emulated`]) — prewarms FFT plans and diffraction
-//!   kernels ([`lr_optics::FreeSpace::prewarm`]) and warms every
+//!   ([`Server::register_emulated`]) — prewarms FFT plans, diffraction
+//!   kernels ([`lr_optics::FreeSpace::prewarm`]) and every layer's
+//!   transmission table (`DonnModel::prewarm`), and warms every
 //!   per-worker workspace with a dummy pass before the model becomes
 //!   visible.
 //! * **Bounded memory and graceful overload.** Per-shard queue depth is

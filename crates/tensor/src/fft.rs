@@ -1814,7 +1814,24 @@ impl Fft2 {
     /// Panics if `field` or `workspace` does not match the planned shape.
     pub fn process_with(&self, field: &mut Field, dir: Direction, workspace: &mut Fft2Workspace) {
         assert_eq!(field.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
-        self.run_planes(field.as_mut_slice(), PlaneOp::Fft(dir), workspace);
+        self.process_planes_with(field.as_mut_slice(), dir, workspace);
+    }
+
+    /// [`Fft2::process_with`] over a contiguous run of row-major planes
+    /// given as raw samples (one plane for a per-sample call), each
+    /// bit-identical to its own [`Fft2::process_with`] call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes` does not hold whole planes of the planned shape
+    /// or `workspace` does not match it.
+    pub fn process_planes_with(
+        &self,
+        planes: &mut [Complex64],
+        dir: Direction,
+        workspace: &mut Fft2Workspace,
+    ) {
+        self.run_planes(planes, PlaneOp::Fft(dir), workspace);
     }
 
     /// Transforms every active plane of `batch` in place: one shared

@@ -443,28 +443,6 @@ impl Field {
         })
     }
 
-    /// [`Field::fftshift`] written into a caller-owned field (no
-    /// allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn fftshift_into(&self, out: &mut Field) {
-        assert_eq!(self.shape(), out.shape(), "fftshift_into: shape mismatch");
-        fftshift_slice_into(&self.data, self.rows, self.cols, &mut out.data);
-    }
-
-    /// [`Field::ifftshift`] written into a caller-owned field (no
-    /// allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn ifftshift_into(&self, out: &mut Field) {
-        assert_eq!(self.shape(), out.shape(), "ifftshift_into: shape mismatch");
-        ifftshift_slice_into(&self.data, self.rows, self.cols, &mut out.data);
-    }
-
     /// Frobenius distance `‖self − rhs‖₂`.
     ///
     /// # Panics
@@ -486,44 +464,37 @@ impl Field {
     }
 }
 
-/// [`Field::fftshift_into`] on raw row-major `rows × cols` planes — the
-/// shared kernel behind both the per-sample and batched Fraunhofer
-/// propagation paths (plane slices of a batch have no `Field` wrapper).
+/// [`Field::fftshift`] of a raw row-major `rows × cols` plane, in place —
+/// the shift behind the Fraunhofer propagation paths (plane slices of a
+/// batch have no `Field` wrapper). A 2-D cyclic shift is a rotation of the
+/// whole plane by whole rows, then of each row: no staging plane.
 ///
 /// # Panics
 ///
-/// Panics if either slice length differs from `rows·cols`.
-pub fn fftshift_slice_into(src: &[Complex64], rows: usize, cols: usize, dst: &mut [Complex64]) {
-    shift_slice_into(src, rows, cols, dst, rows.div_ceil(2), cols.div_ceil(2));
+/// Panics if `plane.len()` differs from `rows·cols`.
+pub fn fftshift_in_place(plane: &mut [Complex64], rows: usize, cols: usize) {
+    shift_in_place(plane, rows, cols, rows.div_ceil(2), cols.div_ceil(2));
 }
 
-/// [`Field::ifftshift_into`] on raw row-major planes (see
-/// [`fftshift_slice_into`]).
+/// [`Field::ifftshift`] of a raw row-major plane, in place (see
+/// [`fftshift_in_place`]).
 ///
 /// # Panics
 ///
-/// Panics if either slice length differs from `rows·cols`.
-pub fn ifftshift_slice_into(src: &[Complex64], rows: usize, cols: usize, dst: &mut [Complex64]) {
-    shift_slice_into(src, rows, cols, dst, rows / 2, cols / 2);
+/// Panics if `plane.len()` differs from `rows·cols`.
+pub fn ifftshift_in_place(plane: &mut [Complex64], rows: usize, cols: usize) {
+    shift_in_place(plane, rows, cols, rows / 2, cols / 2);
 }
 
-fn shift_slice_into(
-    src: &[Complex64],
-    rows: usize,
-    cols: usize,
-    dst: &mut [Complex64],
-    sr: usize,
-    sc: usize,
-) {
-    assert_eq!(src.len(), rows * cols, "shift: source length mismatch");
-    assert_eq!(dst.len(), rows * cols, "shift: destination length mismatch");
-    for r in 0..rows {
-        let sr_row = (r + sr) % rows;
-        let src_row = &src[sr_row * cols..(sr_row + 1) * cols];
-        let dst_row = &mut dst[r * cols..(r + 1) * cols];
-        for (c, d) in dst_row.iter_mut().enumerate() {
-            *d = src_row[(c + sc) % cols];
-        }
+/// `out[r][c] = in[(r + sr) % rows][(c + sc) % cols]`, in place.
+fn shift_in_place(plane: &mut [Complex64], rows: usize, cols: usize, sr: usize, sc: usize) {
+    assert_eq!(plane.len(), rows * cols, "shift: plane length mismatch");
+    if plane.is_empty() {
+        return;
+    }
+    plane.rotate_left(sr * cols);
+    for row in plane.chunks_exact_mut(cols) {
+        row.rotate_left(sc);
     }
 }
 
@@ -701,6 +672,19 @@ mod tests {
         for &(r, c) in &[(4, 4), (5, 5), (4, 5), (6, 3)] {
             let f = Field::from_fn(r, c, |i, j| Complex64::new((i * c + j) as f64, 0.0));
             assert_eq!(f.fftshift().ifftshift(), f, "shape {r}x{c}");
+        }
+    }
+
+    #[test]
+    fn in_place_shifts_match_the_copying_ones() {
+        for &(r, c) in &[(1, 1), (4, 4), (5, 5), (4, 5), (7, 9), (9, 6)] {
+            let f = Field::from_fn(r, c, |i, j| Complex64::new((i * c + j) as f64, 0.0));
+            let mut g = f.clone();
+            fftshift_in_place(g.as_mut_slice(), r, c);
+            assert_eq!(g, f.fftshift(), "fftshift {r}x{c}");
+            let mut g = f.clone();
+            ifftshift_in_place(g.as_mut_slice(), r, c);
+            assert_eq!(g, f.ifftshift(), "ifftshift {r}x{c}");
         }
     }
 

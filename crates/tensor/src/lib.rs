@@ -46,5 +46,5 @@ pub use fft::{
     clear_plan_cache, dft_naive, plan_cache_len, planner, sweep_orphaned_plans, BatchWorkspace,
     Direction, Fft2, Fft2Workspace, FftPlan, PLAN_CACHE_CAP,
 };
-pub use field::{fftshift_slice_into, ifftshift_slice_into, Field};
+pub use field::{fftshift_in_place, ifftshift_in_place, Field};
 pub use pinned_cache::PinnedCache;

@@ -7,7 +7,9 @@
 //! contract: one `BatchWorkspace` serves whole batches with zero
 //! steady-state allocations and stays bit-identical to the per-sample
 //! path — on a codesign stack too, in Soft and Deploy inference and the
-//! Gumbel training step.
+//! Gumbel training step. A parameter write empties the written layers'
+//! transmission tables: the first pass after it allocates one table per
+//! layer, and from then on inference and training allocate nothing again.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, so any concurrently running test would pollute the
@@ -62,11 +64,14 @@ fn steady_state_forward_pass_allocates_nothing() {
     // A 3-layer 64×64 DONN — the same shape of pipeline as the paper's
     // 200² systems (diffract → modulate per layer → final hop → detector).
     let grid = Grid::square(64, PixelPitch::from_um(36.0));
-    let model = DonnBuilder::new(grid, Wavelength::from_nm(532.0))
-        .distance(Distance::from_mm(40.0))
-        .diffractive_layers(3)
-        .detector(Detector::grid_layout(64, 64, 10, 5))
-        .build();
+    let build_raw = || {
+        DonnBuilder::new(grid, Wavelength::from_nm(532.0))
+            .distance(Distance::from_mm(40.0))
+            .diffractive_layers(3)
+            .detector(Detector::grid_layout(64, 64, 10, 5))
+            .build()
+    };
+    let model = build_raw();
 
     let input = Field::from_fn(64, 64, |r, c| {
         Complex64::from_real(if (r / 8 + c / 8) % 2 == 0 { 1.0 } else { 0.0 })
@@ -272,6 +277,84 @@ fn steady_state_forward_pass_allocates_nothing() {
         after - before
     );
     assert_eq!(last_batch_loss, reference_batch_loss);
+
+    // ---- After a parameter write: one warm forward refills the written
+    // model's tables, then inference and batched training steps allocate
+    // nothing and match a freshly built model with the same parameters. ----
+    let mut written = build_raw();
+    for p in written.layers_mut()[1].params_mut() {
+        *p += 0.5;
+    }
+    let mut fresh = build_raw();
+    fresh.layers_mut()[1]
+        .params_mut()
+        .copy_from_slice(written.layers()[1].params());
+    let written_step = |model: &lightridge::DonnModel,
+                        ring: &mut BatchTraceRing,
+                        grads: &mut ModelGrads,
+                        target: &mut Vec<f64>,
+                        logit_grads: &mut [Vec<f64>],
+                        ws: &mut lightridge::BatchWorkspace|
+     -> f64 {
+        let trace = ring.forward(model, &batch_inputs, CodesignMode::Soft, &seeds, ws);
+        let mut loss = 0.0;
+        for (b, lg) in logit_grads.iter_mut().enumerate().take(BATCH) {
+            one_hot_into(b % model.num_classes(), model.num_classes(), target);
+            loss += softmax_mse_into(&trace.logits[b], target, lg);
+        }
+        model.backward_batch_with(trace, logit_grads, grads, ws);
+        loss
+    };
+    written.infer_into(&input, &mut ws, &mut logits);
+    let mut written_grads = ModelGrads::zeros_like(&written);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..10 {
+        written.infer_into(&input, &mut ws, &mut logits);
+    }
+    let mut written_loss = 0.0;
+    for _ in 0..10 {
+        written_grads.scale(0.0);
+        written_loss = written_step(
+            &written,
+            &mut batch_ring,
+            &mut written_grads,
+            &mut target,
+            &mut batch_logit_grads,
+            &mut batch_ws,
+        );
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "after a parameter write and one warm forward, inference and training must not \
+         allocate (got {} allocations over 10 passes + 10 steps)",
+        after - before
+    );
+    let mut fresh_logits = Vec::new();
+    fresh.infer_into(&input, &mut ws, &mut fresh_logits);
+    assert_eq!(
+        logits, fresh_logits,
+        "written model must infer like a fresh one"
+    );
+    assert_ne!(logits, reference_logits, "the write must change the logits");
+    let mut fresh_grads = ModelGrads::zeros_like(&fresh);
+    let fresh_loss = written_step(
+        &fresh,
+        &mut batch_ring,
+        &mut fresh_grads,
+        &mut target,
+        &mut batch_logit_grads,
+        &mut batch_ws,
+    );
+    assert_eq!(written_loss, fresh_loss);
+    for i in 0..written.depth() {
+        assert_eq!(
+            written_grads.layer(i),
+            fresh_grads.layer(i),
+            "layer {i} grads"
+        );
+    }
 
     // ---- Codesign stack: batched Soft and Deploy inference (the tiled
     // per-pixel state modulation) and the batched traced forward +
