@@ -14,7 +14,6 @@
 //! * **Codesign flow** — codesign layers deploy their argmax level, which is
 //!   exactly the state training optimized. The gap (ideally) vanishes.
 
-use crate::layers::codesign::CodesignMode;
 use crate::model::{DonnModel, Layer};
 use crate::train::LabeledImage;
 use lr_hardware::{CameraModel, CrosstalkModel, FabricationVariation, SlmModel};
@@ -323,7 +322,7 @@ impl PhysicalDonn {
                     propagator.propagate_with(&mut ws.u, &mut ws.scratch);
                     ws.u.hadamard_assign(modulation);
                 }
-                PhysicalStage::Nonlinear(sa) => sa.infer_inplace(&mut ws.u),
+                PhysicalStage::Nonlinear(sa) => sa.saturate(ws.u.as_mut_slice()),
             }
         }
         self.final_propagator
@@ -422,10 +421,7 @@ pub fn pattern_correlations(
         .iter()
         .map(|img| {
             let input = Field::from_amplitudes(rows, cols, img);
-            let sim = model
-                .forward_trace(&input, CodesignMode::Soft, 0)
-                .detector_field
-                .intensity();
+            let sim = model.detector_pattern(&input);
             let exp = physical.capture(&input, 1);
             lr_nn::metrics::pearson(&sim, &exp)
         })

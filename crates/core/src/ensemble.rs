@@ -83,7 +83,7 @@ impl DonnEnsemble {
         let mut logits = vec![0.0; self.members[0].num_classes()];
         for member in &self.members {
             let trace = member.forward_trace(input, CodesignMode::Soft, 0);
-            for (acc, v) in logits.iter_mut().zip(trace.logits) {
+            for (acc, v) in logits.iter_mut().zip(&trace.logits[0]) {
                 *acc += v;
             }
         }

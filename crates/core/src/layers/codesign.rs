@@ -240,55 +240,9 @@ impl CodesignLayer {
         self.hard_levels().into_iter().map(|l| phases[l]).collect()
     }
 
-    /// Forward pass. `seed` drives the Gumbel noise in [`CodesignMode::Train`]
-    /// (vary it per sample/step); ignored in the other modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input shape does not match the layer grid.
-    pub fn forward(&self, input: &Field, mode: CodesignMode, seed: u64) -> (Field, CodesignCache) {
-        assert_eq!(
-            input.shape(),
-            self.grid().shape(),
-            "input/grid shape mismatch"
-        );
-        let mut u = input.clone();
-        self.propagator.propagate(&mut u);
-        let cache = self.modulate_with_cache(&mut u, mode, seed);
-        (u, cache)
-    }
-
-    /// Forward pass transforming `u` in place through caller-owned scratch
-    /// into a reusable cache — the trace-building fast path: once the
-    /// cache buffers are sized for this layer, the pass performs no heap
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match the layer grid.
-    pub fn forward_into(
-        &self,
-        u: &mut Field,
-        mode: CodesignMode,
-        seed: u64,
-        scratch: &mut PropagationScratch,
-        cache: &mut CodesignCache,
-    ) {
-        assert_eq!(u.shape(), self.grid().shape(), "input/grid shape mismatch");
-        self.propagator.propagate_with(u, scratch);
-        self.modulate_slice_into(u.as_mut_slice(), mode, seed, cache);
-    }
-
-    /// Computes the per-pixel modulation for `mode`, applies it to the
-    /// already-propagated `u` in place, and returns the activation cache.
-    fn modulate_with_cache(&self, u: &mut Field, mode: CodesignMode, seed: u64) -> CodesignCache {
-        let mut cache = CodesignCache::zeros(u.rows(), u.cols());
-        self.modulate_slice_into(u.as_mut_slice(), mode, seed, &mut cache);
-        cache
-    }
-
-    /// The cache-producing modulation kernel on one raw plane — shared by
-    /// the per-sample and batched trace-building paths.
+    /// The cache-producing modulation kernel on one raw (already
+    /// propagated) plane; `seed` drives the Gumbel noise in
+    /// [`CodesignMode::Train`].
     fn modulate_slice_into(
         &self,
         u: &mut [Complex64],
@@ -355,40 +309,6 @@ impl CodesignLayer {
         }
     }
 
-    /// In-place inference step through caller-owned scratch: diffract, then
-    /// modulate with the noise-free soft mixture ([`CodesignMode::Soft`]) or
-    /// the hard argmax state ([`CodesignMode::Deploy`]). Per-pixel weights
-    /// are folded on the fly, so no weight or modulation buffers are
-    /// allocated — this is the workspace fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match the layer grid, or if `mode` is
-    /// [`CodesignMode::Train`] (training needs the cache-producing
-    /// [`CodesignLayer::forward`]).
-    pub fn infer_inplace(
-        &self,
-        u: &mut Field,
-        mode: CodesignMode,
-        scratch: &mut PropagationScratch,
-    ) {
-        assert!(
-            mode != CodesignMode::Train,
-            "infer_inplace supports Soft/Deploy; Train needs forward()"
-        );
-        assert_eq!(u.shape(), self.grid().shape(), "input/grid shape mismatch");
-        self.propagator.propagate_with(u, scratch);
-        self.infer_modulate_planes(u.as_mut_slice(), mode);
-    }
-
-    /// The inference-mode modulation over whole plane-major (already
-    /// propagated) planes — one plane for [`CodesignLayer::infer_inplace`],
-    /// the active batch for the batched path — straight from the mode's
-    /// table.
-    fn infer_modulate_planes(&self, planes: &mut [Complex64], mode: CodesignMode) {
-        super::modulate_planes(planes, || self.transmission(mode));
-    }
-
     /// The per-pixel inference state `γ·m` for [`CodesignMode::Soft`] or
     /// [`CodesignMode::Deploy`], row-major: the table inference reads,
     /// computed on the first call in that mode after a write. Weights are
@@ -437,10 +357,11 @@ impl CodesignLayer {
         m * self.gamma
     }
 
-    /// Batched inference step: diffract every active plane, then modulate
-    /// each with the noise-free soft mixture or hard argmax state — the
-    /// batched counterpart of [`CodesignLayer::infer_inplace`],
-    /// bit-identical to it per plane and free of steady-state allocations.
+    /// Inference step: diffract every active plane, then modulate each
+    /// with the noise-free soft mixture ([`CodesignMode::Soft`]) or the
+    /// hard argmax state ([`CodesignMode::Deploy`]) from the mode's table,
+    /// free of steady-state allocations. A single sample is the one-plane
+    /// batch.
     ///
     /// # Panics
     ///
@@ -457,10 +378,10 @@ impl CodesignLayer {
             "infer_batch_inplace supports Soft/Deploy; Train needs the traced forward"
         );
         self.propagator.propagate_batch_into(batch, scratch);
-        self.infer_modulate_planes(batch.as_mut_slice(), mode);
+        super::modulate_planes(batch.as_mut_slice(), || self.transmission(mode));
     }
 
-    /// Batched trace-building forward pass: diffracts every active plane,
+    /// Trace-building forward pass: diffracts every active plane,
     /// then modulates each with its own per-sample seed (`seeds[b]` drives
     /// plane `b`'s Gumbel noise in [`CodesignMode::Train`]), reusing one
     /// [`CodesignCache`] per plane from `caches` (grown once, then
@@ -489,11 +410,10 @@ impl CodesignLayer {
         }
     }
 
-    /// Batched backward pass operating on the gradient **in place**: every
-    /// active plane of `grad` enters as `∂L/∂(output)̄` and leaves as
-    /// `∂L/∂(input)̄`; `logit_grads` accumulates `dL/dlogits` summed over
-    /// the batch in plane order. Unlike the per-sample
-    /// [`CodesignLayer::backward`], this allocates nothing.
+    /// Backward pass operating on the gradient **in place**: every active
+    /// plane of `grad` enters as `∂L/∂(output)̄` and leaves as
+    /// `∂L/∂(input)̄`; `logit_grads` accumulates (`+=`) `dL/dlogits`
+    /// summed over the batch in plane order. Allocates nothing.
     ///
     /// # Panics
     ///
@@ -559,34 +479,6 @@ impl CodesignLayer {
             *gi *= m.conj();
         }
     }
-
-    /// Backward pass: accumulates `dL/dlogits` into `logit_grads` (`+=`) and
-    /// returns `∂L/∂(input)̄`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree or `logit_grads` has the wrong length.
-    pub fn backward(
-        &self,
-        grad_output: &Field,
-        cache: &CodesignCache,
-        logit_grads: &mut [f64],
-    ) -> Field {
-        assert_eq!(
-            grad_output.shape(),
-            self.grid().shape(),
-            "gradient shape mismatch"
-        );
-        assert_eq!(
-            logit_grads.len(),
-            self.num_params(),
-            "logit gradient buffer length mismatch"
-        );
-        let mut g_in = grad_output.clone();
-        self.backprop_modulation(g_in.as_mut_slice(), cache, logit_grads);
-        self.propagator.adjoint(&mut g_in);
-        g_in
-    }
 }
 
 /// The first index of the largest logit in `row`: the deployed level.
@@ -621,6 +513,45 @@ mod tests {
         l
     }
 
+    fn one_plane(x: &Field) -> FieldBatch {
+        let mut batch = FieldBatch::zeros(1, x.rows(), x.cols());
+        batch.copy_plane_from(0, x);
+        batch
+    }
+
+    fn plane_field(batch: &FieldBatch) -> Field {
+        let (rows, cols) = batch.plane_shape();
+        Field::from_vec(rows, cols, batch.plane(0).to_vec())
+    }
+
+    /// One-sample traced forward: the layer output and its cache.
+    fn forward_one(
+        layer: &CodesignLayer,
+        x: &Field,
+        mode: CodesignMode,
+        seed: u64,
+    ) -> (Field, CodesignCache) {
+        let mut u = one_plane(x);
+        let mut caches = Vec::new();
+        let mut scratch = layer.propagator().make_scratch();
+        layer.forward_batch_traced(&mut u, mode, &[seed], &mut scratch, &mut caches);
+        (plane_field(&u), caches.remove(0))
+    }
+
+    /// One-sample backward: accumulates `dL/dlogits` and returns
+    /// `∂L/∂(input)̄`.
+    fn backward_one(
+        layer: &CodesignLayer,
+        g_out: &Field,
+        cache: CodesignCache,
+        logit_grads: &mut [f64],
+    ) -> Field {
+        let mut g = one_plane(g_out);
+        let mut scratch = layer.propagator().make_scratch();
+        layer.backward_batch_inplace(&mut g, &[cache], logit_grads, &mut scratch);
+        plane_field(&g)
+    }
+
     fn test_input() -> Field {
         Field::from_fn(6, 6, |r, c| {
             Complex64::new(0.4 + (r as f64 * 0.5).sin(), (c as f64 * 0.3).cos())
@@ -630,7 +561,7 @@ mod tests {
     #[test]
     fn soft_weights_sum_to_one() {
         let layer = small_layer(8);
-        let (_, cache) = layer.forward(&test_input(), CodesignMode::Soft, 0);
+        let (_, cache) = forward_one(&layer, &test_input(), CodesignMode::Soft, 0);
         let levels = 8;
         for p in 0..layer.num_pixels() {
             let s: f64 = cache.weights[p * levels..(p + 1) * levels].iter().sum();
@@ -641,7 +572,7 @@ mod tests {
     #[test]
     fn deploy_weights_are_one_hot() {
         let layer = small_layer(8);
-        let (_, cache) = layer.forward(&test_input(), CodesignMode::Deploy, 0);
+        let (_, cache) = forward_one(&layer, &test_input(), CodesignMode::Deploy, 0);
         for p in 0..layer.num_pixels() {
             let row = &cache.weights[p * 8..(p + 1) * 8];
             assert_eq!(row.iter().filter(|&&w| w == 1.0).count(), 1);
@@ -652,7 +583,7 @@ mod tests {
     #[test]
     fn deploy_modulation_is_exact_device_state() {
         let layer = small_layer(8);
-        let (_, cache) = layer.forward(&test_input(), CodesignMode::Deploy, 0);
+        let (_, cache) = forward_one(&layer, &test_input(), CodesignMode::Deploy, 0);
         let levels = layer.hard_levels();
         for (p, &level) in levels.iter().enumerate() {
             let expect = layer.states[level] * layer.gamma();
@@ -664,9 +595,9 @@ mod tests {
     fn train_mode_noise_varies_with_seed_but_is_reproducible() {
         let layer = small_layer(8);
         let x = test_input();
-        let (a, _) = layer.forward(&x, CodesignMode::Train, 1);
-        let (a2, _) = layer.forward(&x, CodesignMode::Train, 1);
-        let (b, _) = layer.forward(&x, CodesignMode::Train, 2);
+        let (a, _) = forward_one(&layer, &x, CodesignMode::Train, 1);
+        let (a2, _) = forward_one(&layer, &x, CodesignMode::Train, 1);
+        let (b, _) = forward_one(&layer, &x, CodesignMode::Train, 2);
         assert_eq!(a, a2, "same seed must reproduce");
         assert!(a.distance(&b) > 0.0, "different seeds must differ");
     }
@@ -688,10 +619,10 @@ mod tests {
         let x = Field::from_fn(20, 20, |r, c| Complex64::new(0.3 + r as f64, c as f64));
         let mut scratch = layer.propagator().make_scratch();
         for mode in [CodesignMode::Soft, CodesignMode::Deploy] {
-            let (out, _) = layer.forward(&x, mode, 0);
-            let mut u = x.clone();
-            layer.infer_inplace(&mut u, mode, &mut scratch);
-            assert!(u.distance(&out) < 1e-12 * out.total_power().sqrt());
+            let (out, _) = forward_one(&layer, &x, mode, 0);
+            let mut u = one_plane(&x);
+            layer.infer_batch_inplace(&mut u, mode, &mut scratch);
+            assert!(plane_field(&u).distance(&out) < 1e-12 * out.total_power().sqrt());
         }
     }
 
@@ -706,9 +637,9 @@ mod tests {
             }
         }
         let x = test_input();
-        let (hard, _) = layer.forward(&x, CodesignMode::Deploy, 0);
+        let (hard, _) = forward_one(&layer, &x, CodesignMode::Deploy, 0);
         layer.set_temperature(0.05);
-        let (soft, _) = layer.forward(&x, CodesignMode::Soft, 0);
+        let (soft, _) = forward_one(&layer, &x, CodesignMode::Soft, 0);
         assert!(
             soft.distance(&hard) < 1e-3 * hard.total_power().sqrt().max(1.0),
             "τ→0 soft forward should match deployment"
@@ -723,14 +654,14 @@ mod tests {
         let w: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 11) as f64 / 11.0).collect();
 
         let loss_of = |l: &CodesignLayer| {
-            let (out, _) = l.forward(&x, CodesignMode::Soft, 0);
+            let (out, _) = forward_one(l, &x, CodesignMode::Soft, 0);
             out.as_slice()
                 .iter()
                 .zip(&w)
                 .map(|(o, &wi)| wi * o.norm_sqr())
                 .sum::<f64>()
         };
-        let (out, cache) = layer.forward(&x, CodesignMode::Soft, 0);
+        let (out, cache) = forward_one(&layer, &x, CodesignMode::Soft, 0);
         let g_out = Field::from_vec(
             6,
             6,
@@ -741,7 +672,7 @@ mod tests {
                 .collect(),
         );
         let mut analytic = vec![0.0; layer.num_params()];
-        layer.backward(&g_out, &cache, &mut analytic);
+        backward_one(&layer, &g_out, cache, &mut analytic);
 
         let report = check_gradient_sampled(
             |logits: &[f64]| {
@@ -778,14 +709,14 @@ mod tests {
         let n = layer.num_pixels();
         let w: Vec<f64> = (0..n).map(|i| (i % 7) as f64 / 7.0).collect();
         let loss_of = |f: &Field| {
-            let (out, _) = layer.forward(f, CodesignMode::Soft, 0);
+            let (out, _) = forward_one(&layer, f, CodesignMode::Soft, 0);
             out.as_slice()
                 .iter()
                 .zip(&w)
                 .map(|(o, &wi)| wi * o.norm_sqr())
                 .sum::<f64>()
         };
-        let (out, cache) = layer.forward(&x, CodesignMode::Soft, 0);
+        let (out, cache) = forward_one(&layer, &x, CodesignMode::Soft, 0);
         let g_out = Field::from_vec(
             6,
             6,
@@ -796,7 +727,7 @@ mod tests {
                 .collect(),
         );
         let mut scratch = vec![0.0; layer.num_params()];
-        let g_in = layer.backward(&g_out, &cache, &mut scratch);
+        let g_in = backward_one(&layer, &g_out, cache, &mut scratch);
         let d = Field::from_fn(6, 6, |r, c| Complex64::new(0.1 * r as f64, -0.2 * c as f64));
         let h = 1e-6;
         let mut xp = x.clone();

@@ -157,43 +157,28 @@ impl Detector {
     ///
     /// Panics if the field shape does not match the detector plane.
     pub fn read(&self, field: &Field) -> Vec<f64> {
-        let mut logits = Vec::with_capacity(self.regions.len());
-        self.read_into(field, &mut logits);
-        logits
-    }
-
-    /// [`Detector::read`] into a caller-owned buffer — allocation-free once
-    /// `out` has warmed up to `num_classes` capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field shape does not match the detector plane.
-    pub fn read_into(&self, field: &Field, out: &mut Vec<f64>) {
         assert_eq!(
             field.shape(),
             (self.rows, self.cols),
             "field/detector shape mismatch"
         );
-        self.read_plane_into(field.as_slice(), out);
+        let mut logits = Vec::with_capacity(self.regions.len());
+        self.read_plane_into(field.as_slice(), &mut logits);
+        logits
     }
 
-    /// [`Detector::read_into`] on one raw row-major plane — the shared
-    /// readout kernel behind the per-sample and batched paths (a plane of
-    /// a [`FieldBatch`] has no `Field` wrapper).
+    /// The readout kernel on one raw row-major plane, behind both
+    /// [`Detector::read`] and [`Detector::read_batch_into`].
     ///
     /// Each region row reduces through [`lr_tensor::simd::sum_norm_sqr`],
     /// vectorized at the runtime SIMD dispatch level. The lane-partial
     /// reduction re-associates the sum, so readout is the one entry point
     /// whose equivalence contract is tolerance-based rather than bitwise:
     /// scalar dispatch (`LR_SIMD=scalar`) is the exact sequential oracle
-    /// and wider dispatch agrees within ≤1e-12 relative error. Batched and
-    /// per-sample readout share this kernel, so they remain exactly equal
-    /// to *each other* at every dispatch level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len() != rows·cols`.
-    pub fn read_plane_into(&self, samples: &[Complex64], out: &mut Vec<f64>) {
+    /// and wider dispatch agrees within ≤1e-12 relative error. Every
+    /// readout shares this kernel, so a sample reads the same at any batch
+    /// size at every dispatch level.
+    fn read_plane_into(&self, samples: &[Complex64], out: &mut Vec<f64>) {
         assert_eq!(
             samples.len(),
             self.rows * self.cols,
@@ -264,69 +249,51 @@ impl Detector {
         }));
     }
 
-    /// Backward pass: expands per-class gradients `dL/dI_k` into the field
-    /// gradient `∂L/∂(U)̄ = dL/dI_p · U_p` (zero outside regions).
+    /// Backward pass: expands each plane's per-class gradients
+    /// `logit_grads[b]` (`dL/dI_k`) into the field gradient
+    /// `∂L/∂(U)̄ = dL/dI_p · U_p` (zero outside regions), written to plane
+    /// `b` of `out`. `out` takes the batch size of `fields`
+    /// (allocation-free within its capacity).
     ///
     /// # Panics
     ///
-    /// Panics if shapes disagree.
-    pub fn backward(&self, field: &Field, logit_grads: &[f64]) -> Field {
-        let mut g = Field::zeros(self.rows, self.cols);
-        self.backward_into(field, logit_grads, &mut g);
-        g
-    }
-
-    /// [`Detector::backward`] into a caller-owned field (allocation-free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree.
-    pub fn backward_into(&self, field: &Field, logit_grads: &[f64], out: &mut Field) {
+    /// Panics if plane shapes disagree with the detector plane, or
+    /// `logit_grads` does not hold one `num_classes` row per plane.
+    pub fn backward_batch_into(
+        &self,
+        fields: &FieldBatch,
+        logit_grads: &[Vec<f64>],
+        out: &mut FieldBatch,
+    ) {
         assert_eq!(
-            field.shape(),
+            fields.plane_shape(),
             (self.rows, self.cols),
             "field/detector shape mismatch"
         );
         assert_eq!(
-            out.shape(),
+            out.plane_shape(),
             (self.rows, self.cols),
             "gradient/detector shape mismatch"
         );
-        self.backward_plane_into(field.as_slice(), logit_grads, out.as_mut_slice());
-    }
-
-    /// [`Detector::backward_into`] on raw row-major planes — the shared
-    /// kernel behind the per-sample and batched backward paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree with the detector plane.
-    pub fn backward_plane_into(
-        &self,
-        samples: &[Complex64],
-        logit_grads: &[f64],
-        out: &mut [Complex64],
-    ) {
-        assert_eq!(
-            samples.len(),
-            self.rows * self.cols,
-            "plane/detector length mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            self.rows * self.cols,
-            "gradient/detector length mismatch"
-        );
         assert_eq!(
             logit_grads.len(),
-            self.regions.len(),
-            "logit gradient length mismatch"
+            fields.batch(),
+            "one logit-gradient row per sample"
         );
-        out.fill(Complex64::ZERO);
-        for (reg, &dl) in self.regions.iter().zip(logit_grads) {
-            for r in reg.row..reg.row + reg.height {
-                for c in reg.col..reg.col + reg.width {
-                    out[r * self.cols + c] = samples[r * self.cols + c] * dl;
+        out.set_batch(fields.batch());
+        for (b, row) in logit_grads.iter().enumerate() {
+            assert_eq!(
+                row.len(),
+                self.regions.len(),
+                "logit gradient length mismatch"
+            );
+            let (samples, g) = (fields.plane(b), out.plane_mut(b));
+            g.fill(Complex64::ZERO);
+            for (reg, &dl) in self.regions.iter().zip(row) {
+                for r in reg.row..reg.row + reg.height {
+                    for c in reg.col..reg.col + reg.width {
+                        g[r * self.cols + c] = samples[r * self.cols + c] * dl;
+                    }
                 }
             }
         }
@@ -347,36 +314,67 @@ impl Detector {
 pub struct PlaneReadout;
 
 impl PlaneReadout {
-    /// Reads the full intensity image.
-    pub fn read(&self, field: &Field) -> Vec<f64> {
-        field.intensity()
-    }
-
-    /// Backward pass from per-pixel intensity gradients.
+    /// Reads the full intensity image of every active plane into the
+    /// matching `outputs` slot.
     ///
     /// # Panics
     ///
-    /// Panics if `intensity_grads.len()` does not match the field.
-    pub fn backward(&self, field: &Field, intensity_grads: &[f64]) -> Field {
+    /// Panics if `outputs` does not cover the batch.
+    pub fn read_batch_into(&self, batch: &FieldBatch, outputs: &mut [Vec<f64>]) {
+        assert!(
+            outputs.len() >= batch.batch(),
+            "one output slot per batch plane"
+        );
+        for (plane, out) in batch.planes().zip(outputs) {
+            out.clear();
+            out.extend(plane.iter().map(|z| z.norm_sqr()));
+        }
+    }
+
+    /// Backward pass from per-pixel intensity gradients, one row per
+    /// plane, into `out` (which takes the batch size of `fields`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes or gradient lengths disagree.
+    pub fn backward_batch_into(
+        &self,
+        fields: &FieldBatch,
+        intensity_grads: &[Vec<f64>],
+        out: &mut FieldBatch,
+    ) {
+        assert_eq!(out.plane_shape(), fields.plane_shape(), "shape mismatch");
         assert_eq!(
             intensity_grads.len(),
-            field.len(),
-            "gradient length mismatch"
+            fields.batch(),
+            "one gradient row per sample"
         );
-        let (rows, cols) = field.shape();
-        let data = field
-            .as_slice()
-            .iter()
-            .zip(intensity_grads)
-            .map(|(&u, &g)| u * g)
-            .collect::<Vec<Complex64>>();
-        Field::from_vec(rows, cols, data)
+        out.set_batch(fields.batch());
+        for (b, grads) in intensity_grads.iter().enumerate() {
+            assert_eq!(grads.len(), fields.plane_len(), "gradient length mismatch");
+            for ((o, &u), &g) in out.plane_mut(b).iter_mut().zip(fields.plane(b)).zip(grads) {
+                *o = u * g;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn one_plane(f: &Field) -> FieldBatch {
+        let mut batch = FieldBatch::zeros(1, f.rows(), f.cols());
+        batch.copy_plane_from(0, f);
+        batch
+    }
+
+    /// One-sample backward through the batched kernel.
+    fn backward_one(det: &Detector, f: &Field, logit_grads: &[f64]) -> Field {
+        let mut g = FieldBatch::zeros(1, f.rows(), f.cols());
+        det.backward_batch_into(&one_plane(f), &[logit_grads.to_vec()], &mut g);
+        Field::from_vec(f.rows(), f.cols(), g.plane(0).to_vec())
+    }
 
     #[test]
     fn grid_layout_ten_classes() {
@@ -427,7 +425,7 @@ mod tests {
     fn backward_zero_outside_regions() {
         let det = Detector::new(8, 8, vec![DetectorRegion::new(2, 2, 2, 2)]);
         let f = Field::filled(8, 8, Complex64::new(1.0, 1.0));
-        let g = det.backward(&f, &[0.5]);
+        let g = backward_one(&det, &f, &[0.5]);
         assert_eq!(g[(0, 0)], Complex64::ZERO);
         assert_eq!(g[(2, 2)], Complex64::new(0.5, 0.5));
         assert_eq!(g[(3, 3)], Complex64::new(0.5, 0.5));
@@ -445,7 +443,7 @@ mod tests {
         let a = [0.3, -0.7, 1.1, 0.2];
         let loss =
             |field: &Field| -> f64 { det.read(field).iter().zip(&a).map(|(i, &ai)| ai * i).sum() };
-        let g = det.backward(&f, &a);
+        let g = backward_one(&det, &f, &a);
         let d = Field::from_fn(16, 16, |r, c| {
             Complex64::new(0.05 * c as f64, -0.02 * r as f64)
         });
@@ -482,11 +480,14 @@ mod tests {
     fn plane_readout_roundtrip() {
         let f = Field::from_fn(4, 4, |r, c| Complex64::new(r as f64, c as f64));
         let ro = PlaneReadout;
-        let i = ro.read(&f);
-        assert_eq!(i.len(), 16);
-        assert!((i[5] - f[(1, 1)].norm_sqr()).abs() < 1e-12);
-        let g = ro.backward(&f, &[1.0; 16]);
-        assert_eq!(g, f);
+        let batch = one_plane(&f);
+        let mut i = vec![Vec::new()];
+        ro.read_batch_into(&batch, &mut i);
+        assert_eq!(i[0].len(), 16);
+        assert!((i[0][5] - f[(1, 1)].norm_sqr()).abs() < 1e-12);
+        let mut g = FieldBatch::zeros(1, 4, 4);
+        ro.backward_batch_into(&batch, &[vec![1.0; 16]], &mut g);
+        assert_eq!(g.as_slice(), f.as_slice());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// ```
 /// use lightridge::DiffractiveLayer;
 /// use lr_optics::{Approximation, Distance, Grid, PixelPitch, Wavelength};
-/// use lr_tensor::Field;
+/// use lr_tensor::{Complex64, FieldBatch};
 ///
 /// let grid = Grid::square(32, PixelPitch::from_um(36.0));
 /// let layer = DiffractiveLayer::new(
@@ -47,9 +47,13 @@ use std::sync::Arc;
 ///     Approximation::RayleighSommerfeld,
 ///     1.0,
 /// );
-/// let input = Field::ones(32, 32);
-/// let (out, _cache) = layer.forward(&input);
-/// assert_eq!(out.shape(), (32, 32));
+/// // A batch of two planes of uniform light, diffracted and modulated in
+/// // place through caller-owned scratch.
+/// let mut batch = FieldBatch::zeros(2, 32, 32);
+/// batch.as_mut_slice().fill(Complex64::ONE);
+/// let mut scratch = layer.propagator().make_scratch();
+/// layer.infer_batch_inplace(&mut batch, &mut scratch);
+/// assert!(batch.is_finite());
 /// ```
 #[derive(Debug, Clone)]
 pub struct DiffractiveLayer {
@@ -66,32 +70,10 @@ struct PhaseMask {
     gamma: f64,
 }
 
-/// Per-sample forward activations needed by the backward pass.
-#[derive(Debug, Clone)]
-pub struct DiffractiveCache {
-    /// Wavefield after diffraction, before modulation (`U²` in the paper).
-    pub propagated: Field,
-    /// Layer output (`U_l`), kept for the phase gradient.
-    pub output: Field,
-}
-
-impl DiffractiveCache {
-    /// Pre-allocates a cache for a `rows × cols` layer, for reuse through
-    /// [`DiffractiveLayer::forward_into`].
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        DiffractiveCache {
-            propagated: Field::zeros(rows, cols),
-            output: Field::zeros(rows, cols),
-        }
-    }
-}
-
 /// Batched per-layer activations, one plane per sample, reused across
-/// training steps by the batched trace ring. Unlike the per-sample
-/// [`DiffractiveCache`], only the layer **outputs** are kept: that is all
-/// the batched backward pass reads (`dL/dφ` needs the output, and the
-/// input gradient is pure adjoint propagation), so the batch cache skips
-/// the pre-modulation copy and half the resident memory.
+/// training steps by the batched trace ring. Only the layer **outputs**
+/// are kept: that is all the backward pass reads (`dL/dφ` needs the
+/// output, and the input gradient is pure adjoint propagation).
 #[derive(Debug, Clone)]
 pub struct DiffractiveBatchCache {
     /// Layer outputs, kept for the phase gradients.
@@ -201,75 +183,16 @@ impl DiffractiveLayer {
         Field::from_vec(rows, cols, self.transmission().to_vec())
     }
 
-    /// Forward pass: diffract, then modulate. Returns the output field and
-    /// the cache needed by [`DiffractiveLayer::backward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input shape does not match the layer grid.
-    pub fn forward(&self, input: &Field) -> (Field, DiffractiveCache) {
-        let mut u = input.clone();
-        self.propagator.propagate(&mut u);
-        let propagated = u.clone();
-        self.modulate_planes(u.as_mut_slice());
-        let output = u.clone();
-        (u, DiffractiveCache { propagated, output })
-    }
-
-    /// Inference-only forward pass (no cache).
-    pub fn infer(&self, input: &Field) -> Field {
-        let mut u = input.clone();
-        self.propagator.propagate(&mut u);
-        self.modulate_planes(u.as_mut_slice());
-        u
-    }
-
     /// The phase modulation `U ← γ·e^{jφ}·U` over whole plane-major
-    /// planes — one plane on the per-sample path, the active batch on the
-    /// batched one — straight from the transmission table.
+    /// planes, straight from the transmission table.
     #[inline]
     fn modulate_planes(&self, planes: &mut [Complex64]) {
         super::modulate_planes(planes, || self.transmission());
     }
 
-    /// In-place inference step through caller-owned scratch: diffract and
-    /// modulate `u` with **zero heap allocation** (the workspace fast path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match the layer grid.
-    pub fn infer_inplace(&self, u: &mut Field, scratch: &mut PropagationScratch) {
-        self.propagator.propagate_with(u, scratch);
-        self.modulate_planes(u.as_mut_slice());
-    }
-
-    /// Forward pass through caller-owned scratch and a reusable cache: `u`
-    /// is transformed in place into the layer output, and the per-sample
-    /// activations are *copied into* `cache` instead of freshly allocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match the layer grid.
-    pub fn forward_into(
-        &self,
-        u: &mut Field,
-        cache: &mut DiffractiveCache,
-        scratch: &mut PropagationScratch,
-    ) {
-        self.propagator.propagate_with(u, scratch);
-        if cache.propagated.shape() != u.shape() {
-            *cache = DiffractiveCache::zeros(u.rows(), u.cols());
-        }
-        cache.propagated.copy_from(u);
-        self.modulate_planes(u.as_mut_slice());
-        cache.output.copy_from(u);
-    }
-
-    /// Batched inference step: diffract and modulate **every active
-    /// plane** of `batch` in place through one shared scratch — the
-    /// batched counterpart of [`DiffractiveLayer::infer_inplace`],
-    /// bit-identical to it per plane (shared plane kernels) and free of
-    /// steady-state allocations.
+    /// Inference step: diffract and modulate **every active plane** of
+    /// `batch` in place through one shared scratch, free of steady-state
+    /// allocations. A single sample is the one-plane batch.
     ///
     /// # Panics
     ///
@@ -279,11 +202,10 @@ impl DiffractiveLayer {
         self.modulate_planes(batch.as_mut_slice());
     }
 
-    /// Batched trace-building forward pass: transforms every active plane
-    /// of `batch` in place and copies the per-sample activations into the
-    /// reusable batch `cache` — the batched counterpart of
-    /// [`DiffractiveLayer::forward_into`] (allocation-free once the cache
-    /// capacity covers the batch).
+    /// Trace-building forward pass: transforms every active plane of
+    /// `batch` in place and copies the per-sample activations into the
+    /// reusable batch `cache` (allocation-free once the cache capacity
+    /// covers the batch).
     ///
     /// # Panics
     ///
@@ -299,10 +221,9 @@ impl DiffractiveLayer {
         cache.output.copy_from(batch);
     }
 
-    /// Batched [`DiffractiveLayer::backward_inplace`]: every active plane
-    /// of `grad` enters as `∂L/∂(output)̄` and leaves as `∂L/∂(input)̄`;
-    /// `phase_grads` accumulates `dL/dφ` summed over the batch in plane
-    /// order (bit-identical to the per-sample accumulation order). No
+    /// Backward pass, in place: every active plane of `grad` enters as
+    /// `∂L/∂(output)̄` and leaves as `∂L/∂(input)̄`; `phase_grads`
+    /// accumulates (`+=`) `dL/dφ` summed over the batch in plane order. No
     /// per-sample allocation.
     ///
     /// # Panics
@@ -328,47 +249,6 @@ impl DiffractiveLayer {
         );
         self.backprop_planes(grad.as_mut_slice(), cache.output.as_slice(), phase_grads);
         self.propagator.adjoint_batch_into(grad, scratch);
-    }
-
-    /// Backward pass.
-    ///
-    /// `grad_output` is `∂L/∂(output)̄`; `phase_grads` accumulates `dL/dφ`
-    /// (`+=`, so batches can share a buffer); the return value is
-    /// `∂L/∂(input)̄` for the upstream layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree with the layer grid or `phase_grads` has
-    /// the wrong length.
-    pub fn backward(
-        &self,
-        grad_output: &Field,
-        cache: &DiffractiveCache,
-        phase_grads: &mut [f64],
-    ) -> Field {
-        let mut g_in = grad_output.clone();
-        self.backprop_planes(g_in.as_mut_slice(), cache.output.as_slice(), phase_grads);
-        self.propagator.adjoint(&mut g_in);
-        g_in
-    }
-
-    /// [`DiffractiveLayer::backward`] operating on the gradient **in
-    /// place** through caller-owned scratch — no per-sample allocation.
-    /// `grad` enters as `∂L/∂(output)̄` and leaves as `∂L/∂(input)̄`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree with the layer grid or `phase_grads` has
-    /// the wrong length.
-    pub fn backward_inplace(
-        &self,
-        grad: &mut Field,
-        cache: &DiffractiveCache,
-        phase_grads: &mut [f64],
-        scratch: &mut PropagationScratch,
-    ) {
-        self.backprop_planes(grad.as_mut_slice(), cache.output.as_slice(), phase_grads);
-        self.propagator.adjoint_with(grad, scratch);
     }
 
     /// The modulation-adjoint kernel over whole plane-major planes: per
@@ -439,6 +319,48 @@ mod tests {
         })
     }
 
+    fn one_plane(x: &Field) -> FieldBatch {
+        let mut batch = FieldBatch::zeros(1, x.rows(), x.cols());
+        batch.copy_plane_from(0, x);
+        batch
+    }
+
+    fn plane_field(batch: &FieldBatch) -> Field {
+        let (rows, cols) = batch.plane_shape();
+        Field::from_vec(rows, cols, batch.plane(0).to_vec())
+    }
+
+    /// One-sample traced forward: the layer output and its cache.
+    fn forward_one(layer: &DiffractiveLayer, x: &Field) -> (Field, DiffractiveBatchCache) {
+        let mut u = one_plane(x);
+        let mut cache = DiffractiveBatchCache::with_capacity(1, x.rows(), x.cols());
+        layer.forward_batch_traced(&mut u, &mut cache, &mut layer.propagator().make_scratch());
+        (plane_field(&u), cache)
+    }
+
+    /// One-sample backward: accumulates `dL/dφ` and returns `∂L/∂(input)̄`.
+    fn backward_one(
+        layer: &DiffractiveLayer,
+        g_out: &Field,
+        cache: &DiffractiveBatchCache,
+        phase_grads: &mut [f64],
+    ) -> Field {
+        let mut g = one_plane(g_out);
+        let mut scratch = layer.propagator().make_scratch();
+        layer.backward_batch_inplace(&mut g, cache, phase_grads, &mut scratch);
+        plane_field(&g)
+    }
+
+    /// The diffraction alone, without the modulation.
+    fn propagated(layer: &DiffractiveLayer, x: &Field) -> Field {
+        let mut u = one_plane(x);
+        let mut scratch = layer.propagator().make_scratch();
+        layer
+            .propagator()
+            .propagate_batch_into(&mut u, &mut scratch);
+        plane_field(&u)
+    }
+
     /// Scalar "loss" for gradient testing: L = Σ w_p·|out_p|² with fixed
     /// random-ish weights, so dL/d(out*)_p = w_p·out_p.
     fn toy_loss_weights(n: usize) -> Vec<f64> {
@@ -448,53 +370,40 @@ mod tests {
     #[test]
     fn forward_preserves_shape_and_is_finite() {
         let layer = small_layer();
-        let (out, cache) = layer.forward(&test_input());
+        let (out, cache) = forward_one(&layer, &test_input());
         assert_eq!(out.shape(), (8, 8));
         assert!(out.is_finite());
-        assert_eq!(cache.propagated.shape(), (8, 8));
-        assert_eq!(out, cache.output);
+        assert_eq!(out.as_slice(), cache.output.as_slice());
     }
 
     #[test]
-    fn infer_matches_forward() {
+    fn infer_matches_traced_forward_and_cache_is_reused() {
+        // The cache-free inference step must reproduce the traced forward
+        // bit for bit, and a second batch through the same cache must
+        // overwrite it.
         let layer = small_layer();
         let x = test_input();
-        let (out, _) = layer.forward(&x);
-        assert_eq!(layer.infer(&x), out);
-    }
-
-    #[test]
-    fn workspace_paths_match_forward() {
-        // infer_inplace and forward_into (reusable cache) must reproduce
-        // the allocating forward pass bit for bit.
-        let layer = small_layer();
-        let x = test_input();
-        let (out, cache) = layer.forward(&x);
+        let (out, _) = forward_one(&layer, &x);
         let mut scratch = layer.propagator().make_scratch();
+        let mut u = one_plane(&x);
+        layer.infer_batch_inplace(&mut u, &mut scratch);
+        assert_eq!(plane_field(&u), out);
 
-        let mut u = x.clone();
-        layer.infer_inplace(&mut u, &mut scratch);
-        assert_eq!(u, out);
-
-        let mut u = x.clone();
-        let mut reused = DiffractiveCache::zeros(8, 8);
-        layer.forward_into(&mut u, &mut reused, &mut scratch);
-        assert_eq!(u, out);
-        assert_eq!(reused.propagated, cache.propagated);
-        assert_eq!(reused.output, cache.output);
-        // Second sample through the same cache buffers (the reuse contract).
-        let mut u2 = out.clone();
-        layer.forward_into(&mut u2, &mut reused, &mut scratch);
-        assert_eq!(reused.output, u2);
+        let mut cache = DiffractiveBatchCache::with_capacity(1, 8, 8);
+        let mut u = one_plane(&x);
+        layer.forward_batch_traced(&mut u, &mut cache, &mut scratch);
+        layer.forward_batch_traced(&mut u, &mut cache, &mut scratch);
+        assert_eq!(cache.output.as_slice(), u.as_slice());
+        assert_eq!(plane_field(&u), forward_one(&layer, &out).0);
     }
 
     #[test]
     fn gamma_scales_output_linearly() {
         let mut layer = small_layer();
         let x = test_input();
-        let (out1, _) = layer.forward(&x);
+        let (out1, _) = forward_one(&layer, &x);
         layer.set_gamma(2.0);
-        let (out2, _) = layer.forward(&x);
+        let (out2, _) = forward_one(&layer, &x);
         for (a, b) in out1.as_slice().iter().zip(out2.as_slice()) {
             assert!((*a * 2.0 - *b).norm() < 1e-12);
         }
@@ -507,7 +416,7 @@ mod tests {
         let w = toy_loss_weights(64);
 
         // Analytic gradient.
-        let (out, cache) = layer.forward(&x);
+        let (out, cache) = forward_one(&layer, &x);
         let g_out = Field::from_vec(
             8,
             8,
@@ -518,13 +427,13 @@ mod tests {
                 .collect(),
         );
         let mut analytic = vec![0.0; 64];
-        layer.backward(&g_out, &cache, &mut analytic);
+        backward_one(&layer, &g_out, &cache, &mut analytic);
 
         // Numeric: perturb each phase, recompute loss.
         let loss = |phases: &[f64]| {
             let mut l = layer.clone();
             l.phases_mut().copy_from_slice(phases);
-            let (out, _) = l.forward(&x);
+            let (out, _) = forward_one(&l, &x);
             out.as_slice()
                 .iter()
                 .zip(&w)
@@ -542,14 +451,14 @@ mod tests {
         let x = test_input();
         let w = toy_loss_weights(64);
         let loss_of = |field: &Field| {
-            let (out, _) = layer.forward(field);
+            let (out, _) = forward_one(&layer, field);
             out.as_slice()
                 .iter()
                 .zip(&w)
                 .map(|(o, &wi)| wi * o.norm_sqr())
                 .sum::<f64>()
         };
-        let (out, cache) = layer.forward(&x);
+        let (out, cache) = forward_one(&layer, &x);
         let g_out = Field::from_vec(
             8,
             8,
@@ -560,7 +469,7 @@ mod tests {
                 .collect(),
         );
         let mut scratch = vec![0.0; 64];
-        let g_in = layer.backward(&g_out, &cache, &mut scratch);
+        let g_in = backward_one(&layer, &g_out, &cache, &mut scratch);
 
         // Direction d: an arbitrary complex perturbation field.
         let d = Field::from_fn(8, 8, |r, c| {
@@ -591,8 +500,8 @@ mod tests {
             1.0,
         );
         let x = test_input();
-        let (out, cache) = layer.forward(&x);
-        assert!(out.distance(&cache.propagated) < 1e-12);
+        let (out, _) = forward_one(&layer, &x);
+        assert!(out.distance(&propagated(&layer, &x)) < 1e-12);
     }
 
     #[test]
@@ -656,18 +565,18 @@ mod tests {
         );
         layer.randomize_phases(4);
         let x = Field::from_fn(20, 20, |r, c| Complex64::new(0.2 + r as f64, c as f64));
-        let (out, cache) = layer.forward(&x);
+        let (out, cache) = forward_one(&layer, &x);
         let m = layer.modulation_field();
         for ((&o, &u), &m) in out
             .as_slice()
             .iter()
-            .zip(cache.propagated.as_slice())
+            .zip(propagated(&layer, &x).as_slice())
             .zip(m.as_slice())
         {
             assert_eq!(o, u * m);
         }
         let mut phase_grads = vec![0.0; 400];
-        layer.backward(&x, &cache, &mut phase_grads);
+        backward_one(&layer, &x, &cache, &mut phase_grads);
         for ((&acc, &g), &o) in phase_grads.iter().zip(x.as_slice()).zip(out.as_slice()) {
             assert_eq!(acc, 2.0 * (g.conj() * (Complex64::I * o)).re);
         }

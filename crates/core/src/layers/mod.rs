@@ -7,6 +7,11 @@
 //! argmax). Forward and inference passes multiply by the table through
 //! `modulate_planes`; codesign `Train` mode draws fresh Gumbel noise per
 //! sample and computes its states per call.
+//!
+//! Every layer exposes the same batched trio over a
+//! [`lr_tensor::FieldBatch`] — `infer_batch_inplace`,
+//! `forward_batch_traced` and `backward_batch_inplace` — and a single
+//! sample is the one-plane batch.
 
 pub mod codesign;
 pub mod detector;
@@ -55,8 +60,7 @@ impl<P: Clone, const N: usize> Masked<P, N> {
     }
 }
 
-/// The modulation `u ← t·u` shared by every phase-modulating layer,
-/// batched and per-sample alike (a single plane is the one-plane call).
+/// The modulation `u ← t·u` shared by every phase-modulating layer.
 ///
 /// `planes` holds whole planes back to back (plane-major, as in
 /// [`lr_tensor::FieldBatch`]); every plane is multiplied pixel by pixel by

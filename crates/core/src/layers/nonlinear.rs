@@ -23,7 +23,7 @@
 //! where `g = ∂L/∂ū` and `t'(I) = (1 − α)·I_sat/(I + I_sat)²`.
 
 use lr_obs::{KernelKind, KernelTimer};
-use lr_tensor::{Field, FieldBatch};
+use lr_tensor::{Complex64, FieldBatch};
 
 /// A saturable-absorber nonlinear optical layer.
 ///
@@ -31,28 +31,21 @@ use lr_tensor::{Field, FieldBatch};
 ///
 /// ```
 /// use lightridge::SaturableAbsorber;
-/// use lr_tensor::{Complex64, Field};
+/// use lr_tensor::{Complex64, FieldBatch};
 ///
 /// let sa = SaturableAbsorber::new(0.2, 1.0);
-/// let weak = Field::filled(2, 2, Complex64::new(0.05, 0.0));
-/// let strong = Field::filled(2, 2, Complex64::new(10.0, 0.0));
-/// let (w_out, _) = sa.forward(&weak);
-/// let (s_out, _) = sa.forward(&strong);
+/// let mut batch = FieldBatch::zeros(2, 2, 2);
+/// batch.plane_mut(0).fill(Complex64::new(0.05, 0.0));
+/// batch.plane_mut(1).fill(Complex64::new(10.0, 0.0));
+/// sa.infer_batch_inplace(&mut batch);
 /// // Weak light is attenuated toward α, strong light passes.
-/// assert!(w_out[(0, 0)].re / 0.05 < 0.3);
-/// assert!(s_out[(0, 0)].re / 10.0 > 0.9);
+/// assert!(batch.plane(0)[0].re / 0.05 < 0.3);
+/// assert!(batch.plane(1)[0].re / 10.0 > 0.9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaturableAbsorber {
     alpha: f64,
     saturation: f64,
-}
-
-/// Forward activations cached for the backward pass.
-#[derive(Debug, Clone)]
-pub struct NonlinearCache {
-    /// The input field.
-    pub input: Field,
 }
 
 /// Batched forward activations: one input plane per sample.
@@ -109,40 +102,19 @@ impl SaturableAbsorber {
         (1.0 - self.alpha) * self.saturation / (i + self.saturation).powi(2)
     }
 
-    /// Forward pass: `out = t(|u|²)·u`.
-    pub fn forward(&self, input: &Field) -> (Field, NonlinearCache) {
-        let out = input.map(|u| u * self.transmission(u.norm_sqr()));
-        (
-            out,
-            NonlinearCache {
-                input: input.clone(),
-            },
-        )
-    }
-
-    /// In-place inference step (elementwise, allocation-free).
-    pub fn infer_inplace(&self, u: &mut Field) {
+    /// `out = t(|u|²)·u` over raw samples in place: the kernel behind the
+    /// batched step, and the deployed system's one-plane film.
+    pub(crate) fn saturate(&self, samples: &mut [Complex64]) {
         let _t = KernelTimer::start(KernelKind::Modulate);
-        u.map_inplace(|z| z * self.transmission(z.norm_sqr()));
-    }
-
-    /// Forward pass transforming `u` in place into a reusable cache — the
-    /// trace-building fast path (allocation-free once the cache field
-    /// matches `u`'s shape).
-    pub fn forward_into(&self, u: &mut Field, cache: &mut NonlinearCache) {
-        if cache.input.shape() != u.shape() {
-            cache.input = Field::zeros(u.rows(), u.cols());
+        for z in samples {
+            *z *= self.transmission(z.norm_sqr());
         }
-        cache.input.copy_from(u);
-        self.infer_inplace(u);
     }
 
     /// Batched inference step: the saturable transmission applied to every
-    /// active plane in place (elementwise, allocation-free, bit-identical
-    /// per plane to [`SaturableAbsorber::infer_inplace`]).
+    /// active plane in place (elementwise, allocation-free).
     pub fn infer_batch_inplace(&self, batch: &mut FieldBatch) {
-        let _t = KernelTimer::start(KernelKind::Modulate);
-        batch.map_inplace(|z| z * self.transmission(z.norm_sqr()));
+        self.saturate(batch.as_mut_slice());
     }
 
     /// Batched trace-building forward pass reusing a caller-owned cache.
@@ -152,9 +124,8 @@ impl SaturableAbsorber {
     }
 
     /// Batched backward pass operating on the gradient **in place**: every
-    /// active plane enters as `∂L/∂(output)̄` and leaves as `∂L/∂(input)̄`.
-    /// Unlike the per-sample [`SaturableAbsorber::backward`], no gradient
-    /// field is allocated.
+    /// active plane enters as `∂L/∂(output)̄` and leaves as `∂L/∂(input)̄`,
+    /// with no gradient field allocated.
     ///
     /// # Panics
     ///
@@ -178,38 +149,32 @@ impl SaturableAbsorber {
             *g = g.conj() * (u * u) * tp + *g * (t + tp * i);
         }
     }
-
-    /// Backward pass: returns `∂L/∂(input)̄` from `∂L/∂(output)̄`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn backward(&self, grad_output: &Field, cache: &NonlinearCache) -> Field {
-        assert_eq!(
-            grad_output.shape(),
-            cache.input.shape(),
-            "gradient shape mismatch"
-        );
-        let (rows, cols) = cache.input.shape();
-        let data = grad_output
-            .as_slice()
-            .iter()
-            .zip(cache.input.as_slice())
-            .map(|(&g, &u)| {
-                let i = u.norm_sqr();
-                let t = self.transmission(i);
-                let tp = self.transmission_prime(i);
-                g.conj() * (u * u) * tp + g * (t + tp * i)
-            })
-            .collect();
-        Field::from_vec(rows, cols, data)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_tensor::Complex64;
+    use lr_tensor::Field;
+
+    /// One-sample traced forward: the output field and its cache.
+    fn forward_one(sa: &SaturableAbsorber, u: &Field) -> (Field, NonlinearBatchCache) {
+        let mut batch = FieldBatch::zeros(1, u.rows(), u.cols());
+        batch.copy_plane_from(0, u);
+        let mut cache = NonlinearBatchCache::with_capacity(1, u.rows(), u.cols());
+        sa.forward_batch_traced(&mut batch, &mut cache);
+        (
+            Field::from_vec(u.rows(), u.cols(), batch.plane(0).to_vec()),
+            cache,
+        )
+    }
+
+    /// One-sample backward: `∂L/∂(input)̄` from `∂L/∂(output)̄`.
+    fn backward_one(sa: &SaturableAbsorber, g_out: &Field, cache: &NonlinearBatchCache) -> Field {
+        let mut g = FieldBatch::zeros(1, g_out.rows(), g_out.cols());
+        g.copy_plane_from(0, g_out);
+        sa.backward_batch_inplace(&mut g, cache);
+        Field::from_vec(g_out.rows(), g_out.cols(), g.plane(0).to_vec())
+    }
 
     fn absorber() -> SaturableAbsorber {
         SaturableAbsorber::new(0.3, 2.0)
@@ -234,7 +199,7 @@ mod tests {
     fn forward_scales_amplitude_only() {
         let sa = absorber();
         let u = Field::filled(2, 2, Complex64::from_polar(2.0, 0.7));
-        let (out, _) = sa.forward(&u);
+        let (out, _) = forward_one(&sa, &u);
         for z in out.as_slice() {
             // Phase untouched.
             assert!((z.arg() - 0.7).abs() < 1e-12);
@@ -252,14 +217,14 @@ mod tests {
         // Loss L = Σ w_p |out_p|².
         let w: Vec<f64> = (0..16).map(|i| ((i * 5 + 3) % 7) as f64 / 7.0).collect();
         let loss_of = |f: &Field| -> f64 {
-            let (out, _) = sa.forward(f);
+            let (out, _) = forward_one(&sa, f);
             out.as_slice()
                 .iter()
                 .zip(&w)
                 .map(|(o, &wi)| wi * o.norm_sqr())
                 .sum()
         };
-        let (out, cache) = sa.forward(&u);
+        let (out, cache) = forward_one(&sa, &u);
         let g_out = Field::from_vec(
             4,
             4,
@@ -269,7 +234,7 @@ mod tests {
                 .map(|(&o, &wi)| o * wi)
                 .collect(),
         );
-        let g_in = sa.backward(&g_out, &cache);
+        let g_in = backward_one(&sa, &g_out, &cache);
 
         let d = Field::from_fn(4, 4, |r, c| {
             Complex64::new(0.1 * (c as f64 - 1.5), 0.07 * r as f64)
@@ -291,7 +256,7 @@ mod tests {
     fn identity_at_alpha_one() {
         let sa = SaturableAbsorber::new(1.0, 1.0);
         let u = Field::from_fn(3, 3, |r, c| Complex64::new(r as f64, c as f64));
-        let (out, _) = sa.forward(&u);
+        let (out, _) = forward_one(&sa, &u);
         assert!(out.distance(&u) < 1e-12);
     }
 

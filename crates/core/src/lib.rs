@@ -17,7 +17,9 @@
 //! * [`Detector`] / [`PlaneReadout`] — classification and image-to-image
 //!   readouts,
 //! * [`DonnModel`] / [`DonnBuilder`] — the sequential container & DSL
-//!   (`lr.models`),
+//!   (`lr.models`), with one compute path: every layer, trace and
+//!   workspace runs over a batch of planes ([`BatchWorkspace`],
+//!   [`BatchTrace`]), and a single sample is the one-plane batch,
 //! * [`train`] — the Adam + Softmax-MSE training loop with batch
 //!   parallelism and Gumbel temperature annealing (`lr.train`),
 //! * [`deploy`] — hardware emulation and fabrication export
@@ -73,13 +75,12 @@ pub mod viz;
 pub use ensemble::DonnEnsemble;
 pub use layers::codesign::{CodesignCache, CodesignLayer, CodesignMode};
 pub use layers::detector::{Detector, DetectorRegion, PlaneReadout};
-pub use layers::diffractive::{DiffractiveBatchCache, DiffractiveCache, DiffractiveLayer};
-pub use layers::nonlinear::{NonlinearBatchCache, NonlinearCache, SaturableAbsorber};
+pub use layers::diffractive::{DiffractiveBatchCache, DiffractiveLayer};
+pub use layers::nonlinear::{NonlinearBatchCache, SaturableAbsorber};
 pub use model::{
-    BatchForward, BatchLayerCache, BatchTrace, BatchWorkspace, DonnBuilder, DonnModel, Layer,
-    LayerCache, ModelGrads, PropagationWorkspace, Trace,
+    BatchLayerCache, BatchTrace, BatchWorkspace, DonnBuilder, DonnModel, Layer, ModelGrads,
 };
 pub use multichannel::MultiChannelDonn;
 pub use multitask::{MultiTaskDonn, MultiTaskImage};
 pub use segmentation::{SegmentationDonn, SegmentationOptions};
-pub use train::{BatchTraceRing, TraceRing};
+pub use train::BatchTraceRing;

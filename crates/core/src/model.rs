@@ -5,14 +5,19 @@
 //! through a [`Detector`]. It exposes the forward/backward pair the trainer
 //! drives, plus inference entry points for emulation, deployment, and
 //! visualization.
+//!
+//! There is one compute path: every pass runs over a [`FieldBatch`]
+//! through a [`BatchWorkspace`], and the per-sample entry points
+//! ([`DonnModel::infer`], [`DonnModel::forward_trace`],
+//! [`DonnModel::backward`], …) are its one-plane case.
 
 use crate::layers::codesign::{CodesignCache, CodesignLayer, CodesignMode};
 use crate::layers::detector::Detector;
-use crate::layers::diffractive::{DiffractiveBatchCache, DiffractiveCache, DiffractiveLayer};
-use crate::layers::nonlinear::{NonlinearBatchCache, NonlinearCache, SaturableAbsorber};
+use crate::layers::diffractive::{DiffractiveBatchCache, DiffractiveLayer};
+use crate::layers::nonlinear::{NonlinearBatchCache, SaturableAbsorber};
 use lr_obs::{KernelKind, KernelTimer};
 use lr_optics::{Approximation, Distance, FreeSpace, Grid, PropagationScratch, Wavelength};
-use lr_tensor::{Field, FieldBatch};
+use lr_tensor::{Complex64, Field, FieldBatch};
 use std::cell::RefCell;
 
 /// One optical layer: free-phase, hardware-codesign, or a parameter-free
@@ -65,27 +70,6 @@ impl Layer {
             Layer::Nonlinear(_) => Vec::new(),
         }
     }
-}
-
-/// Per-layer forward activations for one sample.
-#[derive(Debug, Clone)]
-pub enum LayerCache {
-    /// Cache of a raw layer.
-    Diffractive(DiffractiveCache),
-    /// Cache of a codesign layer.
-    Codesign(CodesignCache),
-    /// Cache of a nonlinear layer.
-    Nonlinear(NonlinearCache),
-}
-
-/// Full forward trace of one sample (needed for the backward pass).
-#[derive(Debug, Clone)]
-pub struct Trace {
-    caches: Vec<LayerCache>,
-    /// Wavefield on the detector plane.
-    pub detector_field: Field,
-    /// Class logits (detector region intensity sums).
-    pub logits: Vec<f64>,
 }
 
 /// Gradient buffers matching a model's layers; accumulated across a batch.
@@ -150,16 +134,22 @@ impl ModelGrads {
     }
 }
 
-/// Reusable per-thread buffers for forward/backward passes: one running
-/// wavefield, one gradient field, and the propagation scratch (FFT
-/// workspace) shared by every layer of one model shape.
+/// Reusable buffers for forward/backward passes: the running wavefield
+/// planes (one per sample, up to a fixed capacity), the shared
+/// propagation scratch, a gradient batch (grown lazily by the first
+/// backward pass), staged per-sample logits for the serving two-phase
+/// path, and a per-layer seed scratch.
 ///
-/// Build one per `(thread, model)` via [`DonnModel::make_workspace`] and
-/// thread it through [`DonnModel::infer_into`],
-/// [`DonnModel::forward_trace_with`], and [`DonnModel::backward_with`]. The
-/// inference path then performs **zero heap allocations** in steady state
-/// (verified by the counting-allocator test in `tests/zero_alloc.rs`).
-/// Workspaces are not `Sync`; each worker thread owns its own.
+/// Build one per `(thread, model, max batch)` via
+/// [`DonnModel::make_batch_workspace`] — or [`DonnModel::make_workspace`]
+/// for one sample at a time — and thread it through
+/// [`DonnModel::infer_batch_into`] / [`DonnModel::infer_mode_into`] /
+/// [`DonnModel::forward_trace_batch_into`] /
+/// [`DonnModel::backward_batch_with`]. For any batch size up to the
+/// capacity, inference performs **zero heap allocations** in steady state
+/// (`tests/zero_alloc.rs`); growing past the capacity reallocates and is
+/// intended for setup code. Workspaces are not `Sync`; each worker thread
+/// owns its own.
 ///
 /// The model's layers own their transmission tables (see
 /// [`crate::layers`]): the first pass after a parameter write allocates
@@ -167,62 +157,6 @@ impl ModelGrads {
 /// after each optimizer update. [`DonnModel::prewarm`], which serving
 /// registration runs, fills every table, so serving stays zero-alloc from
 /// the first request.
-#[derive(Debug, Clone)]
-pub struct PropagationWorkspace {
-    rows: usize,
-    cols: usize,
-    scratch: PropagationScratch,
-    u: Field,
-    grad: Field,
-}
-
-impl PropagationWorkspace {
-    /// Builds a workspace for a `rows × cols` plane.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        PropagationWorkspace {
-            rows,
-            cols,
-            scratch: PropagationScratch::new(rows, cols),
-            u: Field::zeros(rows, cols),
-            grad: Field::zeros(rows, cols),
-        }
-    }
-
-    /// Plane shape this workspace serves.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// The input-field gradient left behind by the latest
-    /// [`DonnModel::backward_with`] call.
-    pub fn input_grad(&self) -> &Field {
-        &self.grad
-    }
-
-    /// Heap bytes held by this workspace's buffers — what the serving
-    /// runtime's resident-memory accounting credits back when a retired
-    /// model's per-worker workspaces are reclaimed.
-    pub fn resident_bytes(&self) -> usize {
-        self.scratch.resident_bytes() + self.u.resident_bytes() + self.grad.resident_bytes()
-    }
-}
-
-/// Reusable buffers for **batched** forward/backward passes: the running
-/// wavefield planes (one per sample, up to a fixed capacity), the shared
-/// propagation scratch, a gradient batch (grown lazily by the first
-/// batched backward pass), staged per-sample logits for the serving
-/// two-phase path, and a per-layer seed scratch.
-///
-/// Build one per `(thread, model, max batch)` via
-/// [`DonnModel::make_batch_workspace`] and thread it through
-/// [`DonnModel::infer_batch_into`] /
-/// [`DonnModel::forward_trace_batch_into`] /
-/// [`DonnModel::backward_batch_with`]. For any batch size up to the
-/// capacity, the batched inference path performs **zero heap allocations**
-/// in steady state (`tests/zero_alloc.rs`); growing past the capacity
-/// reallocates and is intended for setup code. Workspaces are not `Sync`;
-/// each worker owns its own — the same contract as
-/// [`PropagationWorkspace`].
 #[derive(Debug, Clone)]
 pub struct BatchWorkspace {
     rows: usize,
@@ -350,9 +284,10 @@ pub enum BatchLayerCache {
     Nonlinear(NonlinearBatchCache),
 }
 
-/// Full forward trace of a **batch** of samples — the batched counterpart
-/// of [`Trace`], reused in place across training steps (see
-/// [`crate::train::BatchTraceRing`]).
+/// Full forward trace of a batch of samples (needed for the backward
+/// pass), reused in place across training steps (see
+/// [`crate::train::BatchTraceRing`]). A per-sample trace is the
+/// one-sample batch.
 #[derive(Debug, Clone)]
 pub struct BatchTrace {
     caches: Vec<BatchLayerCache>,
@@ -384,96 +319,22 @@ impl BatchTrace {
     }
 }
 
-/// The batched layer surface: transform every active plane of a
-/// [`FieldBatch`] in place, inference mode (no activation caches). All
-/// phase-modulating layers ([`DiffractiveLayer`], [`CodesignLayer`]), the
-/// amplitude nonlinearity ([`SaturableAbsorber`]), and the [`Layer`] enum
-/// implement it; the readout layer's batched surface is
-/// [`Detector::read_batch_into`]. Implementations run the *same* per-plane
-/// kernels as the per-sample entry points, so batched and per-sample
-/// execution are bit-identical.
-pub trait BatchForward {
-    /// Transforms every active plane of `batch` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match the layer grid, or if `mode` is
-    /// [`CodesignMode::Train`] for layers whose training pass needs a
-    /// cache (use the layer's `forward_batch_traced`).
-    fn forward_batch_into(
-        &self,
-        batch: &mut FieldBatch,
-        mode: CodesignMode,
-        scratch: &mut PropagationScratch,
-    );
-}
-
-impl BatchForward for DiffractiveLayer {
-    fn forward_batch_into(
-        &self,
-        batch: &mut FieldBatch,
-        _mode: CodesignMode,
-        scratch: &mut PropagationScratch,
-    ) {
-        self.infer_batch_inplace(batch, scratch);
-    }
-}
-
-impl BatchForward for CodesignLayer {
-    fn forward_batch_into(
-        &self,
-        batch: &mut FieldBatch,
-        mode: CodesignMode,
-        scratch: &mut PropagationScratch,
-    ) {
-        self.infer_batch_inplace(batch, mode, scratch);
-    }
-}
-
-impl BatchForward for SaturableAbsorber {
-    fn forward_batch_into(
-        &self,
-        batch: &mut FieldBatch,
-        _mode: CodesignMode,
-        _scratch: &mut PropagationScratch,
-    ) {
-        self.infer_batch_inplace(batch);
-    }
-}
-
-impl BatchForward for Layer {
-    fn forward_batch_into(
-        &self,
-        batch: &mut FieldBatch,
-        mode: CodesignMode,
-        scratch: &mut PropagationScratch,
-    ) {
-        match self {
-            Layer::Diffractive(l) => l.forward_batch_into(batch, mode, scratch),
-            Layer::Codesign(l) => l.forward_batch_into(batch, mode, scratch),
-            Layer::Nonlinear(l) => l.forward_batch_into(batch, mode, scratch),
-        }
-    }
-}
-
 thread_local! {
     /// Per-thread workspace pool backing the workspace-free entry points
-    /// (`infer`, `forward_trace`, `backward`), so existing call sites get
-    /// buffer reuse without an API change.
-    static TLS_WORKSPACES: RefCell<Vec<PropagationWorkspace>> = const { RefCell::new(Vec::new()) };
+    /// (`infer`, `forward_trace`, `backward`), so a loop over them
+    /// allocates no workspace per call.
+    static TLS_WORKSPACES: RefCell<Vec<BatchWorkspace>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Lends this thread's workspace for `shape` to `f`, creating it on first
-/// use for that shape on this thread.
-fn with_tls_workspace<R>(
-    shape: (usize, usize),
-    f: impl FnOnce(&mut PropagationWorkspace) -> R,
-) -> R {
+/// Lends this thread's workspace for `model`'s plane shape to `f`,
+/// creating it on first use for that shape on this thread.
+fn with_tls_workspace<R>(model: &DonnModel, f: impl FnOnce(&mut BatchWorkspace) -> R) -> R {
+    let shape = model.grid.shape();
     let mut ws = TLS_WORKSPACES.with(|cache| {
         let mut cache = cache.borrow_mut();
         match cache.iter().position(|w| w.shape() == shape) {
             Some(i) => cache.swap_remove(i),
-            None => PropagationWorkspace::new(shape.0, shape.1),
+            None => model.make_workspace(),
         }
     });
     let out = f(&mut ws);
@@ -590,141 +451,36 @@ impl DonnModel {
         self.layers.iter().map(Layer::num_params).sum()
     }
 
-    /// Allocates a [`PropagationWorkspace`] sized for this model's grid.
-    pub fn make_workspace(&self) -> PropagationWorkspace {
-        let (rows, cols) = self.grid.shape();
-        PropagationWorkspace::new(rows, cols)
+    /// Allocates a one-sample [`BatchWorkspace`] for this model's grid —
+    /// the workspace of [`DonnModel::infer_mode_into`] loops.
+    pub fn make_workspace(&self) -> BatchWorkspace {
+        self.make_batch_workspace(1)
     }
 
-    /// Full forward pass with trace. `seed` drives per-sample Gumbel noise
-    /// for codesign layers in [`CodesignMode::Train`].
-    ///
-    /// Borrows this thread's cached workspace; batch loops that own their
-    /// workspaces should call [`DonnModel::forward_trace_with`] directly.
+    /// Full forward pass of one sample with trace: a one-sample
+    /// [`BatchTrace`]. `seed` drives the Gumbel noise of codesign layers
+    /// in [`CodesignMode::Train`]. Borrows this thread's cached workspace;
+    /// loops that own their workspaces should batch through
+    /// [`DonnModel::forward_trace_batch_into`].
     ///
     /// # Panics
     ///
     /// Panics if the input shape does not match the grid.
-    pub fn forward_trace(&self, input: &Field, mode: CodesignMode, seed: u64) -> Trace {
-        with_tls_workspace(self.grid.shape(), |ws| {
-            self.forward_trace_with(input, mode, seed, ws)
+    pub fn forward_trace(&self, input: &Field, mode: CodesignMode, seed: u64) -> BatchTrace {
+        with_tls_workspace(self, |ws| {
+            ws.begin_batch(1);
+            ws.load_input(0, input);
+            let mut trace = BatchTrace::new();
+            self.trace_loaded(mode, &[seed], ws, &mut trace);
+            trace
         })
     }
 
-    /// [`DonnModel::forward_trace`] through a caller-owned workspace: the
-    /// running wavefield lives in the workspace and every free-space hop
-    /// reuses its FFT scratch, so the only per-sample allocations left are
-    /// the activation caches the returned [`Trace`] owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input shape does not match the grid.
-    pub fn forward_trace_with(
-        &self,
-        input: &Field,
-        mode: CodesignMode,
-        seed: u64,
-        ws: &mut PropagationWorkspace,
-    ) -> Trace {
-        let (rows, cols) = self.grid.shape();
-        let mut trace = Trace {
-            caches: Vec::with_capacity(self.layers.len()),
-            detector_field: Field::zeros(rows, cols),
-            logits: Vec::with_capacity(self.num_classes()),
-        };
-        self.forward_trace_into(input, mode, seed, ws, &mut trace);
-        trace
-    }
-
-    /// [`DonnModel::forward_trace_with`] through a caller-owned, reusable
-    /// [`Trace`]: per-layer activation caches, the detector field, and the
-    /// logits buffer are all overwritten in place instead of freshly
-    /// allocated. Once `trace` has been shaped by a prior pass over this
-    /// model, the whole forward trace performs **zero heap allocations**
-    /// for diffractive/nonlinear stacks (codesign layers reuse their
-    /// weight/modulation buffers too). Combined with
-    /// [`DonnModel::backward_with`] this extends the zero-allocation
-    /// workspace contract to the full training step (see the
-    /// [`crate::train::TraceRing`] per-worker ring and `tests/zero_alloc.rs`).
-    ///
-    /// A `trace` produced by a different model (or a previous shape) is
-    /// reshaped on the fly, allocating once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input shape does not match the grid.
-    pub fn forward_trace_into(
-        &self,
-        input: &Field,
-        mode: CodesignMode,
-        seed: u64,
-        ws: &mut PropagationWorkspace,
-        trace: &mut Trace,
-    ) {
-        assert_eq!(
-            input.shape(),
-            self.grid.shape(),
-            "input/grid shape mismatch"
-        );
-        ws.u.copy_from(input);
-        trace.caches.truncate(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            let layer_seed = seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64);
-            // Reuse the cache slot in place when its kind matches the
-            // layer; replace it (allocating once) otherwise.
-            match (layer, trace.caches.get_mut(i)) {
-                (Layer::Diffractive(l), Some(LayerCache::Diffractive(c))) => {
-                    l.forward_into(&mut ws.u, c, &mut ws.scratch);
-                }
-                (Layer::Codesign(l), Some(LayerCache::Codesign(c))) => {
-                    l.forward_into(&mut ws.u, mode, layer_seed, &mut ws.scratch, c);
-                }
-                (Layer::Nonlinear(l), Some(LayerCache::Nonlinear(c))) => {
-                    l.forward_into(&mut ws.u, c);
-                }
-                (layer, slot) => {
-                    let (rows, cols) = self.grid.shape();
-                    let fresh = match layer {
-                        Layer::Diffractive(l) => {
-                            let mut c = DiffractiveCache::zeros(rows, cols);
-                            l.forward_into(&mut ws.u, &mut c, &mut ws.scratch);
-                            LayerCache::Diffractive(c)
-                        }
-                        Layer::Codesign(l) => {
-                            let mut c = CodesignCache::zeros(rows, cols);
-                            l.forward_into(&mut ws.u, mode, layer_seed, &mut ws.scratch, &mut c);
-                            LayerCache::Codesign(c)
-                        }
-                        Layer::Nonlinear(l) => {
-                            let mut c = NonlinearCache {
-                                input: Field::zeros(rows, cols),
-                            };
-                            l.forward_into(&mut ws.u, &mut c);
-                            LayerCache::Nonlinear(c)
-                        }
-                    };
-                    match slot {
-                        Some(slot) => *slot = fresh,
-                        None => trace.caches.push(fresh),
-                    }
-                }
-            }
-        }
-        self.final_propagator
-            .propagate_with(&mut ws.u, &mut ws.scratch);
-        if trace.detector_field.shape() != ws.u.shape() {
-            trace.detector_field = Field::zeros(ws.u.rows(), ws.u.cols());
-        }
-        trace.detector_field.copy_from(&ws.u);
-        {
-            let _t = KernelTimer::start(KernelKind::Detector);
-            self.detector.read_into(&ws.u, &mut trace.logits);
-        }
-    }
-
-    /// Inference logits through a caller-owned workspace and output buffer:
-    /// **zero heap allocations** in steady state (the paper's emulation hot
-    /// path). Codesign layers use their noise-free states per `mode`.
+    /// Inference logits of one sample through a caller-owned workspace and
+    /// output buffer — the one-sample [`DonnModel::infer_batch_into`],
+    /// with **zero heap allocations** in steady state (the paper's
+    /// emulation hot path). Codesign layers use their noise-free states
+    /// per `mode`.
     ///
     /// # Panics
     ///
@@ -734,32 +490,14 @@ impl DonnModel {
         &self,
         input: &Field,
         mode: CodesignMode,
-        ws: &mut PropagationWorkspace,
+        ws: &mut BatchWorkspace,
         logits: &mut Vec<f64>,
     ) {
-        assert_eq!(
-            input.shape(),
-            self.grid.shape(),
-            "input/grid shape mismatch"
-        );
-        ws.u.copy_from(input);
-        for layer in &self.layers {
-            match layer {
-                Layer::Diffractive(l) => l.infer_inplace(&mut ws.u, &mut ws.scratch),
-                Layer::Codesign(l) => l.infer_inplace(&mut ws.u, mode, &mut ws.scratch),
-                Layer::Nonlinear(l) => l.infer_inplace(&mut ws.u),
-            }
-        }
-        self.final_propagator
-            .propagate_with(&mut ws.u, &mut ws.scratch);
-        {
-            let _t = KernelTimer::start(KernelKind::Detector);
-            self.detector.read_into(&ws.u, logits);
-        }
+        self.infer_batch_into(&[input], mode, ws, std::slice::from_mut(logits));
     }
 
     /// Emulation-mode [`DonnModel::infer_mode_into`] (soft codesign states).
-    pub fn infer_into(&self, input: &Field, ws: &mut PropagationWorkspace, logits: &mut Vec<f64>) {
+    pub fn infer_into(&self, input: &Field, ws: &mut BatchWorkspace, logits: &mut Vec<f64>) {
         self.infer_mode_into(input, CodesignMode::Soft, ws, logits);
     }
 
@@ -770,15 +508,15 @@ impl DonnModel {
         BatchWorkspace::new(capacity, rows, cols, self.num_classes())
     }
 
-    /// **True batched inference**: all `B` inputs propagate through every
+    /// **Batched inference**: all `B` inputs propagate through every
     /// layer as one fused [`FieldBatch`] pass — one plan lookup, one
-    /// transfer-kernel broadcast, and one shared scratch per layer hop
-    /// instead of `B` per-sample traversals. Each logit vector lands in
-    /// the matching output slot. This is the registry-facing serving
-    /// primitive; it performs **zero heap allocations** in steady state
-    /// (batch ≤ workspace capacity) and is **bit-identical** to `B`
-    /// separate [`DonnModel::infer`] calls, because every batched hop runs
-    /// the same per-plane kernels as the per-sample path.
+    /// transfer-kernel broadcast, and one shared scratch per layer hop.
+    /// Each logit vector lands in the matching output slot. This is the
+    /// registry-facing serving primitive; it performs **zero heap
+    /// allocations** in steady state (batch ≤ workspace capacity) and is
+    /// **bit-identical** to `B` separate [`DonnModel::infer`] calls,
+    /// because every lane of a batched kernel runs the one-plane operation
+    /// sequence.
     ///
     /// # Panics
     ///
@@ -837,20 +575,23 @@ impl DonnModel {
             "workspace/grid shape mismatch"
         );
         for layer in &self.layers {
-            layer.forward_batch_into(&mut ws.u, mode, &mut ws.scratch);
+            match layer {
+                Layer::Diffractive(l) => l.infer_batch_inplace(&mut ws.u, &mut ws.scratch),
+                Layer::Codesign(l) => l.infer_batch_inplace(&mut ws.u, mode, &mut ws.scratch),
+                Layer::Nonlinear(l) => l.infer_batch_inplace(&mut ws.u),
+            }
         }
         self.final_propagator
             .propagate_batch_into(&mut ws.u, &mut ws.scratch);
     }
 
-    /// Batched [`DonnModel::forward_trace_into`]: forwards a whole batch
-    /// of inputs through the stack as fused [`FieldBatch`] passes,
-    /// overwriting the reusable `trace` in place (per-layer batch caches,
-    /// detector planes, per-sample logits). `seeds[b]` drives plane `b`'s
-    /// Gumbel noise in [`CodesignMode::Train`], decorrelated across layers
-    /// exactly like the per-sample path — traced batched forwards are
-    /// bit-identical to `B` per-sample [`DonnModel::forward_trace_with`]
-    /// calls with the same seeds.
+    /// Traced forward pass: forwards a whole batch of inputs through the
+    /// stack as fused [`FieldBatch`] passes, overwriting the reusable
+    /// `trace` in place (per-layer batch caches, detector planes,
+    /// per-sample logits). `seeds[b]` drives plane `b`'s Gumbel noise in
+    /// [`CodesignMode::Train`], decorrelated across layers — so a traced
+    /// batch is bit-identical to `B` one-sample
+    /// [`DonnModel::forward_trace`] calls with the same seeds.
     ///
     /// # Panics
     ///
@@ -869,14 +610,24 @@ impl DonnModel {
             self.grid.shape(),
             "input/grid shape mismatch"
         );
-        assert_eq!(seeds.len(), inputs.batch(), "one seed per batch plane");
-        let b = inputs.batch();
-        ws.begin_batch(b);
+        ws.begin_batch(inputs.batch());
         ws.u.copy_from(inputs);
+        self.trace_loaded(mode, seeds, ws, trace);
+    }
+
+    /// The traced forward pass over the planes already loaded into `ws`.
+    fn trace_loaded(
+        &self,
+        mode: CodesignMode,
+        seeds: &[u64],
+        ws: &mut BatchWorkspace,
+        trace: &mut BatchTrace,
+    ) {
+        let b = ws.u.batch();
+        assert_eq!(seeds.len(), b, "one seed per batch plane");
         trace.caches.truncate(self.layers.len());
         for (i, layer) in self.layers.iter().enumerate() {
-            // Decorrelate noise across layers (same formula as the
-            // per-sample trace path).
+            // Decorrelate noise across layers.
             ws.layer_seeds.clear();
             ws.layer_seeds.extend(
                 seeds
@@ -945,14 +696,12 @@ impl DonnModel {
         }
     }
 
-    /// Batched [`DonnModel::backward_with`]: backpropagates every sample
-    /// of a traced batch as fused [`FieldBatch`] adjoint passes. Parameter
+    /// Backward pass: backpropagates every sample of a traced batch as
+    /// fused [`FieldBatch`] adjoint passes, fully in place. Parameter
     /// gradients accumulate into `grads` summed over the batch in plane
-    /// order — bit-identical to `B` per-sample backward calls in sample
-    /// order — and the per-sample input gradients are left in
-    /// [`BatchWorkspace::input_grad_batch`]. Unlike the per-sample path,
-    /// codesign and nonlinear layers run fully in place here (no
-    /// per-sample gradient-field allocation).
+    /// order — bit-identical to `B` one-sample [`DonnModel::backward`]
+    /// calls in sample order — and the per-sample input gradients are left
+    /// in [`BatchWorkspace::input_grad_batch`].
     ///
     /// # Panics
     ///
@@ -965,26 +714,13 @@ impl DonnModel {
         grads: &mut ModelGrads,
         ws: &mut BatchWorkspace,
     ) {
-        let b = trace.batch();
-        assert_eq!(logit_grads.len(), b, "one logit-gradient row per sample");
         assert_eq!(
             trace.caches.len(),
             self.layers.len(),
             "trace/model depth mismatch"
         );
-        ws.grad.set_batch(b);
-        for (bi, row) in logit_grads.iter().enumerate() {
-            assert_eq!(
-                row.len(),
-                self.num_classes(),
-                "logit gradient length mismatch"
-            );
-            self.detector.backward_plane_into(
-                trace.detector_fields.plane(bi),
-                row,
-                ws.grad.plane_mut(bi),
-            );
-        }
+        self.detector
+            .backward_batch_into(&trace.detector_fields, logit_grads, &mut ws.grad);
         self.final_propagator
             .adjoint_batch_into(&mut ws.grad, &mut ws.scratch);
         for (i, layer) in self.layers.iter().enumerate().rev() {
@@ -1036,18 +772,20 @@ impl DonnModel {
 
     /// Inference: emulation-mode logits (soft codesign states, no noise).
     pub fn infer(&self, input: &Field) -> Vec<f64> {
-        let mut logits = Vec::with_capacity(self.num_classes());
-        with_tls_workspace(self.grid.shape(), |ws| {
-            self.infer_mode_into(input, CodesignMode::Soft, ws, &mut logits);
-        });
-        logits
+        self.infer_tls(input, CodesignMode::Soft)
     }
 
     /// Inference with hard (deployable) codesign states.
     pub fn infer_deployed(&self, input: &Field) -> Vec<f64> {
+        self.infer_tls(input, CodesignMode::Deploy)
+    }
+
+    /// [`DonnModel::infer_mode_into`] through this thread's cached
+    /// workspace.
+    fn infer_tls(&self, input: &Field, mode: CodesignMode) -> Vec<f64> {
         let mut logits = Vec::with_capacity(self.num_classes());
-        with_tls_workspace(self.grid.shape(), |ws| {
-            self.infer_mode_into(input, CodesignMode::Deploy, ws, &mut logits);
+        with_tls_workspace(self, |ws| {
+            self.infer_mode_into(input, mode, ws, &mut logits)
         });
         logits
     }
@@ -1055,9 +793,11 @@ impl DonnModel {
     /// The intensity pattern on the detector plane (the paper's Fig. 6
     /// "detector pattern"), in emulation mode.
     pub fn detector_pattern(&self, input: &Field) -> Vec<f64> {
-        self.forward_trace(input, CodesignMode::Soft, 0)
-            .detector_field
-            .intensity()
+        intensity(
+            self.forward_trace(input, CodesignMode::Soft, 0)
+                .detector_fields
+                .plane(0),
+        )
     }
 
     /// Intensity frames of the light as it propagates through the system:
@@ -1070,85 +810,46 @@ impl DonnModel {
             .caches
             .iter()
             .map(|cache| match cache {
-                LayerCache::Diffractive(c) => c.output.intensity(),
-                LayerCache::Codesign(c) => {
-                    // Reconstruct the modulated output from the cache.
-                    let mut out = c.propagated.clone();
-                    for (z, &m) in out.as_mut_slice().iter_mut().zip(&c.modulation) {
-                        *z *= m;
-                    }
-                    out.intensity()
-                }
-                LayerCache::Nonlinear(c) => c.input.intensity(),
+                BatchLayerCache::Diffractive(c) => intensity(c.output.plane(0)),
+                // Reconstruct the modulated output from the cache.
+                BatchLayerCache::Codesign(c) => c[0]
+                    .propagated
+                    .as_slice()
+                    .iter()
+                    .zip(&c[0].modulation)
+                    .map(|(&u, &m)| (u * m).norm_sqr())
+                    .collect(),
+                BatchLayerCache::Nonlinear(c) => intensity(c.input.plane(0)),
             })
             .collect();
-        frames.push(trace.detector_field.intensity());
+        frames.push(intensity(trace.detector_fields.plane(0)));
         frames
     }
 
-    /// Backward pass from per-class logit gradients; accumulates parameter
-    /// gradients into `grads` and returns the input-field gradient.
+    /// Backward pass of a one-sample trace (from
+    /// [`DonnModel::forward_trace`]) given its per-class logit gradients:
+    /// the one-sample [`DonnModel::backward_batch_with`] through this
+    /// thread's cached workspace. Accumulates parameter gradients into
+    /// `grads` and returns the input-field gradient.
     ///
     /// # Panics
     ///
-    /// Panics if `logit_grads` length differs from the class count or the
-    /// trace does not belong to this model.
-    pub fn backward(&self, trace: &Trace, logit_grads: &[f64], grads: &mut ModelGrads) -> Field {
-        with_tls_workspace(self.grid.shape(), |ws| {
-            self.backward_with(trace, logit_grads, grads, ws);
-            ws.grad.clone()
-        })
-    }
-
-    /// [`DonnModel::backward`] through a caller-owned workspace. The
-    /// gradient field lives in the workspace and is left in
-    /// [`PropagationWorkspace::input_grad`]; parameter gradients accumulate
-    /// into `grads` as usual. Diffractive layers and the detector/final-hop
-    /// stages run fully in place; codesign and nonlinear layers still
-    /// allocate one field per layer per sample in their backward steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `logit_grads` length differs from the class count or the
-    /// trace does not belong to this model.
-    pub fn backward_with(
+    /// Panics if the trace does not hold exactly one sample of this model
+    /// or `logit_grads` length differs from the class count.
+    pub fn backward(
         &self,
-        trace: &Trace,
+        trace: &BatchTrace,
         logit_grads: &[f64],
         grads: &mut ModelGrads,
-        ws: &mut PropagationWorkspace,
-    ) {
-        assert_eq!(
-            logit_grads.len(),
-            self.num_classes(),
-            "logit gradient length mismatch"
-        );
-        assert_eq!(
-            trace.caches.len(),
-            self.layers.len(),
-            "trace/model depth mismatch"
-        );
-        self.detector
-            .backward_into(&trace.detector_field, logit_grads, &mut ws.grad);
-        self.final_propagator
-            .adjoint_with(&mut ws.grad, &mut ws.scratch);
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let buf = &mut grads.per_layer[i];
-            match (layer, &trace.caches[i]) {
-                (Layer::Diffractive(l), LayerCache::Diffractive(c)) => {
-                    l.backward_inplace(&mut ws.grad, c, buf, &mut ws.scratch);
-                }
-                (Layer::Codesign(l), LayerCache::Codesign(c)) => {
-                    let g = l.backward(&ws.grad, c, buf);
-                    ws.grad.copy_from(&g);
-                }
-                (Layer::Nonlinear(l), LayerCache::Nonlinear(c)) => {
-                    let g = l.backward(&ws.grad, c);
-                    ws.grad.copy_from(&g);
-                }
-                _ => panic!("trace cache kind does not match layer kind at layer {i}"),
-            }
-        }
+    ) -> Field {
+        assert_eq!(trace.batch(), 1, "backward takes a one-sample trace");
+        with_tls_workspace(self, |ws| {
+            self.backward_batch_with(trace, &[logit_grads.to_vec()], grads, ws);
+            let (rows, cols) = self.grid.shape();
+            let mut input_grad = Field::zeros(rows, cols);
+            ws.grad.copy_plane_to(0, &mut input_grad);
+            input_grad
+        })
     }
 
     /// Sets the Gumbel-Softmax temperature of every codesign layer.
@@ -1173,6 +874,11 @@ impl DonnModel {
     pub fn phase_masks(&self) -> Vec<Vec<f64>> {
         self.layers.iter().map(Layer::phase_mask).collect()
     }
+}
+
+/// Per-sample intensity `|U|²` of one plane.
+fn intensity(plane: &[Complex64]) -> Vec<f64> {
+    plane.iter().map(|z| z.norm_sqr()).collect()
 }
 
 /// Builder for [`DonnModel`] — the `lr.models` front-end of the DSL.
@@ -1355,7 +1061,6 @@ mod tests {
     use super::*;
     use lr_nn::loss::{one_hot, softmax_mse};
     use lr_optics::PixelPitch;
-    use lr_tensor::Complex64;
 
     fn tiny_model(depth: usize) -> DonnModel {
         let grid = Grid::square(16, PixelPitch::from_um(36.0));
@@ -1416,13 +1121,9 @@ mod tests {
         model.backward_batch_with(&trace, &logit_grads, &mut grads, &mut ws);
 
         let mut g = FieldBatch::zeros(b, 16, 16);
-        for (bi, row) in logit_grads.iter().enumerate() {
-            model.detector.backward_plane_into(
-                trace.detector_fields.plane(bi),
-                row,
-                g.plane_mut(bi),
-            );
-        }
+        model
+            .detector
+            .backward_batch_into(&trace.detector_fields, &logit_grads, &mut g);
         let mut scratch = model.final_propagator.make_scratch();
         model
             .final_propagator
@@ -1463,8 +1164,8 @@ mod tests {
         let model = tiny_model(2);
         let x = sample_input();
         let trace = model.forward_trace(&x, CodesignMode::Soft, 0);
-        assert_eq!(trace.logits, model.infer(&x));
-        assert_eq!(trace.detector_field.shape(), (16, 16));
+        assert_eq!(trace.logits, [model.infer(&x)]);
+        assert_eq!(trace.detector_fields.plane_shape(), (16, 16));
     }
 
     #[test]
@@ -1476,7 +1177,7 @@ mod tests {
         let target = one_hot(1, 4);
 
         let trace = model.forward_trace(&x, CodesignMode::Soft, 0);
-        let (_, logit_grads) = softmax_mse(&trace.logits, &target);
+        let (_, logit_grads) = softmax_mse(&trace.logits[0], &target);
         let mut grads = ModelGrads::zeros_like(&model);
         model.backward(&trace, &logit_grads, &mut grads);
 
@@ -1487,7 +1188,7 @@ mod tests {
                     let mut m = model.clone();
                     m.layers_mut()[layer_idx].params_mut().copy_from_slice(p);
                     let t = m.forward_trace(&x, CodesignMode::Soft, 0);
-                    softmax_mse(&t.logits, &target).0
+                    softmax_mse(&t.logits[0], &target).0
                 },
                 &params,
                 grads.layer(layer_idx),
@@ -1504,7 +1205,7 @@ mod tests {
         let x = sample_input();
         let target = one_hot(0, 4);
         let trace = model.forward_trace(&x, CodesignMode::Soft, 0);
-        let (_, lg) = softmax_mse(&trace.logits, &target);
+        let (_, lg) = softmax_mse(&trace.logits[0], &target);
         let mut g1 = ModelGrads::zeros_like(&model);
         model.backward(&trace, &lg, &mut g1);
         let mut g2 = ModelGrads::zeros_like(&model);
@@ -1550,7 +1251,7 @@ mod tests {
         let model = tiny_model(2);
         let x = sample_input();
         let trace = model.forward_trace(&x, CodesignMode::Soft, 0);
-        let (_, lg) = softmax_mse(&trace.logits, &one_hot(2, 4));
+        let (_, lg) = softmax_mse(&trace.logits[0], &one_hot(2, 4));
         let mut grads = ModelGrads::zeros_like(&model);
         assert_eq!(grads.norm(), 0.0);
         model.backward(&trace, &lg, &mut grads);
@@ -1585,7 +1286,7 @@ mod tests {
         let x = sample_input();
         let target = one_hot(2, 4);
         let trace = model.forward_trace(&x, CodesignMode::Soft, 0);
-        let (_, logit_grads) = softmax_mse(&trace.logits, &target);
+        let (_, logit_grads) = softmax_mse(&trace.logits[0], &target);
         let mut grads = ModelGrads::zeros_like(&model);
         model.backward(&trace, &logit_grads, &mut grads);
 
@@ -1596,7 +1297,7 @@ mod tests {
                     let mut m = model.clone();
                     m.layers_mut()[layer_idx].params_mut().copy_from_slice(p);
                     let t = m.forward_trace(&x, CodesignMode::Soft, 0);
-                    softmax_mse(&t.logits, &target).0
+                    softmax_mse(&t.logits[0], &target).0
                 },
                 &params,
                 grads.layer(layer_idx),

@@ -163,7 +163,7 @@ impl MultiChannelDonn {
                             .collect();
                         let mut logits = vec![0.0; classes];
                         for t in &traces {
-                            for (acc, &v) in logits.iter_mut().zip(&t.logits) {
+                            for (acc, &v) in logits.iter_mut().zip(&t.logits[0]) {
                                 *acc += v;
                             }
                         }

@@ -249,7 +249,8 @@ impl MultiTaskDonn {
                         let mut logit_grads = vec![0.0; union_len];
                         for (&(start, len), &label) in spans.iter().zip(labels) {
                             let target = one_hot(label, len);
-                            let (loss, g) = softmax_mse(&trace.logits[start..start + len], &target);
+                            let (loss, g) =
+                                softmax_mse(&trace.logits[0][start..start + len], &target);
                             loss_sum += loss;
                             logit_grads[start..start + len].copy_from_slice(&g);
                         }
@@ -428,7 +429,7 @@ mod tests {
                 .zip(labels)
                 .map(|(&(start, len), label)| {
                     let target = one_hot(label, len);
-                    softmax_mse(&trace.logits[start..start + len], &target).0
+                    softmax_mse(&trace.logits[0][start..start + len], &target).0
                 })
                 .sum::<f64>()
         };
@@ -440,7 +441,7 @@ mod tests {
         let mut logit_grads = vec![0.0; union_len];
         for (&(start, len), label) in spans.iter().zip(labels) {
             let target = one_hot(label, len);
-            let (_, g) = softmax_mse(&trace.logits[start..start + len], &target);
+            let (_, g) = softmax_mse(&trace.logits[0][start..start + len], &target);
             logit_grads[start..start + len].copy_from_slice(&g);
         }
         let mut grads = ModelGrads::zeros_like(&donn.model);

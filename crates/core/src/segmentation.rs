@@ -18,13 +18,14 @@
 //! Lin/Zhou training recipes) is included for the Fig. 13 comparison.
 
 use crate::layers::detector::PlaneReadout;
-use crate::layers::diffractive::{DiffractiveCache, DiffractiveLayer};
+use crate::layers::diffractive::{DiffractiveBatchCache, DiffractiveLayer};
 use lr_nn::{Adam, Optimizer};
-use lr_optics::{Approximation, Distance, FreeSpace, Grid, Wavelength};
-use lr_tensor::{parallel, Field};
+use lr_optics::{Approximation, Distance, FreeSpace, Grid, PropagationScratch, Wavelength};
+use lr_tensor::{parallel, FieldBatch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::f64::consts::FRAC_1_SQRT_2;
 
 /// An image/mask pair: grayscale input and binary target mask, both
 /// row-major at the model resolution.
@@ -70,14 +71,16 @@ pub struct SegmentationDonn {
     grid: Grid,
 }
 
+/// Forward activations of a batch, one plane per sample.
 struct SegTrace {
-    pre_caches: Vec<DiffractiveCache>,
-    post_caches: Vec<DiffractiveCache>,
-    detector_field: Field,
-    intensity: Vec<f64>,
-    /// LayerNorm internals (mean, inv_std, normalized values) when enabled.
-    ln: Option<(f64, f64, Vec<f64>)>,
-    prediction: Vec<f64>,
+    /// Per-layer caches, `pre` layers then `post`.
+    caches: Vec<DiffractiveBatchCache>,
+    detector_fields: FieldBatch,
+    intensities: Vec<Vec<f64>>,
+    /// Per-sample LayerNorm internals (inv_std, normalized values) when
+    /// enabled.
+    ln: Vec<(f64, Vec<f64>)>,
+    predictions: Vec<Vec<f64>>,
 }
 
 impl SegmentationDonn {
@@ -143,63 +146,83 @@ impl SegmentationDonn {
         (self.pre.len() + self.post.len()) * self.grid.rows() * self.grid.cols()
     }
 
-    fn forward(&self, input: &Field) -> SegTrace {
-        let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
+    /// Forwards every active plane of `u` (the input images) through the
+    /// system, consuming it as the running field.
+    fn forward(&self, mut u: FieldBatch, scratch: &mut PropagationScratch) -> SegTrace {
+        let (rows, cols) = self.grid.shape();
+        let n = u.batch();
         // Beam splitter: both branches get the field scaled by 1/√2 (when
         // the skip path is enabled).
-        let (mut u, skip_in) = if self.options.skip_connection {
-            (input.scaled(inv_sqrt2), Some(input.scaled(inv_sqrt2)))
-        } else {
-            (input.clone(), None)
+        let skip = self.options.skip_connection.then(|| {
+            u.as_mut_slice()
+                .iter_mut()
+                .for_each(|z| *z *= FRAC_1_SQRT_2);
+            u.clone()
+        });
+        let traced = |layer: &DiffractiveLayer, u: &mut FieldBatch, scratch: &mut _| {
+            let mut cache = DiffractiveBatchCache::with_capacity(n, rows, cols);
+            layer.forward_batch_traced(u, &mut cache, scratch);
+            cache
         };
-        let mut pre_caches = Vec::with_capacity(self.pre.len());
+        let mut caches = Vec::with_capacity(self.depth());
         for layer in &self.pre {
-            let (out, cache) = layer.forward(&u);
-            u = out;
-            pre_caches.push(cache);
+            caches.push(traced(layer, &mut u, scratch));
         }
-        if let Some(mut skip) = skip_in {
-            self.skip_propagator.propagate(&mut skip);
+        if let Some(mut skip) = skip {
+            self.skip_propagator
+                .propagate_batch_into(&mut skip, scratch);
             // Recombining splitter: (main + skip)/√2.
-            u = (&u + &skip).scaled(inv_sqrt2);
+            for (z, &s) in u.as_mut_slice().iter_mut().zip(skip.as_slice()) {
+                *z += s;
+                *z *= FRAC_1_SQRT_2;
+            }
         }
-        let mut post_caches = Vec::with_capacity(self.post.len());
         for layer in &self.post {
-            let (out, cache) = layer.forward(&u);
-            u = out;
-            post_caches.push(cache);
+            caches.push(traced(layer, &mut u, scratch));
         }
-        self.final_propagator.propagate(&mut u);
-        let intensity = PlaneReadout.read(&u);
-        let (ln, prediction) = if self.options.layer_norm {
-            let (mean, inv_std, z) = layer_norm(&intensity);
-            let p: Vec<f64> = z.iter().map(|&v| sigmoid(v)).collect();
-            (Some((mean, inv_std, z)), p)
+        self.final_propagator.propagate_batch_into(&mut u, scratch);
+        let mut intensities = vec![Vec::new(); n];
+        PlaneReadout.read_batch_into(&u, &mut intensities);
+        let (ln, predictions) = if self.options.layer_norm {
+            intensities
+                .iter()
+                .map(|intensity| {
+                    let (_, inv_std, z) = layer_norm(intensity);
+                    let p = z.iter().map(|&v| sigmoid(v)).collect();
+                    ((inv_std, z), p)
+                })
+                .unzip()
         } else {
-            (None, intensity.clone())
+            (Vec::new(), intensities.clone())
         };
         SegTrace {
-            pre_caches,
-            post_caches,
-            detector_field: u,
-            intensity,
+            caches,
+            detector_fields: u,
+            intensities,
             ln,
-            prediction,
+            predictions,
         }
+    }
+
+    /// The images as a batch of input planes (amplitude-encoded).
+    fn input_batch<'a>(&self, images: impl ExactSizeIterator<Item = &'a [f64]>) -> FieldBatch {
+        let (rows, cols) = self.grid.shape();
+        let mut batch = FieldBatch::zeros(images.len(), rows, cols);
+        for (b, img) in images.enumerate() {
+            batch.set_plane_amplitudes(b, img);
+        }
+        batch
     }
 
     /// Predicted binary mask for an input image, thresholded at the mean
     /// detector intensity (a threshold an analog comparator could realize).
     pub fn predict_mask(&self, image: &[f64]) -> Vec<f64> {
         let (rows, cols) = self.grid.shape();
-        let input = Field::from_amplitudes(rows, cols, image);
-        let trace = self.forward(&input);
-        let mean = trace.intensity.iter().sum::<f64>() / trace.intensity.len() as f64;
-        trace
-            .intensity
-            .iter()
-            .map(|&i| f64::from(i >= mean))
-            .collect()
+        let input = self.input_batch(std::iter::once(image));
+        let trace = self.forward(input, &mut PropagationScratch::new(rows, cols));
+        let intensity = &trace.intensities[0];
+        let mean = intensity.iter().sum::<f64>() / intensity.len() as f64;
+        intensity.iter().map(|&i| f64::from(i >= mean)).collect()
     }
 
     /// Mean IoU over a dataset.
@@ -248,17 +271,28 @@ impl SegmentationDonn {
             for batch in order.chunks(batch_size) {
                 let workers = parallel::threads().min(batch.len()).max(1);
                 let shard = batch.len().div_ceil(workers);
+                // Each worker forwards and backwards its shard as one batch.
                 let results = parallel::par_map(workers, |w| {
                     let mut grads: Vec<Vec<f64>> = vec![vec![0.0; rows * cols]; n_layers];
                     let mut loss_sum = 0.0;
-                    for &idx in batch.iter().skip(w * shard).take(shard) {
-                        let (img, mask) = &data[idx];
-                        let input = Field::from_amplitudes(rows, cols, img);
-                        let trace = self.forward(&input);
-                        let (loss, g) = lr_nn::loss::mse(&trace.prediction, mask);
-                        loss_sum += loss;
-                        self.backward(&trace, &g, &mut grads);
+                    let idx: Vec<usize> =
+                        batch.iter().skip(w * shard).take(shard).copied().collect();
+                    if idx.is_empty() {
+                        return (grads, loss_sum);
                     }
+                    let mut scratch = PropagationScratch::new(rows, cols);
+                    let input = self.input_batch(idx.iter().map(|&i| data[i].0.as_slice()));
+                    let trace = self.forward(input, &mut scratch);
+                    let pred_grads: Vec<Vec<f64>> = idx
+                        .iter()
+                        .zip(&trace.predictions)
+                        .map(|(&i, prediction)| {
+                            let (loss, g) = lr_nn::loss::mse(prediction, &data[i].1);
+                            loss_sum += loss;
+                            g
+                        })
+                        .collect();
+                    self.backward(&trace, &pred_grads, &mut grads, &mut scratch);
                     (grads, loss_sum)
                 });
                 let mut total: Vec<Vec<f64>> = vec![vec![0.0; rows * cols]; n_layers];
@@ -283,35 +317,53 @@ impl SegmentationDonn {
         history
     }
 
-    /// Backward pass from prediction gradients, accumulating per-layer phase
-    /// gradients (`pre` layers first, then `post`).
-    fn backward(&self, trace: &SegTrace, pred_grads: &[f64], grads: &mut [Vec<f64>]) {
+    /// Backward pass from per-sample prediction gradients, accumulating
+    /// per-layer phase gradients (`pre` layers first, then `post`).
+    fn backward(
+        &self,
+        trace: &SegTrace,
+        pred_grads: &[Vec<f64>],
+        grads: &mut [Vec<f64>],
+        scratch: &mut PropagationScratch,
+    ) {
         // Head: sigmoid + LayerNorm (if enabled) down to intensity grads.
-        let intensity_grads: Vec<f64> = if let Some((_, inv_std, z)) = &trace.ln {
-            // dL/dz_i = dL/dp_i · p_i(1−p_i)
-            let dz: Vec<f64> = pred_grads
+        let intensity_grads: Vec<Vec<f64>> = if self.options.layer_norm {
+            pred_grads
                 .iter()
-                .zip(&trace.prediction)
-                .map(|(&g, &p)| g * p * (1.0 - p))
-                .collect();
-            layer_norm_backward(&dz, z, *inv_std)
+                .zip(&trace.predictions)
+                .zip(&trace.ln)
+                .map(|((pred_grads, prediction), (inv_std, z))| {
+                    // dL/dz_i = dL/dp_i · p_i(1−p_i)
+                    let dz: Vec<f64> = pred_grads
+                        .iter()
+                        .zip(prediction)
+                        .map(|(&g, &p)| g * p * (1.0 - p))
+                        .collect();
+                    layer_norm_backward(&dz, z, *inv_std)
+                })
+                .collect()
         } else {
             pred_grads.to_vec()
         };
-        let mut g = PlaneReadout.backward(&trace.detector_field, &intensity_grads);
-        self.final_propagator.adjoint(&mut g);
+        let (rows, cols) = self.grid.shape();
+        let mut g = FieldBatch::zeros(trace.detector_fields.batch(), rows, cols);
+        PlaneReadout.backward_batch_into(&trace.detector_fields, &intensity_grads, &mut g);
+        self.final_propagator.adjoint_batch_into(&mut g, scratch);
         let split = self.pre.len();
         for (i, layer) in self.post.iter().enumerate().rev() {
-            g = layer.backward(&g, &trace.post_caches[i], &mut grads[split + i]);
+            let j = split + i;
+            layer.backward_batch_inplace(&mut g, &trace.caches[j], &mut grads[j], scratch);
         }
         if self.options.skip_connection {
             // Recombiner adjoint: both branches receive g/√2; the skip branch
             // ends at the (non-trainable) input, so only the main branch
             // continues.
-            g.scale_inplace(std::f64::consts::FRAC_1_SQRT_2);
+            g.as_mut_slice()
+                .iter_mut()
+                .for_each(|z| *z *= FRAC_1_SQRT_2);
         }
         for (i, layer) in self.pre.iter().enumerate().rev() {
-            g = layer.backward(&g, &trace.pre_caches[i], &mut grads[i]);
+            layer.backward_batch_inplace(&mut g, &trace.caches[i], &mut grads[i], scratch);
         }
     }
 }
@@ -417,6 +469,75 @@ mod tests {
         assert!(report.passes(1e-5), "{report:?}");
     }
 
+    /// Finite-difference check of every layer's phase gradients, end to
+    /// end: input split, layers, skip merge, readout, head and per-pixel
+    /// MSE, for a two-image batch.
+    fn assert_phase_gradients_match(options: SegmentationOptions) {
+        let d = donn(options);
+        let data = toy_masks(2, 16);
+        let trace_of = |d: &SegmentationDonn, scratch: &mut PropagationScratch| {
+            d.forward(
+                d.input_batch(data.iter().map(|(img, _)| img.as_slice())),
+                scratch,
+            )
+        };
+        let mut scratch = PropagationScratch::new(16, 16);
+        let loss = |d: &SegmentationDonn| -> f64 {
+            let trace = trace_of(d, &mut PropagationScratch::new(16, 16));
+            let losses = trace.predictions.iter().zip(&data);
+            losses
+                .map(|(p, (_, mask))| lr_nn::loss::mse(p, mask).0)
+                .sum()
+        };
+        let trace = trace_of(&d, &mut scratch);
+        let pred_grads: Vec<Vec<f64>> = trace
+            .predictions
+            .iter()
+            .zip(&data)
+            .map(|(p, (_, mask))| lr_nn::loss::mse(p, mask).1)
+            .collect();
+        let mut grads = vec![vec![0.0; 256]; d.depth()];
+        d.backward(&trace, &pred_grads, &mut grads, &mut scratch);
+        for (i, analytic) in grads.iter().enumerate() {
+            let params = d
+                .pre
+                .iter()
+                .chain(&d.post)
+                .nth(i)
+                .unwrap()
+                .phases()
+                .to_vec();
+            let report = lr_nn::gradcheck::check_gradient_sampled(
+                |p: &[f64]| {
+                    let mut m = d.clone();
+                    let layer = m.pre.iter_mut().chain(&mut m.post).nth(i).unwrap();
+                    layer.phases_mut().copy_from_slice(p);
+                    loss(&m)
+                },
+                &params,
+                analytic,
+                1e-5,
+                12,
+            );
+            // Relative only: these gradients are ≤ 1e-2, under the
+            // absolute floor `passes` would apply.
+            assert!(
+                report.max_rel_err < 1e-3,
+                "{options:?}, layer {i}: {report:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn phase_gradients_match_finite_differences_with_skip_and_layer_norm() {
+        assert_phase_gradients_match(SegmentationOptions::proposed());
+    }
+
+    #[test]
+    fn phase_gradients_match_finite_differences_without_skip_or_layer_norm() {
+        assert_phase_gradients_match(SegmentationOptions::baseline());
+    }
+
     #[test]
     fn training_reduces_loss() {
         let mut d = donn(SegmentationOptions::proposed());
@@ -459,9 +580,14 @@ mod tests {
             layer_norm: true,
         });
         let (img, _) = &toy_masks(1, 16)[0];
-        let input = Field::from_amplitudes(16, 16, img);
-        let a = with.forward(&input).intensity;
-        let b = without.forward(&input).intensity;
+        let intensity = |d: &SegmentationDonn| {
+            let input = d.input_batch(std::iter::once(img.as_slice()));
+            d.forward(input, &mut PropagationScratch::new(16, 16))
+                .intensities
+                .remove(0)
+        };
+        let a = intensity(&with);
+        let b = intensity(&without);
         let diff: f64 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
         assert!(diff > 1e-9, "skip connection must alter the optical path");
     }

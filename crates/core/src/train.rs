@@ -11,13 +11,11 @@
 //! shard accumulating private gradient buffers that are merged afterwards.
 
 use crate::layers::codesign::CodesignMode;
-use crate::model::{
-    BatchTrace, BatchWorkspace, DonnModel, ModelGrads, PropagationWorkspace, Trace,
-};
+use crate::model::{BatchTrace, BatchWorkspace, DonnModel, ModelGrads};
 use lr_nn::loss::{one_hot_into, softmax_mse_into};
 use lr_nn::metrics::{argmax, Accuracy};
 use lr_nn::{Adam, Optimizer};
-use lr_tensor::{parallel, Field, FieldBatch};
+use lr_tensor::{parallel, Complex64, FieldBatch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -61,89 +59,16 @@ impl Default for TrainConfig {
     }
 }
 
-/// A per-worker ring of reusable forward [`Trace`]s.
-///
-/// The forward pass of one sample produces a `Trace` whose per-layer
-/// activation caches used to be freshly allocated every sample — the last
-/// allocating piece of the training step after PR 1's workspace split. A
-/// `TraceRing` keeps `capacity` traces alive and cycles through them:
-/// [`TraceRing::forward`] overwrites the oldest slot in place via
-/// [`DonnModel::forward_trace_into`], so in steady state the forward trace
-/// (and, with [`DonnModel::backward_with`], the whole training step for
-/// diffractive stacks) performs **zero heap allocations** — enforced by
-/// `tests/zero_alloc.rs`.
-///
-/// Each shard/worker owns one ring, mirroring the workspace-reuse contract:
-/// rings are never shared across threads. The training loop uses capacity
-/// 1 (forward and backward alternate strictly, so one live trace
-/// suffices); capacity > 1 is for callers that interleave models or
-/// shapes — the ring then keeps one slot shaped per stream instead of
-/// reshaping (reallocating) a single slot on every switch.
-#[derive(Debug, Clone)]
-pub struct TraceRing {
-    slots: Vec<Trace>,
-    capacity: usize,
-    next: usize,
-}
-
-impl TraceRing {
-    /// Creates an empty ring that will hold up to `capacity` traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace ring needs at least one slot");
-        TraceRing {
-            slots: Vec::with_capacity(capacity),
-            capacity,
-            next: 0,
-        }
-    }
-
-    /// Number of trace slots currently materialized.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if no trace has been materialized yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Runs a forward pass through the next ring slot, reusing its buffers
-    /// in place (allocating only while the ring is still filling up), and
-    /// returns the completed trace.
-    pub fn forward<'a>(
-        &'a mut self,
-        model: &DonnModel,
-        input: &Field,
-        mode: CodesignMode,
-        seed: u64,
-        ws: &mut PropagationWorkspace,
-    ) -> &'a Trace {
-        if self.slots.len() < self.capacity {
-            self.slots
-                .push(model.forward_trace_with(input, mode, seed, ws));
-            self.slots.last().expect("just pushed")
-        } else {
-            let i = self.next;
-            self.next = (self.next + 1) % self.capacity;
-            model.forward_trace_into(input, mode, seed, ws, &mut self.slots[i]);
-            &self.slots[i]
-        }
-    }
-}
-
-/// A per-worker ring of reusable **batched** forward traces — the batched
-/// counterpart of [`TraceRing`], holding [`BatchTrace`]s whose per-layer
-/// activation caches span a whole worker shard. [`BatchTraceRing::forward`]
-/// overwrites the oldest slot in place via
-/// [`DonnModel::forward_trace_batch_into`], so in steady state the batched
-/// training step (one fused forward + one fused backward per shard)
-/// performs zero heap allocations for diffractive stacks — the same
-/// contract as the per-sample ring, enforced by `tests/zero_alloc.rs`.
-/// Rings are never shared across threads.
+/// A per-worker ring of reusable forward traces: [`BatchTrace`]s whose
+/// per-layer activation caches span a whole worker shard (or one sample,
+/// as a one-plane batch). [`BatchTraceRing::forward`] overwrites the
+/// oldest slot in place via [`DonnModel::forward_trace_batch_into`], so in
+/// steady state the training step (one fused forward + one fused backward
+/// per shard) performs zero heap allocations — enforced by
+/// `tests/zero_alloc.rs`. Rings are never shared across threads. The
+/// training loop uses capacity 1 (forward and backward alternate
+/// strictly); capacity > 1 is for callers that interleave models or
+/// shapes, so each stream keeps its own slot shaped.
 #[derive(Debug, Clone)]
 pub struct BatchTraceRing {
     slots: Vec<BatchTrace>,
@@ -295,9 +220,8 @@ fn anneal_temperature(config: &TrainConfig, epoch: usize) -> f64 {
 /// **whole shard as one fused batch** ([`DonnModel::forward_trace_batch_into`]
 /// / [`DonnModel::backward_batch_with`]), so FFT plans, transfer kernels,
 /// and scratch amortize across the shard instead of being re-dispatched
-/// per sample. Per-sample Gumbel seeds match the per-sample path exactly,
-/// and gradients accumulate in the same sample order, so the batched step
-/// is bit-identical to the per-sample loop it replaced.
+/// per sample. Gradients accumulate in sample order, so the step is
+/// bit-identical to one-sample passes with the same Gumbel seeds.
 fn batch_gradients(
     model: &DonnModel,
     data: &[LabeledImage],
@@ -380,10 +304,9 @@ fn apply(model: &mut DonnModel, opt: &mut Adam, grads: &ModelGrads) {
 /// The dataset is sharded across worker threads; each worker streams its
 /// shard through one [`BatchWorkspace`] in batches of up to 8 images, so
 /// every layer hop is one batched [`FieldBatch`] pass. Accuracy is
-/// bitwise equal to running
-/// [`DonnModel::infer_mode_into`] on each image and taking the argmax,
-/// because batched inference is bit-identical to per-sample inference.
-/// An empty dataset scores 0.
+/// bitwise equal to running [`DonnModel::infer_mode_into`] on each image
+/// and taking the argmax, because a batch is bit-identical to its
+/// one-plane passes. An empty dataset scores 0.
 pub fn evaluate(model: &DonnModel, data: &[LabeledImage]) -> f64 {
     evaluate_mode(model, data, CodesignMode::Soft)
 }
@@ -395,26 +318,38 @@ pub fn evaluate_deployed(model: &DonnModel, data: &[LabeledImage]) -> f64 {
     evaluate_mode(model, data, CodesignMode::Deploy)
 }
 
-/// Images per batched forward in [`evaluate`]. The SIMD lanes run inside
-/// each plane, so the batch size does not feed them: it bounds each
-/// worker's workspace to 8 planes and spreads the per-call setup (plan
-/// lookups, dispatch) over the batch.
+/// Images per batched forward in [`evaluate`] and the other evaluation
+/// loops. The SIMD lanes run inside each plane, so the batch size does not
+/// feed them: it bounds each worker's workspace to 8 planes and spreads
+/// the per-call setup (plan lookups, dispatch) over the batch.
 const EVAL_BATCH: usize = 8;
+
+/// Splits `data` into one contiguous shard per worker, runs `f` on each
+/// non-empty shard (given the data index of its first image) on the pool,
+/// and returns the per-shard results in data order.
+fn map_shards<T: Send + Default>(
+    data: &[LabeledImage],
+    f: impl Fn(usize, &[LabeledImage]) -> T + Sync,
+) -> Vec<T> {
+    let workers = parallel::threads().min(data.len()).max(1);
+    let shard_size = data.len().div_ceil(workers);
+    parallel::par_map(workers, |w| {
+        let start = (w * shard_size).min(data.len());
+        let shard = &data[start..(start + shard_size).min(data.len())];
+        if shard.is_empty() {
+            return T::default();
+        }
+        f(start, shard)
+    })
+}
 
 fn evaluate_mode(model: &DonnModel, data: &[LabeledImage], mode: CodesignMode) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    let workers = parallel::threads().min(data.len()).max(1);
-    let shard_size = data.len().div_ceil(workers);
-    let correct: usize = parallel::par_map(workers, |w| {
-        let start = (w * shard_size).min(data.len());
-        let shard = &data[start..(start + shard_size).min(data.len())];
-        if shard.is_empty() {
-            return 0;
-        }
+    let correct: usize = map_shards(data, |_, shard| {
         let mut ws = model.make_batch_workspace(shard.len().min(EVAL_BATCH));
-        let mut correct = 0usize;
+        let mut correct = 0;
         for chunk in shard.chunks(EVAL_BATCH) {
             ws.begin_batch(chunk.len());
             for (b, (img, _)) in chunk.iter().enumerate() {
@@ -432,14 +367,50 @@ fn evaluate_mode(model: &DonnModel, data: &[LabeledImage], mode: CodesignMode) -
     correct as f64 / data.len() as f64
 }
 
+/// Runs `per_image` on every image's emulation-mode traced forward — its
+/// data index, detector-plane field and logits — streaming each worker's
+/// shard through one [`BatchWorkspace`] and [`BatchTrace`] in
+/// [`EVAL_BATCH`] chunks. Results come back in data order.
+fn map_traced<T: Send>(
+    model: &DonnModel,
+    data: &[LabeledImage],
+    per_image: impl Fn(usize, &[Complex64], &[f64]) -> T + Sync,
+) -> Vec<T> {
+    let (rows, cols) = model.grid().shape();
+    map_shards(data, |start, shard| {
+        let capacity = shard.len().min(EVAL_BATCH);
+        let mut ws = model.make_batch_workspace(capacity);
+        let mut inputs = FieldBatch::zeros(capacity, rows, cols);
+        let mut trace = BatchTrace::new();
+        let mut out = Vec::with_capacity(shard.len());
+        for chunk in shard.chunks(EVAL_BATCH) {
+            inputs.set_batch(chunk.len());
+            for (b, (img, _)) in chunk.iter().enumerate() {
+                inputs.set_plane_amplitudes(b, img);
+            }
+            let seeds = &[0; EVAL_BATCH][..chunk.len()];
+            model.forward_trace_batch_into(&inputs, CodesignMode::Soft, seeds, &mut ws, &mut trace);
+            for b in 0..chunk.len() {
+                let i = start + out.len();
+                out.push(per_image(
+                    i,
+                    trace.detector_fields.plane(b),
+                    &trace.logits[b],
+                ));
+            }
+        }
+        out
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// Evaluates accuracy with bounded uniform detector noise (the paper's
 /// Fig. 7 robustness protocol): noise of amplitude `bound·max(I)` is added
-/// to the detector intensity image before region readout.
-///
-/// Sharded across workers like [`train`]'s gradient step (one workspace
-/// and trace ring per shard, samples streamed through them) instead of
-/// submitting one pool job per sample — evaluation no longer pays
-/// per-sample job-submission overhead.
+/// to the detector intensity image before region readout. Image `i`
+/// draws its noise from `seed + i`, so the result does not depend on the
+/// thread count.
 pub fn evaluate_with_detector_noise(
     model: &DonnModel,
     data: &[LabeledImage],
@@ -449,62 +420,27 @@ pub fn evaluate_with_detector_noise(
     if data.is_empty() {
         return 0.0;
     }
-    let (rows, cols) = model.grid().shape();
-    let workers = parallel::threads().min(data.len()).max(1);
-    let shard_size = data.len().div_ceil(workers);
-    let correct: usize = parallel::par_map(workers, |w| {
-        let mut ws = model.make_workspace();
-        let mut ring = TraceRing::new(1);
-        let mut input = Field::zeros(rows, cols);
-        let mut intensity = Vec::with_capacity(rows * cols);
-        let mut logits = Vec::with_capacity(model.num_classes());
-        let mut correct = 0usize;
-        for (i, (img, label)) in data
-            .iter()
-            .enumerate()
-            .skip(w * shard_size)
-            .take(shard_size)
-        {
-            input.set_amplitudes(img);
-            let trace = ring.forward(model, &input, CodesignMode::Soft, 0, &mut ws);
-            trace.detector_field.intensity_into(&mut intensity);
-            let noisy =
-                lr_hardware::uniform_detector_noise(&intensity, bound, seed.wrapping_add(i as u64));
-            model.detector().read_intensity_into(&noisy, &mut logits);
-            correct += usize::from(argmax(&logits) == *label);
-        }
-        correct
-    })
-    .into_iter()
-    .sum();
-    correct as f64 / data.len() as f64
+    let hits = map_traced(model, data, |i, field, _| {
+        let intensity: Vec<f64> = field.iter().map(|z| z.norm_sqr()).collect();
+        let noisy =
+            lr_hardware::uniform_detector_noise(&intensity, bound, seed.wrapping_add(i as u64));
+        argmax(&model.detector().read_intensity(&noisy)) == data[i].1
+    });
+    hits.into_iter().filter(|&hit| hit).count() as f64 / data.len() as f64
 }
 
 /// Mean prediction confidence (softmax probability of the predicted class)
-/// over a dataset — the paper's Fig. 7 confidence metric. Worker-sharded
-/// like [`evaluate_with_detector_noise`].
+/// over a dataset — the paper's Fig. 7 confidence metric. Workers return
+/// per-image confidences, summed in data order, so the result does not
+/// depend on the thread count.
 pub fn mean_confidence(model: &DonnModel, data: &[LabeledImage]) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    let (rows, cols) = model.grid().shape();
-    let workers = parallel::threads().min(data.len()).max(1);
-    let shard_size = data.len().div_ceil(workers);
-    let sum: f64 = parallel::par_map(workers, |w| {
-        let mut ws = model.make_workspace();
-        let mut ring = TraceRing::new(1);
-        let mut input = Field::zeros(rows, cols);
-        let mut sum = 0.0;
-        for (img, _) in data.iter().skip(w * shard_size).take(shard_size) {
-            input.set_amplitudes(img);
-            let trace = ring.forward(model, &input, CodesignMode::Soft, 0, &mut ws);
-            sum += lr_nn::metrics::confidence(&trace.logits);
-        }
-        sum
-    })
-    .into_iter()
-    .sum();
-    sum / data.len() as f64
+    let confidences = map_traced(model, data, |_, _, logits| {
+        lr_nn::metrics::confidence(logits)
+    });
+    confidences.into_iter().sum::<f64>() / data.len() as f64
 }
 
 #[cfg(test)]

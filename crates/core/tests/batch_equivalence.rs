@@ -1,18 +1,19 @@
-//! Batched-execution contract at the model level: `infer_batch_into` must
-//! be **bit-identical** to per-sample `infer` for every sample, across
-//! batch sizes {1, 3, 32}, square and non-square grids, smooth
-//! (mixed-radix) and Bluestein FFT sizes, every readout mode, and mixed
-//! layer stacks — and the batched traced forward/backward must reproduce
-//! the per-sample training step's logits and gradients exactly, as must
-//! the batched `evaluate` / `evaluate_deployed` accuracy. Across SIMD
+//! Batched-execution contract at the model level: per-sample entry points
+//! are the B=1 case of the batched ones, and a batch of N must be
+//! **bit-identical** to N B=1 calls. `infer_batch_into` must equal B=1
+//! `infer` for every sample, across batch sizes {1, 3, 32}, square and
+//! non-square grids, smooth (mixed-radix) and Bluestein FFT sizes, every
+//! readout mode, and mixed layer stacks — and the batched traced
+//! forward/backward must reproduce the B=1 training step's logits and
+//! gradients exactly, as must the batched `evaluate` /
+//! `evaluate_deployed` accuracy. `mean_confidence` must not depend on the
+//! thread count. Across SIMD
 //! dispatch levels the contract is tolerance-renegotiated: forced scalar
 //! vs detected-width results agree to ≤ 1e-12 relative (the detector
 //! readout's lane-partial reduction is the only re-association).
 
-use lightridge::train::{evaluate, evaluate_deployed, LabeledImage};
-use lightridge::{
-    BatchTrace, CodesignMode, Detector, DonnBuilder, DonnModel, ModelGrads, TraceRing,
-};
+use lightridge::train::{evaluate, evaluate_deployed, mean_confidence, LabeledImage};
+use lightridge::{BatchTrace, CodesignMode, Detector, DonnBuilder, DonnModel, ModelGrads};
 use lr_nn::loss::{one_hot_into, softmax_mse_into};
 use lr_nn::metrics::argmax;
 use lr_optics::{Approximation, Distance, Grid, PixelPitch, Wavelength};
@@ -146,10 +147,10 @@ fn one_batch_workspace_serves_varying_sizes() {
     }
 }
 
-/// The batched traced forward + batched backward must reproduce the
-/// per-sample training step exactly: same logits, same detector planes,
-/// same accumulated gradients, bit for bit — including per-sample Gumbel
-/// noise in `Train` mode.
+/// The batched traced forward + batched backward must reproduce N B=1
+/// training steps exactly: same logits, same input gradients, same
+/// accumulated gradients, bit for bit — including per-sample Gumbel noise
+/// in `Train` mode, on raw and codesign stacks.
 #[test]
 fn batched_training_step_matches_per_sample_bitwise() {
     let _same = same_dispatch();
@@ -161,21 +162,22 @@ fn batched_training_step_matches_per_sample_bitwise() {
         let seeds: Vec<u64> = (0..bsz as u64).map(|b| b * 9176 + 3).collect();
         let inputs: Vec<Field> = (0..bsz).map(|b| sample_input(rows, cols, b)).collect();
 
-        // Per-sample reference step.
+        // B=1 reference steps.
         let mut ref_grads = ModelGrads::zeros_like(&model);
         let mut ref_logits = Vec::new();
-        let mut ws = model.make_workspace();
-        let mut ring = TraceRing::new(1);
+        let mut ref_input_grads = Vec::new();
         let mut target = Vec::new();
         let mut logit_grads_buf = Vec::new();
         let mut per_sample_logit_grads = Vec::new();
         for (b, input) in inputs.iter().enumerate() {
-            let trace = ring.forward(&model, input, CodesignMode::Train, seeds[b], &mut ws);
+            let trace = model.forward_trace(input, CodesignMode::Train, seeds[b]);
+            assert_eq!(trace.batch(), 1);
             one_hot_into(b % classes, classes, &mut target);
-            softmax_mse_into(&trace.logits, &target, &mut logit_grads_buf);
-            ref_logits.push(trace.logits.clone());
+            softmax_mse_into(&trace.logits[0], &target, &mut logit_grads_buf);
+            ref_logits.push(trace.logits[0].clone());
             per_sample_logit_grads.push(logit_grads_buf.clone());
-            model.backward_with(trace, &logit_grads_buf, &mut ref_grads, &mut ws);
+            let input_grad = model.backward(&trace, &logit_grads_buf, &mut ref_grads);
+            ref_input_grads.push(input_grad);
         }
 
         // Batched step with the same per-sample seeds.
@@ -202,7 +204,48 @@ fn batched_training_step_matches_per_sample_bitwise() {
                 "batched gradients diverge at layer {i} (mixed={mixed})"
             );
         }
+        for (b, expected) in ref_input_grads.iter().enumerate() {
+            assert_eq!(
+                bws.input_grad_batch().plane(b),
+                expected.as_slice(),
+                "batched input gradients diverge at sample {b} (mixed={mixed})"
+            );
+        }
     }
+}
+
+/// `mean_confidence` sums per-image confidences in data order, so its
+/// result is bitwise the same at every thread count (a sum of per-shard
+/// partial sums would re-associate with the shard boundaries).
+#[test]
+fn mean_confidence_is_bitwise_independent_of_thread_count() {
+    let _pinned = pin_dispatch();
+    let grid = Grid::square(24, PixelPitch::from_um(36.0));
+    let model = DonnBuilder::new(grid, Wavelength::from_nm(532.0))
+        .distance(Distance::from_mm(25.0))
+        .diffractive_layers(3)
+        .detector(Detector::grid_layout(24, 24, 10, 3))
+        .init_seed(7)
+        .build();
+    let data: Vec<LabeledImage> = (0..37)
+        .map(|i| {
+            let img = (0..24 * 24)
+                .map(|p| ((p * 7 + i * 13) % 17) as f64 / 17.0)
+                .collect();
+            (img, i % 10)
+        })
+        .collect();
+    let bits: Vec<u64> = (1..=4)
+        .map(|threads| {
+            parallel::set_threads(threads);
+            mean_confidence(&model, &data).to_bits()
+        })
+        .collect();
+    parallel::set_threads(0);
+    assert!(
+        bits.iter().all(|&b| b == bits[0]),
+        "mean_confidence bits at 1..=4 threads: {bits:x?}"
+    );
 }
 
 /// `|a - b| ≤ tol · max(|a|, |b|)`, with an absolute floor so exact zeros
@@ -283,8 +326,8 @@ fn training_step_scalar_vs_simd_within_documented_tolerance() {
     }
 }
 
-/// Accuracy of a per-sample [`DonnModel::infer_mode_into`] argmax loop —
-/// the reference the batched `evaluate` must reproduce.
+/// Accuracy of a B=1 [`DonnModel::infer_mode_into`] argmax loop — the
+/// reference the batched `evaluate` must reproduce.
 fn per_sample_accuracy(model: &DonnModel, data: &[LabeledImage], mode: CodesignMode) -> f64 {
     if data.is_empty() {
         return 0.0;

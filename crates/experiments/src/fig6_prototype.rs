@@ -11,7 +11,7 @@
 use crate::common::{f3, Mode, Report};
 use lightridge::deploy::{pattern_correlations, HardwareEnvironment, PhysicalDonn};
 use lightridge::train::{self, TrainConfig};
-use lightridge::{viz, CodesignMode, Detector, DonnBuilder};
+use lightridge::{viz, Detector, DonnBuilder};
 use lr_datasets::digits::{self, DigitsConfig};
 use lr_hardware::SlmModel;
 use lr_optics::{Distance, Grid, PixelPitch, Wavelength};
@@ -77,10 +77,7 @@ pub fn run(mode: Mode) -> Report {
 
     // Show one side-by-side pattern (digit 0), like the figure.
     let input = Field::from_amplitudes(size, size, &inputs[0]);
-    let sim = model
-        .forward_trace(&input, CodesignMode::Soft, 0)
-        .detector_field
-        .intensity();
+    let sim = model.detector_pattern(&input);
     let exp = physical.capture(&input, 1);
     report.line("digit 0 detector patterns:");
     report.line(&viz::side_by_side(

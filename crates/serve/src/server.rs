@@ -1439,7 +1439,7 @@ impl Server {
     }
 
     /// Reclaims the memory of a **retired** model: its per-worker
-    /// [workspaces](lightridge::PropagationWorkspace) in every shard, its
+    /// [workspaces](lightridge::BatchWorkspace) in every shard, its
     /// prewarmed FFT plans, and its diffraction transfer kernels.
     ///
     /// The reclaim is **drain-fenced**: it blocks until every shard's

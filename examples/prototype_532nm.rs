@@ -8,7 +8,7 @@
 
 use lightridge::deploy::{to_system, HardwareEnvironment, PhysicalDonn};
 use lightridge::train::{self, TrainConfig};
-use lightridge::{viz, CodesignMode, Detector, DonnBuilder};
+use lightridge::{viz, Detector, DonnBuilder};
 use lr_datasets::digits::{self, DigitsConfig};
 use lr_hardware::SlmModel;
 use lr_nn::metrics::pearson;
@@ -64,10 +64,7 @@ fn main() {
 
     let (img, label) = &data.test[1];
     let input = Field::from_amplitudes(size, size, img);
-    let sim = model
-        .forward_trace(&input, CodesignMode::Soft, 0)
-        .detector_field
-        .intensity();
+    let sim = model.detector_pattern(&input);
     let exp = physical.capture(&input, 1);
     println!(
         "\ndetector patterns for a test digit (class {label}), correlation r = {:.3}:",

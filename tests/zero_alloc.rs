@@ -1,13 +1,13 @@
 //! Counting-allocator proof of the zero-copy propagation pipeline: after
 //! warm-up, the workspace-threaded forward pass performs **zero heap
 //! allocations** per sample — and, with the trace ring, so does the full
-//! forward-trace + backward training step. The batched paths
-//! (`infer_batch_into`, `forward_trace_batch_into` +
-//! `backward_batch_with` through a `BatchTraceRing`) carry the same
-//! contract: one `BatchWorkspace` serves whole batches with zero
-//! steady-state allocations and stays bit-identical to the per-sample
-//! path — on a codesign stack too, in Soft and Deploy inference and the
-//! Gumbel training step. A parameter write empties the written layers'
+//! forward-trace + backward training step of one sample (a one-plane
+//! batch). Whole batches (`infer_batch_into`, and `forward_trace_batch_into`
+//! with `backward_batch_with` through a `BatchTraceRing`) carry the same
+//! contract: one `BatchWorkspace` serves them with zero steady-state
+//! allocations and stays bit-identical to one-sample passes — on a
+//! codesign stack too, in Soft and Deploy inference and the Gumbel
+//! training step. A parameter write empties the written layers'
 //! transmission tables: the first pass after it allocates one table per
 //! layer, and from then on inference and training allocate nothing again.
 //!
@@ -18,11 +18,8 @@
 //! scratch instead of the caller's workspace. The forward and backward
 //! phases run inside the one test function for the same reason.
 
-use lightridge::{BatchTraceRing, CodesignMode, Detector, DonnBuilder, ModelGrads, TraceRing};
+use lightridge::{BatchTraceRing, CodesignMode, Detector, DonnBuilder, ModelGrads};
 use lr_nn::loss::{one_hot_into, softmax_mse_into};
-// NB: `lightridge::TraceRing` above is the autodiff trace ring; the
-// observability ring lives in `lr_obs` and is only referenced through
-// qualified paths here.
 use lr_obs::{kernel_profile, reset_kernel_profile, set_kernel_profiling, KernelKind};
 use lr_optics::{Distance, Grid, PixelPitch, Wavelength};
 use lr_tensor::{parallel, Complex64, Field, FieldBatch};
@@ -104,23 +101,26 @@ fn steady_state_forward_pass_allocates_nothing() {
     assert!(logits.iter().sum::<f64>() > 0.0);
 
     // ---- Backward pass: the trace ring extends zero-allocation to the
-    // full training step (forward trace + loss + backward). ----
-    let mut ring = TraceRing::new(2);
+    // full training step of one sample (forward trace + loss + backward
+    // of a one-plane batch). ----
+    let mut one_input = FieldBatch::zeros(1, 64, 64);
+    one_input.copy_plane_from(0, &input);
+    let mut ring = BatchTraceRing::new(2);
     let mut grads = ModelGrads::zeros_like(&model);
     let mut target = Vec::with_capacity(model.num_classes());
-    let mut logit_grads = Vec::with_capacity(model.num_classes());
+    let mut logit_grads = vec![Vec::with_capacity(model.num_classes())];
 
     // Warm-up: fills the ring slots (2 traces), the loss buffers, and the
-    // workspace gradient field.
-    let train_step = |ring: &mut TraceRing,
+    // workspace gradient plane.
+    let train_step = |ring: &mut BatchTraceRing,
                       grads: &mut ModelGrads,
                       target: &mut Vec<f64>,
-                      logit_grads: &mut Vec<f64>,
-                      ws: &mut lightridge::PropagationWorkspace| {
-        let trace = ring.forward(&model, &input, CodesignMode::Soft, 7, ws);
+                      logit_grads: &mut [Vec<f64>],
+                      ws: &mut lightridge::BatchWorkspace| {
+        let trace = ring.forward(&model, &one_input, CodesignMode::Soft, &[7], ws);
         one_hot_into(2, model.num_classes(), target);
-        let loss = softmax_mse_into(&trace.logits, target, logit_grads);
-        model.backward_with(trace, logit_grads, grads, ws);
+        let loss = softmax_mse_into(&trace.logits[0], target, &mut logit_grads[0]);
+        model.backward_batch_with(trace, logit_grads, grads, ws);
         loss
     };
     for _ in 0..3 {
