@@ -26,191 +26,13 @@
 //!   carries them. A tracked baseline metric missing from the current
 //!   artifact, by contrast, fails it.
 //!
-//! The artifacts are this repo's own fixed format, so the parser is a
-//! deliberately small recursive-descent JSON reader — no serde (the build
-//! environment is offline; vendoring serde for two files is not worth it).
+//! Both artifacts are read with [`lr_bench::json::parse_json`].
 
+use lr_bench::json::{parse_json, Json};
 use std::fmt::Write as _;
 
-/// Minimal JSON value for the bench artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (parsed as f64 — bench artifacts stay well within
-    /// f64's exact-integer range).
-    Num(f64),
-    /// String
-    Str(String),
-    /// Array
-    Arr(Vec<Json>),
-    /// Object (insertion-ordered)
-    Obj(Vec<(String, Json)>),
-}
-
-/// Parses a JSON document, returning a readable error on malformed input.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(b, pos)?;
-                fields.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'u') => {
-                                let hex =
-                                    b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Multi-byte UTF-8 passes through byte by byte; the
-                        // artifacts are ASCII-heavy so this stays simple.
-                        let start = *pos;
-                        let len = utf8_len(c);
-                        let chunk = b
-                            .get(start..start + len)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        s.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                        *pos += len;
-                    }
-                }
-            }
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {text:?} at byte {start}"))
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 /// Flattens every numeric leaf into `("a.b.0.c", value)` paths.
-fn flatten(value: &Json, prefix: &str, out: &mut Vec<(String, f64)>) {
+pub(crate) fn flatten(value: &Json, prefix: &str, out: &mut Vec<(String, f64)>) {
     match value {
         Json::Num(n) => out.push((prefix.to_string(), *n)),
         Json::Obj(fields) => {

@@ -1,15 +1,13 @@
 //! `lr-bench` — machine-readable perf artifacts.
 //!
 //! Default (kernels) mode emits `BENCH_kernels.json` with median
-//! wall-clock timings for the operators the paper's Fig. 8 tracks (2-D FFT
-//! at the system resolutions) plus a batched end-to-end forward pass, each
-//! measured for both the current zero-copy pipeline and the
-//! pre-optimization reference (transpose-based FFT2, plain radix-2
-//! butterflies, clone-per-layer forward, thread-spawn-per-batch
-//! parallelism). It also sweeps the SIMD kernels at forced
-//! lane widths (`simd_lanes/*`, see [`simd_lanes_entries`]) and gates the
-//! fused batched forward pass at both a pow2-friendly (200) and a prime
-//! Rader-path (197) grid. Future PRs diff this file to keep a perf
+//! wall-clock timings of the operators the paper's Fig. 8 tracks: the
+//! 2-D FFT at the system resolutions, next to the transpose-based
+//! reference FFT2 (`Fft2::process_reference`) at 200². It also gates the
+//! fused batched forward pass against a B=1 loop at a pow2-friendly
+//! (200) and a prime Rader-path (197) grid (`forward_batch/*`), and
+//! sweeps the SIMD kernels at forced lane widths (`simd_lanes/*`, see
+//! [`simd_lanes_medians`]). Future PRs diff this file to keep a perf
 //! trajectory.
 //!
 //! `lr-bench serve` runs the deterministic synthetic load generator
@@ -19,34 +17,61 @@
 //! current artifact against a committed baseline and fails on
 //! regression — the CI perf gate (see `compare`).
 //!
+//! Every timing comes from [`lr_bench::median_ns`] and every artifact is
+//! a [`Json`] value written by [`write_json`]. An unwritable output path
+//! exits with code 2 before anything is measured.
+//!
 //! Usage:
 //! * `lr-bench [--out PATH] [--quick]`
-//! * `lr-bench serve [--out PATH] [--quick] [--shards N]`
+//! * `lr-bench serve [--out PATH] [--quick] [--shards N] [--trace-out PATH]`
 //! * `lr-bench compare --baseline <file> --current <file> [--tolerance-pct N]`
 
 mod compare;
 mod serve_bench;
 
-use lightridge::{CodesignMode, Detector, DonnBuilder, DonnModel, Layer};
+use lightridge::{CodesignMode, Detector, DonnBuilder, DonnModel};
+use lr_bench::json::{write_json, Json};
+use lr_bench::{create_output, median_ns};
 use lr_optics::{Approximation, Distance, Grid, PixelPitch, Wavelength};
 use lr_tensor::simd::{self, SimdLevel};
 use lr_tensor::{parallel, Complex64, Direction, Fft2, Field, FieldBatch};
-use std::fmt::Write as _;
-use std::time::Instant;
+use std::io::Write as _;
+use std::path::Path;
 
-/// Median of per-iteration nanosecond timings for `samples` runs of `f`.
-fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    // Warm-up run (fills plan caches, thread-local workspaces, the pool).
-    f();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    times[times.len() / 2]
+/// Plane sizes of the Fig. 8 FFT2 sweep. The reference FFT2 runs at the
+/// first one only.
+const FFT_SIZES: [usize; 3] = [200, 350, 500];
+
+/// Grids of the batched-forward sweep: 200 takes the pow2-friendly
+/// paths; 197 is prime, so every per-plane FFT takes the Rader path
+/// (196 = 2²·7² is smooth) and the gate covers more than the fast path.
+const FORWARD_GRIDS: [usize; 2] = [200, 197];
+
+/// Lane widths of the SIMD sweep; the first is the scalar anchor.
+const SIMD_WIDTHS: [(&str, SimdLevel); 3] = [
+    ("scalar", SimdLevel::Scalar),
+    ("x2", SimdLevel::X2),
+    ("x4", SimdLevel::X4),
+];
+
+/// Kernels of the SIMD sweep.
+const SIMD_KERNELS: [&str; 3] = ["fft2_batch", "transfer_apply", "detector_readout"];
+
+/// Raw medians of one kernel run, in nanoseconds. [`kernel_artifact`]
+/// gives them their metric names.
+struct KernelRun {
+    /// `Fft2::forward` at each of [`FFT_SIZES`].
+    fft2: [f64; 3],
+    /// `Fft2::process_reference` at `FFT_SIZES[0]`.
+    fft2_reference: f64,
+    /// `(batched, B=1 loop)` over 16 inputs of a 3-layer model at each of
+    /// [`FORWARD_GRIDS`].
+    forward_batch: [(f64, f64); 2],
+    /// `[kernel][width]` over [`SIMD_KERNELS`] × [`SIMD_WIDTHS`]; `None`
+    /// where this CPU cannot execute the width.
+    simd_lanes: [[Option<f64>; 3]; 3],
+    /// Lane count the runtime detector picks on this machine.
+    dispatch_width: usize,
 }
 
 fn make_field(n: usize) -> Field {
@@ -55,91 +80,22 @@ fn make_field(n: usize) -> Field {
     })
 }
 
-/// The pre-change per-sample forward pass: clone per layer, reference
-/// (transpose + radix-2) FFT convolution, allocating detector readout.
-fn reference_forward(model: &DonnModel, input: &Field) -> Vec<f64> {
-    let mut u = input.clone();
-    for layer in model.layers() {
-        if let Layer::Diffractive(l) = layer {
-            let fft = Fft2::new(u.rows(), u.cols());
-            let transfer = l.propagator().transfer().expect("spectral propagator");
-            let mut f = u.clone();
-            fft.process_reference(&mut f, Direction::Forward);
-            f.hadamard_assign(transfer);
-            fft.process_reference(&mut f, Direction::Inverse);
-            let gamma = l.gamma();
-            for (z, &phi) in f.as_mut_slice().iter_mut().zip(l.phases()) {
-                *z *= Complex64::cis(phi) * gamma;
-            }
-            u = f;
-        }
-    }
-    let fft = Fft2::new(u.rows(), u.cols());
-    let transfer = model
-        .final_propagator()
-        .transfer()
-        .expect("spectral propagator");
-    let mut f = u.clone();
-    fft.process_reference(&mut f, Direction::Forward);
-    f.hadamard_assign(transfer);
-    fft.process_reference(&mut f, Direction::Inverse);
-    model.detector().read(&f)
+fn donn(grid_n: usize, depth: usize) -> DonnModel {
+    let grid = Grid::square(grid_n, PixelPitch::from_um(36.0));
+    DonnBuilder::new(grid, Wavelength::from_nm(532.0))
+        .distance(Distance::from_mm(300.0))
+        .approximation(Approximation::RayleighSommerfeld)
+        .diffractive_layers(depth)
+        .detector(Detector::grid_layout(grid_n, grid_n, 10, grid_n / 12))
+        .build()
 }
 
-/// The pre-change batch strategy: spawn a fresh set of scoped threads per
-/// batch (what `crossbeam::scope` used to do on every call).
-fn reference_batched_forward(model: &DonnModel, batch: &[Field]) -> usize {
-    let workers = parallel::threads().min(batch.len()).max(1);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= batch.len() {
-                    break;
-                }
-                let logits = reference_forward(model, &batch[i]);
-                done.fetch_add(logits.len(), std::sync::atomic::Ordering::Relaxed);
-            });
-        }
-    });
-    done.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// The current batch strategy: persistent pool + per-shard workspaces +
-/// allocation-free inference.
-fn pooled_batched_forward(model: &DonnModel, batch: &[Field]) -> usize {
-    let workers = parallel::threads().min(batch.len()).max(1);
-    let shard = batch.len().div_ceil(workers);
-    parallel::par_map(workers, |w| {
-        let mut ws = model.make_workspace();
-        let mut logits = Vec::with_capacity(model.num_classes());
-        let mut count = 0usize;
-        for input in batch.iter().skip(w * shard).take(shard) {
-            model.infer_into(input, &mut ws, &mut logits);
-            count += logits.len();
-        }
-        count
-    })
-    .into_iter()
-    .sum()
-}
-
-/// Measures the fused batched forward pass (`infer_batch_into`) against a
-/// per-sample `infer_into` loop over the same inputs and emits
-/// `forward_batch/{lightridge,per_sample,speedup}/<tag>`. The two paths
-/// run the same per-plane kernels by construction — the SIMD lanes span
-/// rows and columns of one plane either way — so the delta is dispatch,
-/// plan-lookup, modulation-tile and transfer-broadcast amortization across
-/// the batch.
-fn forward_batch_entries(
-    entries: &mut Vec<(String, f64)>,
-    model: &DonnModel,
-    batch: &[Field],
-    tag: &str,
-    samples: usize,
-) {
+/// Times the fused batched forward pass (`infer_batch_into`) and a B=1
+/// `infer_into` loop over the same inputs, returning `(batched, loop)`.
+/// Both run the same per-plane kernels — the SIMD lanes span rows and
+/// columns of one plane either way — so the delta is dispatch, plan
+/// lookup and transfer broadcast amortized across the batch.
+fn forward_batch_medians(model: &DonnModel, batch: &[Field], samples: usize) -> (f64, f64) {
     let input_refs: Vec<&Field> = batch.iter().collect();
     let mut batch_ws = model.make_batch_workspace(batch.len());
     let mut outputs: Vec<Vec<f64>> = (0..batch.len())
@@ -149,7 +105,6 @@ fn forward_batch_entries(
         model.infer_batch_into(&input_refs, CodesignMode::Soft, &mut batch_ws, &mut outputs);
         std::hint::black_box(&outputs);
     });
-    entries.push((format!("forward_batch/lightridge/{tag}"), batched_ns));
     let mut sample_ws = model.make_workspace();
     let per_sample_ns = median_ns(samples, || {
         for (input, out) in batch.iter().zip(outputs.iter_mut()) {
@@ -157,17 +112,11 @@ fn forward_batch_entries(
         }
         std::hint::black_box(&outputs);
     });
-    entries.push((format!("forward_batch/per_sample/{tag}"), per_sample_ns));
-    entries.push((
-        format!("forward_batch/speedup/{tag}"),
-        per_sample_ns / batched_ns,
-    ));
+    (batched_ns, per_sample_ns)
 }
 
-/// Sweeps the SIMD kernels at forced lane widths and emits
-/// `simd_lanes/<kernel>/scalar` raw medians, scalar-relative
-/// `{x2,x4}_speedup` ratios, and `simd_lanes/dispatch_width` (the lane
-/// count the runtime detector picks on this machine).
+/// Sweeps the SIMD kernels at forced lane widths: `[kernel][width]`
+/// medians plus the lane count the runtime detector picks here.
 ///
 /// 128×128 planes stay under the pooled-parallel threshold
 /// (`PAR_MIN_LEN`), so every width runs single-threaded on any machine.
@@ -175,7 +124,7 @@ fn forward_batch_entries(
 /// skipped — the committed baselines assume an AVX2-capable x86-64 host,
 /// which every hosted CI runner provides. `force` is process-global; this
 /// sweep runs single-threaded and restores auto-detection afterwards.
-fn simd_lanes_entries(entries: &mut Vec<(String, f64)>, samples: usize) {
+fn simd_lanes_medians(samples: usize) -> ([[Option<f64>; 3]; 3], usize) {
     const N: usize = 128;
     const B: usize = 8;
     // Speedup ratios divide two noisy medians, so this sweep needs
@@ -193,31 +142,25 @@ fn simd_lanes_entries(entries: &mut Vec<(String, f64)>, samples: usize) {
         planes.extend_from_slice(plane.as_slice());
     }
 
-    let widths = [
-        ("scalar", SimdLevel::Scalar),
-        ("x2", SimdLevel::X2),
-        ("x4", SimdLevel::X4),
-    ];
-    let kernels = ["fft2_batch", "transfer_apply", "detector_readout"];
-    let mut medians = [[0.0f64; 3]; 3];
-    for (w, &(name, level)) in widths.iter().enumerate() {
+    let mut medians = [[None; 3]; 3];
+    for (w, &(_, level)) in SIMD_WIDTHS.iter().enumerate() {
         simd::force(Some(level));
         if simd::dispatch() != level {
             // Clamped: this CPU cannot execute the requested width.
             continue;
         }
         let mut batch_ws = fft.make_batch_workspace();
-        medians[0][w] = median_ns(samples, || {
+        medians[0][w] = Some(median_ns(samples, || {
             fft.fft2_batch_with(&mut batch, &mut batch_ws);
             fft.ifft2_batch_with(&mut batch, &mut batch_ws);
             std::hint::black_box(&batch);
-        });
+        }));
         let mut ws = fft.make_workspace();
-        medians[1][w] = median_ns(samples, || {
+        medians[1][w] = Some(median_ns(samples, || {
             fft.convolve_spectrum_batch_with(&mut planes, &transfer, &mut ws);
             std::hint::black_box(&planes);
-        });
-        medians[2][w] = median_ns(samples, || {
+        }));
+        medians[2][w] = Some(median_ns(samples, || {
             // 16 repetitions per timed iteration: one reduction over the
             // 8-plane buffer is ~100 µs, too small for a stable median on
             // a noisy box. The emitted value is the 16-rep total; the
@@ -225,37 +168,101 @@ fn simd_lanes_entries(entries: &mut Vec<(String, f64)>, samples: usize) {
             for _ in 0..16 {
                 std::hint::black_box(simd::sum_norm_sqr(&planes));
             }
+        }));
+    }
+    simd::force(None);
+    (medians, simd::dispatch().lanes())
+}
+
+fn measure_kernels(quick: bool) -> KernelRun {
+    let (fft_samples, fwd_samples) = if quick { (5, 3) } else { (15, 7) };
+
+    // --- Fig. 8 FFT2 kernels, and the reference FFT2 at 200 ------------
+    let mut fft2 = [0.0; 3];
+    let mut fft2_reference = 0.0;
+    for (i, &n) in FFT_SIZES.iter().enumerate() {
+        let fft = Fft2::new(n, n);
+        let base = make_field(n);
+        let mut f = base.clone();
+        fft2[i] = median_ns(fft_samples, || {
+            f.copy_from(&base);
+            fft.forward(&mut f);
         });
-        // Raw nanoseconds only for the scalar anchor (largest, most
-        // stable); the vector widths land as scalar-relative speedups —
-        // gating both the ratio and its noisy numerator would double the
-        // flake exposure without adding information.
-        for (k, kernel) in kernels.iter().enumerate() {
-            if w == 0 {
-                entries.push((format!("simd_lanes/{kernel}/scalar"), medians[k][w]));
-            } else if medians[k][0] > 0.0 {
-                entries.push((
-                    format!("simd_lanes/{kernel}/{name}_speedup"),
-                    medians[k][0] / medians[k][w],
-                ));
+        if i == 0 {
+            fft2_reference = median_ns(fft_samples, || {
+                f.copy_from(&base);
+                fft.process_reference(&mut f, Direction::Forward);
+            });
+        }
+    }
+
+    // --- Fused batched forward vs a B=1 loop ----------------------------
+    let forward_batch = FORWARD_GRIDS.map(|n| {
+        let batch: Vec<Field> = (0..16)
+            .map(|i| {
+                Field::from_fn(n, n, |r, c| {
+                    Complex64::from_real(if (r + c + i) % 7 < 3 { 1.0 } else { 0.0 })
+                })
+            })
+            .collect();
+        forward_batch_medians(&donn(n, 3), &batch, fwd_samples)
+    });
+
+    // --- SIMD lane-width sweep ------------------------------------------
+    let (simd_lanes, dispatch_width) = simd_lanes_medians(fft_samples);
+
+    KernelRun {
+        fft2,
+        fft2_reference,
+        forward_batch,
+        simd_lanes,
+        dispatch_width,
+    }
+}
+
+/// Names the medians of `run` and wraps them in the kernel artifact.
+///
+/// Only the scalar anchor of the SIMD sweep (largest, most stable) lands
+/// as raw nanoseconds; the vector widths land as scalar-relative
+/// speedups — gating both the ratio and its noisy numerator would double
+/// the flake exposure without adding information.
+fn kernel_artifact(quick: bool, run: &KernelRun) -> Json {
+    let mut medians: Vec<(String, Json)> = Vec::new();
+    let mut push = |name: String, v: f64| medians.push((name, v.into()));
+    for (&n, &ns) in FFT_SIZES.iter().zip(&run.fft2) {
+        push(format!("fig8_fft2/lightridge/{n}"), ns);
+        if n == FFT_SIZES[0] {
+            push(format!("fig8_fft2/reference/{n}"), run.fft2_reference);
+            push(format!("fig8_fft2/speedup/{n}"), run.fft2_reference / ns);
+        }
+    }
+    for (&n, &(batched, per_sample)) in FORWARD_GRIDS.iter().zip(&run.forward_batch) {
+        let tag = format!("{n}x3x16");
+        push(format!("forward_batch/lightridge/{tag}"), batched);
+        push(format!("forward_batch/per_sample/{tag}"), per_sample);
+        push(format!("forward_batch/speedup/{tag}"), per_sample / batched);
+    }
+    for (w, &(width, _)) in SIMD_WIDTHS.iter().enumerate() {
+        for (kernel, m) in SIMD_KERNELS.iter().zip(&run.simd_lanes) {
+            match (m[0], m[w]) {
+                (Some(scalar), _) if w == 0 => push(format!("simd_lanes/{kernel}/scalar"), scalar),
+                (Some(scalar), Some(ns)) => {
+                    push(format!("simd_lanes/{kernel}/{width}_speedup"), scalar / ns)
+                }
+                _ => {}
             }
         }
     }
-    simd::force(None);
-    entries.push((
+    push(
         "simd_lanes/dispatch_width".to_string(),
-        simd::dispatch().lanes() as f64,
-    ));
-}
-
-fn donn_200(grid_n: usize, depth: usize) -> DonnModel {
-    let grid = Grid::square(grid_n, PixelPitch::from_um(36.0));
-    DonnBuilder::new(grid, Wavelength::from_nm(532.0))
-        .distance(Distance::from_mm(300.0))
-        .approximation(Approximation::RayleighSommerfeld)
-        .diffractive_layers(depth)
-        .detector(Detector::grid_layout(grid_n, grid_n, 10, grid_n / 12))
-        .build()
+        run.dispatch_width as f64,
+    );
+    Json::obj([
+        ("generated_by", "lr-bench".into()),
+        ("threads", parallel::threads().into()),
+        ("mode", if quick { "quick" } else { "full" }.into()),
+        ("median_ns", Json::Obj(medians)),
+    ])
 }
 
 fn main() {
@@ -272,101 +279,40 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
+        .map_or("BENCH_kernels.json", String::as_str);
     let quick = args.iter().any(|a| a == "--quick");
-    let (fft_samples, fwd_samples) = if quick { (5, 3) } else { (15, 7) };
+    let mut out = create_output(Path::new(out_path));
 
-    let mut entries: Vec<(String, f64)> = Vec::new();
-
-    // --- Fig. 8 FFT2 kernels: current vs pre-change reference -----------
-    for &n in &[200usize, 350, 500] {
-        let fft = Fft2::new(n, n);
-        let base = make_field(n);
-        let mut f = base.clone();
-        let new_ns = median_ns(fft_samples, || {
-            f.copy_from(&base);
-            fft.forward(&mut f);
-        });
-        entries.push((format!("fig8_fft2/lightridge/{n}"), new_ns));
-        if n == 200 {
-            let mut g = base.clone();
-            let ref_ns = median_ns(fft_samples, || {
-                g.copy_from(&base);
-                fft.process_reference(&mut g, Direction::Forward);
-            });
-            entries.push((format!("fig8_fft2/reference/{n}"), ref_ns));
-            entries.push((format!("fig8_fft2/speedup/{n}"), ref_ns / new_ns));
-        }
-    }
-
-    // --- Batched end-to-end forward pass --------------------------------
-    let model = donn_200(200, 3);
-    let batch: Vec<Field> = (0..16)
-        .map(|i| {
-            Field::from_fn(200, 200, |r, c| {
-                Complex64::from_real(if (r + c + i) % 7 < 3 { 1.0 } else { 0.0 })
-            })
-        })
-        .collect();
-    let new_ns = median_ns(fwd_samples, || {
-        std::hint::black_box(pooled_batched_forward(&model, &batch));
-    });
-    entries.push(("batched_forward/lightridge/200x3x16".to_string(), new_ns));
-    let ref_ns = median_ns(fwd_samples.min(3), || {
-        std::hint::black_box(reference_batched_forward(&model, &batch));
-    });
-    entries.push(("batched_forward/reference/200x3x16".to_string(), ref_ns));
-    entries.push((
-        "batched_forward/speedup/200x3x16".to_string(),
-        ref_ns / new_ns,
-    ));
-
-    // --- Fused batched forward: one infer_batch_into vs a per-sample loop
-    // (same kernels by construction — the delta is dispatch, plan-lookup,
-    // modulation-tile and transfer-broadcast amortization).
-    forward_batch_entries(&mut entries, &model, &batch, "200x3x16", fwd_samples);
-
-    // --- Prime-grid honesty check: 197 is prime, so every per-plane FFT
-    // takes the Rader path (196 = 2²·7² is smooth) where it used to fall
-    // back to Bluestein. Gating batched speedup at this size keeps the
-    // Bluestein→Rader retirement honest, not just the pow2 fast path.
-    let model_prime = donn_200(197, 3);
-    let batch_prime: Vec<Field> = (0..16)
-        .map(|i| {
-            Field::from_fn(197, 197, |r, c| {
-                Complex64::from_real(if (r + c + i) % 7 < 3 { 1.0 } else { 0.0 })
-            })
-        })
-        .collect();
-    forward_batch_entries(
-        &mut entries,
-        &model_prime,
-        &batch_prime,
-        "197x3x16",
-        fwd_samples,
-    );
-
-    // --- Cross-plane SIMD lane sweep ------------------------------------
-    simd_lanes_entries(&mut entries, fft_samples);
-
-    // --- Emit ------------------------------------------------------------
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"generated_by\": \"lr-bench\",");
-    let _ = writeln!(json, "  \"threads\": {},", parallel::threads());
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if quick { "quick" } else { "full" }
-    );
-    json.push_str("  \"median_ns\": {\n");
-    for (i, (k, v)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{k}\": {v:.1}{comma}");
-    }
-    json.push_str("  }\n}\n");
-
-    std::fs::write(&out_path, &json).expect("failed to write bench artifact");
+    let json = write_json(&kernel_artifact(quick, &measure_kernels(quick)));
+    out.write_all(json.as_bytes())
+        .expect("failed to write bench artifact");
     print!("{json}");
     eprintln!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lr_bench::json::parse_json;
+    use std::collections::BTreeSet;
+
+    /// The flattened metric paths of an artifact.
+    pub(crate) fn paths(artifact: &Json) -> BTreeSet<String> {
+        let mut flat = Vec::new();
+        compare::flatten(artifact, "", &mut flat);
+        flat.into_iter().map(|(path, _)| path).collect()
+    }
+
+    #[test]
+    fn kernel_artifact_emits_every_baseline_metric() {
+        let run = KernelRun {
+            fft2: [1.0, 2.0, 3.0],
+            fft2_reference: 4.0,
+            forward_batch: [(5.0, 6.0), (7.0, 8.0)],
+            simd_lanes: [[Some(9.0); 3]; 3],
+            dispatch_width: 4,
+        };
+        let baseline = parse_json(include_str!("../../../BENCH_kernels.baseline.json")).unwrap();
+        assert_eq!(paths(&kernel_artifact(true, &run)), paths(&baseline));
+    }
 }

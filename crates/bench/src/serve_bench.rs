@@ -71,6 +71,8 @@
 //! already excludes).
 
 use lightridge::{Detector, DonnBuilder, DonnModel};
+use lr_bench::create_output;
+use lr_bench::json::{write_json, Json};
 use lr_optics::{Distance, Grid, PixelPitch, Wavelength};
 use lr_serve::{
     AdmissionPolicy, BatchPolicy, FaultKind, FaultPlan, LatencyHistogram, LatencySummary, ModelId,
@@ -80,7 +82,8 @@ use lr_serve::{
 use lr_tensor::{parallel, Complex64, Field};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
+use std::io::Write as _;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -375,55 +378,7 @@ fn run_socket(
     }
 }
 
-fn write_socket(json: &mut String, o: &SocketOutcome, last: bool) {
-    let _ = writeln!(json, "    \"socket_tcp\": {{");
-    let _ = writeln!(json, "      \"offered_rps\": {:.1},", o.offered_rps);
-    let _ = writeln!(json, "      \"wall_secs\": {:.3},", o.wall_secs);
-    let _ = writeln!(json, "      \"client_ok\": {},", o.ok);
-    let _ = writeln!(json, "      \"client_failed\": {},", o.failed);
-    let _ = writeln!(
-        json,
-        "      \"throughput_rps\": {:.1},",
-        o.ok as f64 / o.wall_secs.max(1e-12)
-    );
-    let _ = writeln!(json, "      \"completed\": {},", o.stats.completed);
-    let n = &o.net;
-    let _ = writeln!(json, "      \"connections_accepted\": {},", n.accepted);
-    let _ = writeln!(json, "      \"frames_admitted\": {},", n.requests);
-    let _ = writeln!(json, "      \"responses\": {},", n.responses);
-    let _ = writeln!(json, "      \"request_errors\": {},", n.request_errors);
-    let _ = writeln!(json, "      \"protocol_errors\": {},", n.protocol_errors);
-    let l = &o.latency;
-    let _ = writeln!(json, "      \"latency_ns\": {{");
-    let _ = writeln!(json, "        \"p50\": {},", l.p50_ns);
-    let _ = writeln!(json, "        \"p95\": {},", l.p95_ns);
-    let _ = writeln!(json, "        \"p99\": {},", l.p99_ns);
-    let _ = writeln!(json, "        \"mean\": {:.1},", l.mean_ns);
-    let _ = writeln!(json, "        \"max\": {}", l.max_ns);
-    let _ = writeln!(json, "      }},");
-    // The two wire-side stages; the in-process four are in the nested
-    // server stage block below. Overflow gates at 0 like every histogram.
-    let _ = writeln!(json, "      \"wire_stage_latency_ns\": {{");
-    let wire = [("recv", &n.recv), ("decode", &n.decode)];
-    for (i, (name, s)) in wire.iter().enumerate() {
-        let comma = if i + 1 < wire.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "        \"{name}\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {}, \
-             \"overflow\": {} }}{comma}",
-            s.p50_ns, s.p95_ns, s.p99_ns, s.overflow,
-        );
-    }
-    let _ = writeln!(json, "      }},");
-    write_stage_latency(json, &o.stats.stage_latency);
-    let _ = writeln!(
-        json,
-        "      \"mean_batch_size\": {:.3}",
-        o.stats.mean_batch_size
-    );
-    let _ = writeln!(json, "    }}{}", if last { "" } else { "," });
-}
-
+#[derive(Default)]
 struct ChurnOutcome {
     cycles: usize,
     baseline_resident_bytes: u64,
@@ -502,36 +457,7 @@ fn run_churn(
     }
 }
 
-fn write_churn(json: &mut String, o: &ChurnOutcome, last: bool) {
-    let _ = writeln!(json, "    \"churn\": {{");
-    let _ = writeln!(json, "      \"cycles\": {},", o.cycles);
-    let _ = writeln!(json, "      \"wall_secs\": {:.3},", o.wall_secs);
-    let _ = writeln!(json, "      \"completed\": {},", o.completed);
-    let _ = writeln!(
-        json,
-        "      \"baseline_resident_bytes\": {},",
-        o.baseline_resident_bytes
-    );
-    let _ = writeln!(
-        json,
-        "      \"peak_resident_bytes\": {},",
-        o.peak_resident_bytes
-    );
-    let _ = writeln!(
-        json,
-        "      \"resident_workspace_bytes\": {},",
-        o.resident_workspace_bytes
-    );
-    let _ = writeln!(json, "      \"reclaimed_models\": {},", o.reclaimed_models);
-    let _ = writeln!(json, "      \"reclaimed_bytes\": {},", o.reclaimed_bytes);
-    let _ = writeln!(
-        json,
-        "      \"swept_cache_entries\": {}",
-        o.swept_cache_entries
-    );
-    let _ = writeln!(json, "    }}{}", if last { "" } else { "," });
-}
-
+#[derive(Default)]
 struct ChaosOutcome {
     /// Drained trace (only when `--trace-out` enabled tracing).
     trace: Option<TraceSnapshot>,
@@ -788,66 +714,206 @@ fn run_chaos(
     }
 }
 
-fn write_chaos(json: &mut String, o: &ChaosOutcome, last: bool) {
-    let _ = writeln!(json, "    \"chaos\": {{");
-    let _ = writeln!(json, "      \"wall_ms\": {},", o.wall_ms);
-    let _ = writeln!(json, "      \"submitted\": {},", o.submitted);
-    let _ = writeln!(json, "      \"ok\": {},", o.ok);
-    let _ = writeln!(json, "      \"typed_errors\": {},", o.typed_errors);
-    let _ = writeln!(
-        json,
-        "      \"unresolved_requests\": {},",
-        o.unresolved_requests
-    );
-    let _ = writeln!(
-        json,
-        "      \"bitwise_mismatches\": {},",
-        o.bitwise_mismatches
-    );
-    let _ = writeln!(json, "      \"churn_cycles\": {},", o.churn_cycles);
-    let _ = writeln!(json, "      \"deadline_expired\": {},", o.deadline_expired);
-    let _ = writeln!(json, "      \"worker_panics\": {},", o.worker_panics);
-    let _ = writeln!(
-        json,
-        "      \"dispatcher_respawns\": {},",
-        o.dispatcher_respawns
-    );
-    let _ = writeln!(json, "      \"shed\": {},", o.shed);
-    let _ = writeln!(json, "      \"rejected\": {},", o.rejected);
-    let _ = writeln!(json, "      \"pool_timeouts\": {},", o.pool_timeouts);
-    let _ = writeln!(json, "      \"reclaimed_models\": {},", o.reclaimed_models);
-    let _ = writeln!(
-        json,
-        "      \"resident_workspace_bytes\": {},",
-        o.resident_workspace_bytes
-    );
-    let _ = writeln!(json, "      \"p99_survivor_ns\": {}", o.p99_survivor_ns);
-    let _ = writeln!(json, "    }}{}", if last { "" } else { "," });
+/// Everything one `lr-bench serve` run measured; [`serve_artifact`]
+/// turns it into the artifact.
+struct ServeRun {
+    shards: usize,
+    /// Human-readable description of the mixed two-model workload.
+    workload: String,
+    load_threads: usize,
+    requests_per_thread: usize,
+    capacity_rps: f64,
+    steady: ScenarioOutcome,
+    overload: ScenarioOutcome,
+    colocated_partitioned: ScenarioOutcome,
+    colocated_shared: ScenarioOutcome,
+    churn: ChurnOutcome,
+    chaos: ChaosOutcome,
+    socket: SocketOutcome,
 }
 
-/// Emits one scenario's per-stage latency quantiles. The four stages tile
-/// each request's end-to-end latency (shared boundary timestamps), so the
-/// stage p50s sum to roughly the end-to-end p50 — that invariant is what
-/// makes the breakdown diffable: a tail regression shows up *in* a stage,
-/// not beside them.
-fn write_stage_latency(json: &mut String, stage: &StageLatency) {
-    let _ = writeln!(json, "      \"stage_latency_ns\": {{");
-    let stages = [
+/// The four request stages of a [`StageLatency`], by artifact name.
+fn stages(stage: &StageLatency) -> [(&'static str, &LatencySummary); 4] {
+    [
         ("queue_wait", &stage.queue_wait),
         ("staging", &stage.staging),
         ("forward", &stage.forward),
         ("respond", &stage.respond),
-    ];
-    for (i, (name, s)) in stages.iter().enumerate() {
-        let comma = if i + 1 < stages.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "        \"{name}\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {}, \
-             \"overflow\": {} }}{comma}",
-            s.p50_ns, s.p95_ns, s.p99_ns, s.overflow,
-        );
-    }
-    let _ = writeln!(json, "      }},");
+    ]
+}
+
+/// An end-to-end latency distribution.
+fn latency_json(l: &LatencySummary) -> Json {
+    Json::obj([
+        ("p50", l.p50_ns.into()),
+        ("p95", l.p95_ns.into()),
+        ("p99", l.p99_ns.into()),
+        ("mean", l.mean_ns.into()),
+        ("max", l.max_ns.into()),
+    ])
+}
+
+/// Named stage quantiles plus each histogram's overflow count (which
+/// `compare` gates at 0).
+fn stage_json<'a>(named: impl IntoIterator<Item = (&'static str, &'a LatencySummary)>) -> Json {
+    Json::Obj(
+        named
+            .into_iter()
+            .map(|(name, s)| {
+                let quantiles = Json::obj([
+                    ("p50", s.p50_ns.into()),
+                    ("p95", s.p95_ns.into()),
+                    ("p99", s.p99_ns.into()),
+                    ("overflow", s.overflow.into()),
+                ]);
+                (name.to_string(), quantiles)
+            })
+            .collect(),
+    )
+}
+
+fn throughput_rps(ok: u64, wall_secs: f64) -> Json {
+    (ok as f64 / wall_secs.max(1e-12)).into()
+}
+
+fn scenario_json(o: &ScenarioOutcome) -> Json {
+    let s = &o.stats;
+    let per_shard = s
+        .per_shard
+        .iter()
+        .map(|sh| {
+            Json::obj([
+                ("shard", sh.shard.into()),
+                ("completed", sh.completed.into()),
+                ("batches", sh.batches.into()),
+                ("stolen", sh.stolen.into()),
+                ("p50", sh.latency.p50_ns.into()),
+                ("p95", sh.latency.p95_ns.into()),
+                ("p99", sh.latency.p99_ns.into()),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("offered_rps", o.offered_rps.into()),
+        ("wall_secs", o.wall_secs.into()),
+        ("client_ok", o.ok.into()),
+        ("client_failed", o.failed.into()),
+        ("completed", s.completed.into()),
+        ("rejected", s.rejected.into()),
+        ("shed", s.shed.into()),
+        ("pool_timeouts", s.pool_timeouts.into()),
+        ("throughput_rps", throughput_rps(o.ok, o.wall_secs)),
+        ("mean_batch_size", s.mean_batch_size.into()),
+        ("batched_samples", s.batched_samples.into()),
+        ("batch_executions", s.batch_executions.into()),
+        ("mean_executed_batch", s.mean_executed_batch.into()),
+        ("latency_ns", latency_json(&s.latency)),
+        ("stage_latency_ns", stage_json(stages(&s.stage_latency))),
+        ("per_shard", Json::Arr(per_shard)),
+    ])
+}
+
+fn churn_json(o: &ChurnOutcome) -> Json {
+    Json::obj([
+        ("cycles", o.cycles.into()),
+        ("wall_secs", o.wall_secs.into()),
+        ("completed", o.completed.into()),
+        ("baseline_resident_bytes", o.baseline_resident_bytes.into()),
+        ("peak_resident_bytes", o.peak_resident_bytes.into()),
+        (
+            "resident_workspace_bytes",
+            o.resident_workspace_bytes.into(),
+        ),
+        ("reclaimed_models", o.reclaimed_models.into()),
+        ("reclaimed_bytes", o.reclaimed_bytes.into()),
+        ("swept_cache_entries", o.swept_cache_entries.into()),
+    ])
+}
+
+fn chaos_json(o: &ChaosOutcome) -> Json {
+    Json::obj([
+        ("wall_ms", o.wall_ms.into()),
+        ("submitted", o.submitted.into()),
+        ("ok", o.ok.into()),
+        ("typed_errors", o.typed_errors.into()),
+        ("unresolved_requests", o.unresolved_requests.into()),
+        ("bitwise_mismatches", o.bitwise_mismatches.into()),
+        ("churn_cycles", o.churn_cycles.into()),
+        ("deadline_expired", o.deadline_expired.into()),
+        ("worker_panics", o.worker_panics.into()),
+        ("dispatcher_respawns", o.dispatcher_respawns.into()),
+        ("shed", o.shed.into()),
+        ("rejected", o.rejected.into()),
+        ("pool_timeouts", o.pool_timeouts.into()),
+        ("reclaimed_models", o.reclaimed_models.into()),
+        (
+            "resident_workspace_bytes",
+            o.resident_workspace_bytes.into(),
+        ),
+        ("p99_survivor_ns", o.p99_survivor_ns.into()),
+    ])
+}
+
+fn socket_json(o: &SocketOutcome) -> Json {
+    let n = &o.net;
+    Json::obj([
+        ("offered_rps", o.offered_rps.into()),
+        ("wall_secs", o.wall_secs.into()),
+        ("client_ok", o.ok.into()),
+        ("client_failed", o.failed.into()),
+        ("throughput_rps", throughput_rps(o.ok, o.wall_secs)),
+        ("completed", o.stats.completed.into()),
+        ("connections_accepted", n.accepted.into()),
+        ("frames_admitted", n.requests.into()),
+        ("responses", n.responses.into()),
+        ("request_errors", n.request_errors.into()),
+        ("protocol_errors", n.protocol_errors.into()),
+        ("latency_ns", latency_json(&o.latency)),
+        // The two wire-side stages; the in-process four follow.
+        (
+            "wire_stage_latency_ns",
+            stage_json([("recv", &n.recv), ("decode", &n.decode)]),
+        ),
+        (
+            "stage_latency_ns",
+            stage_json(stages(&o.stats.stage_latency)),
+        ),
+        ("mean_batch_size", o.stats.mean_batch_size.into()),
+    ])
+}
+
+/// Builds the `BENCH_serve.json` artifact. Each scenario's
+/// `stage_latency_ns` block holds the four stages that tile every
+/// request's end-to-end latency (shared boundary timestamps), so the
+/// stage p50s sum to roughly the end-to-end p50 — that invariant is what
+/// makes the breakdown diffable: a tail regression shows up *in* a stage,
+/// not beside them.
+fn serve_artifact(quick: bool, run: &ServeRun) -> Json {
+    Json::obj([
+        ("generated_by", "lr-bench serve".into()),
+        ("threads", parallel::threads().into()),
+        ("mode", if quick { "quick" } else { "full" }.into()),
+        ("shards", run.shards.into()),
+        ("workload", run.workload.as_str().into()),
+        ("load_threads", run.load_threads.into()),
+        ("requests_per_thread", run.requests_per_thread.into()),
+        ("calibrated_capacity_rps", run.capacity_rps.into()),
+        (
+            "scenarios",
+            Json::obj([
+                ("steady_mixed", scenario_json(&run.steady)),
+                ("overload_shed", scenario_json(&run.overload)),
+                (
+                    "colocated_partitioned",
+                    scenario_json(&run.colocated_partitioned),
+                ),
+                ("colocated_shared", scenario_json(&run.colocated_shared)),
+                ("churn", churn_json(&run.churn)),
+                ("chaos", chaos_json(&run.chaos)),
+                ("socket_tcp", socket_json(&run.socket)),
+            ]),
+        ),
+    ])
 }
 
 /// Prints the per-stage / per-shard latency breakdown table for one
@@ -858,13 +924,7 @@ fn print_stage_table(name: &str, stats: &ServerStats) {
         "  {:<12} {:>12} {:>12} {:>12} {:>10} {:>9}",
         "stage", "p50_ns", "p95_ns", "p99_ns", "count", "overflow"
     );
-    let stages = [
-        ("queue_wait", &stats.stage_latency.queue_wait),
-        ("staging", &stats.stage_latency.staging),
-        ("forward", &stats.stage_latency.forward),
-        ("respond", &stats.stage_latency.respond),
-    ];
-    for (stage, s) in stages {
+    for (stage, s) in stages(&stats.stage_latency) {
         eprintln!(
             "  {:<12} {:>12} {:>12} {:>12} {:>10} {:>9}",
             stage, s.p50_ns, s.p95_ns, s.p99_ns, s.count, s.overflow
@@ -879,88 +939,9 @@ fn print_stage_table(name: &str, stats: &ServerStats) {
     }
 }
 
-fn write_scenario(json: &mut String, name: &str, o: &ScenarioOutcome, last: bool) {
-    let s = &o.stats;
-    let l = &s.latency;
-    let _ = writeln!(json, "    \"{name}\": {{");
-    let _ = writeln!(json, "      \"offered_rps\": {:.1},", o.offered_rps);
-    let _ = writeln!(json, "      \"wall_secs\": {:.3},", o.wall_secs);
-    let _ = writeln!(json, "      \"client_ok\": {},", o.ok);
-    let _ = writeln!(json, "      \"client_failed\": {},", o.failed);
-    let _ = writeln!(json, "      \"completed\": {},", s.completed);
-    let _ = writeln!(json, "      \"rejected\": {},", s.rejected);
-    let _ = writeln!(json, "      \"shed\": {},", s.shed);
-    let _ = writeln!(json, "      \"pool_timeouts\": {},", s.pool_timeouts);
-    let _ = writeln!(
-        json,
-        "      \"throughput_rps\": {:.1},",
-        o.ok as f64 / o.wall_secs.max(1e-12)
-    );
-    let _ = writeln!(json, "      \"mean_batch_size\": {:.3},", s.mean_batch_size);
-    let _ = writeln!(json, "      \"batched_samples\": {},", s.batched_samples);
-    let _ = writeln!(json, "      \"batch_executions\": {},", s.batch_executions);
-    let _ = writeln!(
-        json,
-        "      \"mean_executed_batch\": {:.3},",
-        s.mean_executed_batch
-    );
-    let _ = writeln!(json, "      \"latency_ns\": {{");
-    let _ = writeln!(json, "        \"p50\": {},", l.p50_ns);
-    let _ = writeln!(json, "        \"p95\": {},", l.p95_ns);
-    let _ = writeln!(json, "        \"p99\": {},", l.p99_ns);
-    let _ = writeln!(json, "        \"mean\": {:.1},", l.mean_ns);
-    let _ = writeln!(json, "        \"max\": {}", l.max_ns);
-    let _ = writeln!(json, "      }},");
-    write_stage_latency(json, &s.stage_latency);
-    let _ = writeln!(json, "      \"per_shard\": [");
-    for (i, sh) in s.per_shard.iter().enumerate() {
-        let comma = if i + 1 < s.per_shard.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "        {{ \"shard\": {}, \"completed\": {}, \"batches\": {}, \"stolen\": {}, \
-             \"p50\": {}, \"p95\": {}, \"p99\": {} }}{comma}",
-            sh.shard,
-            sh.completed,
-            sh.batches,
-            sh.stolen,
-            sh.latency.p50_ns,
-            sh.latency.p95_ns,
-            sh.latency.p99_ns,
-        );
-    }
-    let _ = writeln!(json, "      ]");
-    let _ = writeln!(json, "    }}{}", if last { "" } else { "," });
-}
-
-/// Entry point for
-/// `lr-bench serve [--out PATH] [--quick] [--shards N] [--trace-out PATH]`.
-///
-/// `--trace-out PATH` enables request-path tracing (full sampling) on the
-/// `chaos` scenario and writes the drained span/instant timeline as
-/// Chrome trace-event JSON to `PATH` — loadable in Perfetto, with every
-/// injected panic, respawn, shed, and deadline expiry visible as an
-/// instant event next to the request spans it disrupted.
-pub fn run(args: &[String]) {
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let quick = args.iter().any(|a| a == "--quick");
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(2);
-    assert!(shards > 0, "--shards takes a positive integer");
-
+/// Runs every scenario. `trace` enables full-sampling request tracing on
+/// the `chaos` scenario.
+fn measure_serve(quick: bool, shards: usize, trace: bool) -> ServeRun {
     // Mixed two-model workload: emulation readout at one geometry,
     // deployed readout at another.
     let (na, nb, depth, threads, per_thread) = if quick {
@@ -1092,7 +1073,7 @@ pub fn run(args: &[String]) {
         // Sample every request when a trace artifact was asked for: the
         // chaos scenario is short, and a full timeline is what makes each
         // fault attributable to the requests around it.
-        trace_out.as_ref().map(|_| {
+        trace.then(|| {
             Arc::new(TraceConfig {
                 sample_per_mille: 1000,
                 ring_capacity: 1 << 16,
@@ -1115,57 +1096,137 @@ pub fn run(args: &[String]) {
         &model_b,
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"generated_by\": \"lr-bench serve\",");
-    let _ = writeln!(json, "  \"threads\": {},", parallel::threads());
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if quick { "quick" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"shards\": {shards},");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"{na}x{na}@emulated (70%) + {nb}x{nb}@deployed (30%), depth {depth}\","
-    );
-    let _ = writeln!(json, "  \"load_threads\": {threads},");
-    let _ = writeln!(json, "  \"requests_per_thread\": {per_thread},");
-    let _ = writeln!(json, "  \"calibrated_capacity_rps\": {capacity_rps:.1},");
-    json.push_str("  \"scenarios\": {\n");
-    write_scenario(&mut json, "steady_mixed", &steady, false);
-    write_scenario(&mut json, "overload_shed", &overload, false);
-    write_scenario(
-        &mut json,
-        "colocated_partitioned",
-        &colocated_partitioned,
-        false,
-    );
-    write_scenario(&mut json, "colocated_shared", &colocated_shared, false);
-    write_churn(&mut json, &churn, false);
-    write_chaos(&mut json, &chaos, false);
-    write_socket(&mut json, &socket, true);
-    json.push_str("  }\n}\n");
+    ServeRun {
+        shards,
+        workload: format!("{na}x{na}@emulated (70%) + {nb}x{nb}@deployed (30%), depth {depth}"),
+        load_threads: threads,
+        requests_per_thread: per_thread,
+        capacity_rps,
+        steady,
+        overload,
+        colocated_partitioned,
+        colocated_shared,
+        churn,
+        chaos,
+        socket,
+    }
+}
 
-    std::fs::write(&out_path, &json).expect("failed to write serve bench artifact");
+/// Entry point for
+/// `lr-bench serve [--out PATH] [--quick] [--shards N] [--trace-out PATH]`.
+///
+/// `--trace-out PATH` enables request-path tracing (full sampling) on the
+/// `chaos` scenario and writes the drained span/instant timeline as
+/// Chrome trace-event JSON to `PATH` — loadable in Perfetto, with every
+/// injected panic, respawn, shed, and deadline expiry visible as an
+/// instant event next to the request spans it disrupted.
+pub fn run(args: &[String]) {
+    let flag = |name: &str| {
+        args.iter()
+            .position(|a| a == name)
+            .and_then(|i| args.get(i + 1))
+    };
+    let out_path = flag("--out").map_or("BENCH_serve.json", String::as_str);
+    let trace_path = flag("--trace-out");
+    let quick = args.iter().any(|a| a == "--quick");
+    let shards: usize = flag("--shards")
+        .map(|v| v.parse().expect("--shards takes a positive integer"))
+        .unwrap_or(2);
+    assert!(shards > 0, "--shards takes a positive integer");
+    let mut out = create_output(Path::new(out_path));
+    let trace_out = trace_path.map(|p| (p, create_output(Path::new(p))));
+
+    let mut run = measure_serve(quick, shards, trace_out.is_some());
+    let json = write_json(&serve_artifact(quick, &run));
+    out.write_all(json.as_bytes())
+        .expect("failed to write serve bench artifact");
     print!("{json}");
     eprintln!("wrote {out_path}");
 
     // Per-stage / per-shard breakdown tables for the scenarios whose
     // stage histograms carry a steady signal.
-    print_stage_table("steady_mixed", &steady.stats);
-    print_stage_table("overload_shed", &overload.stats);
-    print_stage_table("colocated_partitioned", &colocated_partitioned.stats);
-    print_stage_table("colocated_shared", &colocated_shared.stats);
+    print_stage_table("steady_mixed", &run.steady.stats);
+    print_stage_table("overload_shed", &run.overload.stats);
+    print_stage_table("colocated_partitioned", &run.colocated_partitioned.stats);
+    print_stage_table("colocated_shared", &run.colocated_shared.stats);
 
-    if let Some(path) = trace_out {
-        let snapshot = chaos
+    if let Some((path, mut file)) = trace_out {
+        let snapshot = run
+            .chaos
             .trace
+            .take()
             .expect("--trace-out enabled tracing on the chaos scenario");
-        std::fs::write(&path, snapshot.to_chrome_json()).expect("failed to write trace artifact");
+        file.write_all(snapshot.to_chrome_json().as_bytes())
+            .expect("failed to write trace artifact");
         eprintln!(
             "wrote {path} ({} events, {} dropped)",
             snapshot.events.len(),
             snapshot.dropped
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::paths;
+    use lr_bench::json::parse_json;
+
+    #[test]
+    fn serve_artifact_emits_every_baseline_metric() {
+        // A real (idle) two-shard server supplies a stats snapshot of the
+        // right shape; every counter in it is zero.
+        let mut registry = ModelRegistry::new();
+        registry.register_emulated("tiny", 1, donn(8, 1, 1), ReadoutMode::Emulation);
+        let server = Server::start(
+            registry,
+            BatchPolicy {
+                shards: 2,
+                ..BatchPolicy::default()
+            },
+        );
+        let stats = server.stats();
+        server.shutdown();
+        let scenario = || ScenarioOutcome {
+            offered_rps: 10.0,
+            ok: 9,
+            failed: 1,
+            wall_secs: 1.0,
+            stats: stats.clone(),
+        };
+        let run = ServeRun {
+            shards: 2,
+            workload: "synthetic".to_string(),
+            load_threads: 2,
+            requests_per_thread: 5,
+            capacity_rps: 20.0,
+            steady: scenario(),
+            overload: scenario(),
+            colocated_partitioned: scenario(),
+            colocated_shared: scenario(),
+            churn: ChurnOutcome::default(),
+            chaos: ChaosOutcome::default(),
+            socket: SocketOutcome {
+                offered_rps: 10.0,
+                ok: 10,
+                failed: 0,
+                wall_secs: 1.0,
+                latency: stats.latency,
+                net: NetStats {
+                    accepted: 4,
+                    closed: 4,
+                    refused: 0,
+                    protocol_errors: 0,
+                    requests: 10,
+                    responses: 10,
+                    request_errors: 0,
+                    recv: stats.latency,
+                    decode: stats.latency,
+                },
+                stats: stats.clone(),
+            },
+        };
+        let baseline = parse_json(include_str!("../../../BENCH_serve.baseline.json")).unwrap();
+        assert_eq!(paths(&serve_artifact(true, &run)), paths(&baseline));
     }
 }

@@ -1,6 +1,10 @@
 //! Shared utilities for the per-figure experiment regenerators.
+//!
+//! Timings come from [`lr_bench::median_ns`], the one sampler the
+//! `lr-bench` perf artifacts use too.
 
-use std::time::Instant;
+use lr_lightpipes::LpField;
+use lr_tensor::{Complex64, Fft2, Field};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,20 +26,33 @@ impl Mode {
     }
 }
 
-/// Median wall-clock seconds of `runs` executions of `f` (after one
-/// warm-up).
-pub fn time_median<F: FnMut()>(runs: usize, mut f: F) -> f64 {
-    assert!(runs > 0, "need at least one run");
-    f(); // warm-up
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    samples[samples.len() / 2]
+/// The hand-rolled LightRidge `depth`-layer forward the Fig. 8 / Fig. 9 /
+/// Table 1 comparisons time: per layer, one spectral convolution with
+/// `transfer` and a phase mask computed with `cis` on every call.
+pub fn lightridge_forward(
+    fft: &Fft2,
+    mut field: Field,
+    transfer: &Field,
+    phases: &[f64],
+    depth: usize,
+) -> Field {
+    for _ in 0..depth {
+        fft.convolve_spectrum(&mut field, transfer);
+        for (z, &p) in field.as_mut_slice().iter_mut().zip(phases) {
+            *z *= Complex64::cis(p);
+        }
+    }
+    field
+}
+
+/// The same `depth`-layer forward written against the LightPipes-style
+/// engine: one `forvard` hop (1 cm) and one `phase_mask` per layer.
+pub fn lightpipes_forward(mut field: LpField, phases: &[f64], depth: usize) -> LpField {
+    for _ in 0..depth {
+        field = lr_lightpipes::forvard(&field, 0.01);
+        field = lr_lightpipes::phase_mask(&field, phases);
+    }
+    field
 }
 
 /// A report accumulator: builds the text block an experiment prints and
@@ -83,8 +100,8 @@ pub fn f3(x: f64) -> String {
 }
 
 /// Formats a speedup ratio like `6.4x`.
-pub fn speedup(baseline_s: f64, ours_s: f64) -> String {
-    format!("{:.1}x", baseline_s / ours_s)
+pub fn speedup(baseline: f64, ours: f64) -> String {
+    format!("{:.1}x", baseline / ours)
 }
 
 #[cfg(test)]
@@ -95,18 +112,6 @@ mod tests {
     fn mode_pick() {
         assert_eq!(Mode::Quick.pick(1, 2), 1);
         assert_eq!(Mode::Full.pick(1, 2), 2);
-    }
-
-    #[test]
-    fn time_median_positive() {
-        let t = time_median(3, || {
-            let mut acc = 0u64;
-            for i in 0..10_000 {
-                acc = acc.wrapping_add(i);
-            }
-            std::hint::black_box(acc);
-        });
-        assert!(t >= 0.0);
     }
 
     #[test]

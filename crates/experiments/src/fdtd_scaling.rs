@@ -9,7 +9,8 @@
 //! finish, then extrapolates the analytic cost model (validated against
 //! those measurements) to the paper's prototype scale.
 
-use crate::common::{time_median, Mode, Report};
+use crate::common::{Mode, Report};
+use lr_bench::median_ns;
 use lr_fdtd::validate::{fdtd_hop_cost, fft_hop_cost};
 use lr_fdtd::{CwLineSource, Fdtd2D, SimGrid};
 use lr_tensor::{Complex64, Fft2, Field};
@@ -36,7 +37,7 @@ pub fn run(mode: Mode) -> Report {
     for &(w, z) in hops {
         let ny = (w as f64 * cells_per_wavelength) as usize;
         let nx = (z as f64 * cells_per_wavelength) as usize + 30;
-        let fdtd_s = time_median(runs, || {
+        let fdtd_ns = median_ns(runs, || {
             let grid = SimGrid::new(nx, ny, cells_per_wavelength);
             let mut sim = Fdtd2D::new(grid);
             sim.add_source(CwLineSource::uniform(4, ny));
@@ -54,19 +55,23 @@ pub fn run(mode: Mode) -> Report {
         let n = ((w as f64 / 2.0) as usize).max(8);
         let fft = Fft2::new(n, n);
         let transfer = Field::from_fn(n, n, |r, c| Complex64::cis((r * c) as f64 * 1e-3));
-        let fft_s = time_median(runs, || {
+        let fft_ns = median_ns(runs, || {
             let mut f = Field::ones(n, n);
             fft.convolve_spectrum(&mut f, &transfer);
             std::hint::black_box(&f);
         });
 
-        let measured = fdtd_s / fft_s;
+        let measured = fdtd_ns / fft_ns;
         last_measured_ratio = measured;
         let model = fdtd_hop_cost(w as f64, z as f64, cells_per_wavelength).ops
             / fft_hop_cost(n as f64).ops;
         report.line(&format!(
             "{:>10} {:>12.4} {:>12.6} {:>9.0}x {:>13.0}x",
-            w, fdtd_s, fft_s, measured, model
+            w,
+            fdtd_ns * 1e-9,
+            fft_ns * 1e-9,
+            measured,
+            model
         ));
     }
 

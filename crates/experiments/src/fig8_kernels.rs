@@ -5,7 +5,8 @@
 //! and reports per-operator and overall speedups (CPU: 11×/10×/4×, overall
 //! 6.4×). We time the same operators in both engines on this machine.
 
-use crate::common::{speedup, time_median, Mode, Report};
+use crate::common::{lightpipes_forward, lightridge_forward, speedup, Mode, Report};
+use lr_bench::median_ns;
 use lr_tensor::{Complex64, Fft2, Field};
 
 /// Runs the experiment.
@@ -30,23 +31,23 @@ pub fn run(mode: Mode) -> Report {
 
     // --- FFT2 ---
     let fft = Fft2::new(n, n);
-    let lr_fft = time_median(runs, || {
+    let lr_fft = median_ns(runs, || {
         let mut f = field.clone();
         fft.forward(&mut f);
         std::hint::black_box(&f);
     });
-    let lp_fft = time_median(runs, || {
+    let lp_fft = median_ns(runs, || {
         let out = lr_lightpipes::fft2(&lp_grid, false);
         std::hint::black_box(&out);
     });
 
     // --- iFFT2 ---
-    let lr_ifft = time_median(runs, || {
+    let lr_ifft = median_ns(runs, || {
         let mut f = field.clone();
         fft.inverse(&mut f);
         std::hint::black_box(&f);
     });
-    let lp_ifft = time_median(runs, || {
+    let lp_ifft = median_ns(runs, || {
         let out = lr_lightpipes::fft2(&lp_grid, true);
         std::hint::black_box(&out);
     });
@@ -56,38 +57,33 @@ pub fn run(mode: Mode) -> Report {
     // keeps the buffer bounded; this times the fused kernel itself rather
     // than an allocation.
     let mut mm_buf = field.clone();
-    let lr_mm = time_median(runs, || {
+    let lr_mm = median_ns(runs, || {
         mm_buf.hadamard_assign(&transfer);
         std::hint::black_box(&mm_buf);
     });
-    let lp_mm = time_median(runs, || {
+    let lp_mm = median_ns(runs, || {
         let out = lr_lightpipes::complex_mm(&lp_grid, &lp_transfer);
         std::hint::black_box(&out);
     });
 
     // --- Overall: full 5-layer forward ---
     let phases: Vec<f64> = (0..n * n).map(|i| (i % 628) as f64 * 0.01).collect();
-    let lr_total = time_median(runs, || {
-        let mut f = field.clone();
-        for _ in 0..depth {
-            fft.convolve_spectrum(&mut f, &transfer);
-            for (z, &p) in f.as_mut_slice().iter_mut().zip(&phases) {
-                *z *= Complex64::cis(p);
-            }
-        }
-        std::hint::black_box(&f);
+    let lr_total = median_ns(runs, || {
+        std::hint::black_box(lightridge_forward(
+            &fft,
+            field.clone(),
+            &transfer,
+            &phases,
+            depth,
+        ));
     });
-    let lp_total = time_median(runs, || {
-        let mut f = lr_lightpipes::LpField {
+    let lp_total = median_ns(runs, || {
+        let start = lr_lightpipes::LpField {
             grid: lp_grid.clone(),
             pitch: 10e-6,
             wavelength: 532e-9,
         };
-        for _ in 0..depth {
-            f = lr_lightpipes::forvard(&f, 0.01);
-            f = lr_lightpipes::phase_mask(&f, &phases);
-        }
-        std::hint::black_box(&f);
+        std::hint::black_box(lightpipes_forward(start, &phases, depth));
     });
 
     report.row("FFT2 speedup", "11x (CPU)", &speedup(lp_fft, lr_fft));
@@ -101,10 +97,10 @@ pub fn run(mode: Mode) -> Report {
     report.blank();
     report.line(&format!(
         "absolute times (median of {runs}): LR fft2 {:.1}ms, LP fft2 {:.1}ms, LR fwd {:.1}ms, LP fwd {:.1}ms",
-        lr_fft * 1e3,
-        lp_fft * 1e3,
-        lr_total * 1e3,
-        lp_total * 1e3
+        lr_fft * 1e-6,
+        lp_fft * 1e-6,
+        lr_total * 1e-6,
+        lp_total * 1e-6
     ));
     let pass = lp_fft / lr_fft > 1.5 && lp_total / lr_total > 1.5;
     report.line(&format!(

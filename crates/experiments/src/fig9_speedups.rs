@@ -7,35 +7,9 @@
 //! backend stands in for the GPU role (same structural advantage: batch
 //! parallel execution of fused kernels).
 
-use crate::common::{time_median, Mode, Report};
+use crate::common::{lightpipes_forward, lightridge_forward, Mode, Report};
+use lr_bench::median_ns;
 use lr_tensor::{Complex64, Fft2, Field};
-
-fn lightridge_forward(n: usize, depth: usize, phases: &[f64], runs: usize) -> f64 {
-    let field = Field::from_fn(n, n, |r, c| Complex64::new((r + c) as f64 * 0.01, 0.0));
-    let transfer = Field::from_fn(n, n, |r, c| Complex64::cis((r * c) as f64 * 1e-4));
-    let fft = Fft2::new(n, n);
-    time_median(runs, || {
-        let mut f = field.clone();
-        for _ in 0..depth {
-            fft.convolve_spectrum(&mut f, &transfer);
-            for (z, &p) in f.as_mut_slice().iter_mut().zip(phases) {
-                *z *= Complex64::cis(p);
-            }
-        }
-        std::hint::black_box(&f);
-    })
-}
-
-fn lightpipes_forward(n: usize, depth: usize, phases: &[f64], runs: usize) -> f64 {
-    time_median(runs, || {
-        let mut f = lr_lightpipes::begin(n, 10e-6, 532e-9);
-        for _ in 0..depth {
-            f = lr_lightpipes::forvard(&f, 0.01);
-            f = lr_lightpipes::phase_mask(&f, phases);
-        }
-        std::hint::black_box(&f);
-    })
-}
 
 /// Runs the experiment.
 pub fn run(mode: Mode) -> Report {
@@ -52,9 +26,23 @@ pub fn run(mode: Mode) -> Report {
     let mut min_speedup = f64::INFINITY;
     for &n in &sizes {
         let phases: Vec<f64> = (0..n * n).map(|i| (i % 628) as f64 * 0.01).collect();
+        let field = Field::from_fn(n, n, |r, c| Complex64::new((r + c) as f64 * 0.01, 0.0));
+        let transfer = Field::from_fn(n, n, |r, c| Complex64::cis((r * c) as f64 * 1e-4));
+        let fft = Fft2::new(n, n);
         for &depth in &depths {
-            let lr = lightridge_forward(n, depth, &phases, runs);
-            let lp = lightpipes_forward(n, depth, &phases, runs);
+            let lr = median_ns(runs, || {
+                std::hint::black_box(lightridge_forward(
+                    &fft,
+                    field.clone(),
+                    &transfer,
+                    &phases,
+                    depth,
+                ));
+            });
+            let lp = median_ns(runs, || {
+                let start = lr_lightpipes::begin(n, 10e-6, 532e-9);
+                std::hint::black_box(lightpipes_forward(start, &phases, depth));
+            });
             let s = lp / lr;
             max_speedup = max_speedup.max(s);
             min_speedup = min_speedup.min(s);
@@ -62,8 +50,8 @@ pub fn run(mode: Mode) -> Report {
                 "{:>6} {:>6} {:>12.2} {:>12.2} {:>8.1}x",
                 n,
                 depth,
-                lr * 1e3,
-                lp * 1e3,
+                lr * 1e-6,
+                lp * 1e-6,
                 s
             ));
         }

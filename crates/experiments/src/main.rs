@@ -7,11 +7,16 @@
 //! ```
 //!
 //! `id` is one of `fig1 tab1 fig5 tab3 fig6 fig7 fig8 fig9 fig10 tab4
-//! fig11 tab5 fig13`. Reports are printed and, with `--out`, archived as
-//! text files.
+//! fig11 tab5 fig13 fdtd dse-transfer ext`; `all` runs every one. Quick
+//! scale is the default, `--full` runs closer to paper scale. Reports are
+//! printed and, with `--out`, archived as `DIR/<id>.txt`; those files are
+//! created before any experiment runs, so an unwritable `DIR` exits with
+//! code 2 at once.
 
+use lr_bench::create_output;
 use lr_experiments::common::Mode;
 use lr_experiments::{run_experiment, EXPERIMENTS};
+use std::io::Write as _;
 use std::path::PathBuf;
 
 fn main() {
@@ -45,17 +50,32 @@ fn main() {
         std::process::exit(2);
     };
 
-    for id in ids {
+    if let Some(dir) = &out_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create output directory {}: {e}", dir.display());
+            std::process::exit(2);
+        }
+    }
+    let outputs: Vec<_> = ids
+        .iter()
+        .map(|id| {
+            out_dir.as_ref().map(|dir| {
+                let path = dir.join(format!("{id}.txt"));
+                (create_output(&path), path)
+            })
+        })
+        .collect();
+
+    for (id, out) in ids.into_iter().zip(outputs) {
         let started = std::time::Instant::now();
         let report = run_experiment(id, mode);
         println!(
             "[{id} completed in {:.1}s]\n",
             started.elapsed().as_secs_f64()
         );
-        if let Some(dir) = &out_dir {
-            std::fs::create_dir_all(dir).expect("create output directory");
-            let path = dir.join(format!("{id}.txt"));
-            std::fs::write(&path, report.text()).expect("write report");
+        if let Some((mut file, path)) = out {
+            file.write_all(report.text().as_bytes())
+                .expect("write report");
             println!("[saved {}]", path.display());
         }
     }

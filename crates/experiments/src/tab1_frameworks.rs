@@ -6,7 +6,8 @@
 //! pre-fabrication runtime. We measure LoC from representative programs in
 //! both styles and time the validation workload in both engines.
 
-use crate::common::{speedup, time_median, Mode, Report};
+use crate::common::{lightpipes_forward, lightridge_forward, speedup, Mode, Report};
+use lr_bench::median_ns;
 use lr_tensor::{Complex64, Fft2, Field};
 
 /// The 5-layer DONN in LightRidge's textual DSL — the complete program
@@ -102,23 +103,18 @@ pub fn run(mode: Mode) -> Report {
     let phases: Vec<f64> = (0..n * n).map(|i| (i % 628) as f64 * 0.01).collect();
     let fft = Fft2::new(n, n);
     let transfer = Field::from_fn(n, n, |r, c| Complex64::cis((r * c) as f64 * 1e-4));
-    let lr_time = time_median(runs, || {
-        let mut f = Field::ones(n, n);
-        for _ in 0..5 {
-            fft.convolve_spectrum(&mut f, &transfer);
-            for (z, &p) in f.as_mut_slice().iter_mut().zip(&phases) {
-                *z *= Complex64::cis(p);
-            }
-        }
-        std::hint::black_box(&f);
+    let lr_time = median_ns(runs, || {
+        std::hint::black_box(lightridge_forward(
+            &fft,
+            Field::ones(n, n),
+            &transfer,
+            &phases,
+            5,
+        ));
     });
-    let lp_time = time_median(runs, || {
-        let mut f = lr_lightpipes::begin(n, 10e-6, 532e-9);
-        for _ in 0..5 {
-            f = lr_lightpipes::forvard(&f, 0.01);
-            f = lr_lightpipes::phase_mask(&f, &phases);
-        }
-        std::hint::black_box(&f);
+    let lp_time = median_ns(runs, || {
+        let start = lr_lightpipes::begin(n, 10e-6, 532e-9);
+        std::hint::black_box(lightpipes_forward(start, &phases, 5));
     });
     report.row(
         "pre-fab emulation runtime ratio",
