@@ -253,17 +253,20 @@ pub fn run(args: &[String]) {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let Some(baseline_path) = get("--baseline") else {
+    let usage = || -> ! {
         eprintln!("usage: lr-bench compare --baseline <file> --current <file> [--tolerance-pct N]");
         std::process::exit(2);
+    };
+    let Some(baseline_path) = get("--baseline") else {
+        usage()
     };
     let Some(current_path) = get("--current") else {
-        eprintln!("usage: lr-bench compare --baseline <file> --current <file> [--tolerance-pct N]");
-        std::process::exit(2);
+        usage()
     };
-    let tolerance_pct: f64 = get("--tolerance-pct")
-        .map(|v| v.parse().expect("--tolerance-pct takes a number"))
-        .unwrap_or(15.0);
+    let tolerance_pct: f64 = match get("--tolerance-pct") {
+        None => 15.0,
+        Some(v) => v.parse().unwrap_or_else(|_| usage()),
+    };
 
     let read_parsed = |path: &str| -> Json {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {

@@ -1129,10 +1129,17 @@ pub fn run(args: &[String]) {
     let out_path = flag("--out").map_or("BENCH_serve.json", String::as_str);
     let trace_path = flag("--trace-out");
     let quick = args.iter().any(|a| a == "--quick");
-    let shards: usize = flag("--shards")
-        .map(|v| v.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(2);
-    assert!(shards > 0, "--shards takes a positive integer");
+    let shards = match flag("--shards").map(|v| v.parse::<usize>()) {
+        None => 2,
+        Some(Ok(n)) if n > 0 => n,
+        Some(_) => {
+            eprintln!(
+                "usage: lr-bench serve [--out PATH] [--quick] [--shards N] [--trace-out PATH] \
+                 (--shards takes a positive integer)"
+            );
+            std::process::exit(2);
+        }
+    };
     let mut out = create_output(Path::new(out_path));
     let trace_out = trace_path.map(|p| (p, create_output(Path::new(p))));
 

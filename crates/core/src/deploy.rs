@@ -13,13 +13,25 @@
 //!   device level. This is the flow that suffers the ≥30% accuracy gap.
 //! * **Codesign flow** — codesign layers deploy their argmax level, which is
 //!   exactly the state training optimized. The gap (ideally) vanishes.
+//!
+//! A deployed system runs on the same compute path as the emulator: a
+//! [`BatchWorkspace`] carries a batch of planes through each free-space
+//! hop ([`lr_optics::FreeSpace::propagate_batch_into`]) and each fixed
+//! modulation panel or nonlinear film, and the camera readout (intensity,
+//! normalization, capture noise, region sums) then runs plane by plane.
+//! [`PhysicalDonn::infer`], [`PhysicalDonn::capture`] and
+//! [`PhysicalDonn::prewarm`] are the one-sample case, and
+//! [`PhysicalDonn::evaluate`] streams worker shards through the batched
+//! loop of [`crate::train::evaluate`]. A batch of N is bit-identical to N
+//! one-sample calls, and a serving registry runs coalesced requests for a
+//! physical variant through [`PhysicalDonn::infer_staged_batch`] without
+//! allocating.
 
-use crate::model::{DonnModel, Layer};
+use crate::model::{BatchWorkspace, DonnModel, Layer};
 use crate::train::LabeledImage;
 use lr_hardware::{CameraModel, CrosstalkModel, FabricationVariation, SlmModel};
-use lr_nn::metrics::argmax;
-use lr_optics::{FreeSpace, PropagationScratch};
-use lr_tensor::{parallel, Complex64, Field};
+use lr_optics::FreeSpace;
+use lr_tensor::{Complex64, Field};
 
 /// Fabrication export for one diffractive layer.
 #[derive(Debug, Clone)]
@@ -134,6 +146,12 @@ impl HardwareEnvironment {
 /// A deployed physical DONN: fixed complex modulation masks (device states
 /// with this unit's fabrication errors baked in) between free-space hops,
 /// plus any nonlinear films.
+///
+/// It runs on lr-core's one compute path: a [`BatchWorkspace`] from
+/// [`PhysicalDonn::make_batch_workspace`] carries a batch of planes
+/// through every hop ([`PhysicalDonn::infer_staged_batch`]), and the
+/// per-sample entry points ([`PhysicalDonn::infer`],
+/// [`PhysicalDonn::capture`]) are its one-plane case.
 #[derive(Debug, Clone)]
 pub struct PhysicalDonn {
     stages: Vec<PhysicalStage>,
@@ -152,47 +170,6 @@ enum PhysicalStage {
     },
     /// A saturable-absorber film at the current plane.
     Nonlinear(crate::layers::nonlinear::SaturableAbsorber),
-}
-
-/// Reusable per-thread buffers for deployed (all-optical emulated)
-/// inference: the running wavefield, FFT scratch, and the intensity/camera
-/// staging buffers. Build one per `(thread, deployed model)` via
-/// [`PhysicalDonn::make_workspace`]; the capture path then performs zero
-/// heap allocations in steady state — this is what lets serving registries
-/// serve `HardwareEnvironment`-emulated variants at the same cost contract
-/// as emulation-mode models.
-#[derive(Debug, Clone)]
-pub struct PhysicalWorkspace {
-    u: Field,
-    scratch: PropagationScratch,
-    intensity: Vec<f64>,
-    captured: Vec<f64>,
-}
-
-impl PhysicalWorkspace {
-    /// Builds a workspace for a `rows × cols` detector plane.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        PhysicalWorkspace {
-            u: Field::zeros(rows, cols),
-            scratch: PropagationScratch::new(rows, cols),
-            intensity: Vec::with_capacity(rows * cols),
-            captured: Vec::with_capacity(rows * cols),
-        }
-    }
-
-    /// Plane shape this workspace serves.
-    pub fn shape(&self) -> (usize, usize) {
-        self.u.shape()
-    }
-
-    /// Heap bytes held by this workspace's buffers — what the serving
-    /// runtime's resident-memory accounting credits back when a retired
-    /// model's per-worker workspaces are reclaimed.
-    pub fn resident_bytes(&self) -> usize {
-        self.u.resident_bytes()
-            + self.scratch.resident_bytes()
-            + (self.intensity.capacity() + self.captured.capacity()) * std::mem::size_of::<f64>()
-    }
 }
 
 impl PhysicalDonn {
@@ -259,76 +236,69 @@ impl PhysicalDonn {
         self.detector.num_classes()
     }
 
-    /// Allocates a [`PhysicalWorkspace`] sized for this system's plane.
-    pub fn make_workspace(&self) -> PhysicalWorkspace {
+    /// Allocates a [`BatchWorkspace`] for up to `capacity` samples on this
+    /// system's plane. Its camera staging planes are sized by the first
+    /// pass.
+    pub fn make_batch_workspace(&self, capacity: usize) -> BatchWorkspace {
         let (rows, cols) = self.detector.shape();
-        PhysicalWorkspace::new(rows, cols)
+        BatchWorkspace::new(capacity, rows, cols, self.detector.num_classes())
     }
 
-    /// All-optical inference: returns the class logits measured from the
-    /// camera capture.
-    pub fn infer(&self, input: &Field) -> Vec<f64> {
-        let mut ws = self.make_workspace();
-        let mut logits = Vec::with_capacity(self.detector.num_classes());
-        self.infer_with(input, &mut ws, &mut logits);
-        logits
-    }
-
-    /// [`PhysicalDonn::infer`] through a caller-owned workspace and output
-    /// buffer — **zero heap allocations** in steady state (the deployed
-    /// serving hot path, verified by the serve counting-allocator test).
+    /// All-optical inference of the planes loaded into `ws` (via
+    /// [`BatchWorkspace::begin_batch`] + [`BatchWorkspace::load_input`]),
+    /// leaving each sample's logits, read from its camera capture, in
+    /// [`BatchWorkspace::staged_logits`]. Every hop is one batched
+    /// [`FreeSpace::propagate_batch_into`]; the readout runs plane by
+    /// plane, so a batch of N is bit-identical to N one-sample
+    /// [`PhysicalDonn::infer`] calls. **Zero heap allocations** in steady
+    /// state (batch ≤ workspace capacity, after one pass has sized the
+    /// camera planes) — the deployed serving hot path, verified by the
+    /// serve counting-allocator test.
     ///
     /// # Panics
     ///
-    /// Panics if `input` or `ws` does not match the system's plane.
-    pub fn infer_with(&self, input: &Field, ws: &mut PhysicalWorkspace, logits: &mut Vec<f64>) {
-        self.capture_with(input, 0, ws);
-        self.detector.read_intensity_into(&ws.captured, logits);
+    /// Panics if `ws` does not match the system's plane.
+    pub fn infer_staged_batch(&self, ws: &mut BatchWorkspace) {
+        self.propagate_staged(ws);
+        for b in 0..ws.batch() {
+            self.capture_plane(ws, b, 0);
+            self.detector
+                .read_intensity_into(&ws.captured, &mut ws.staged[b]);
+        }
     }
 
-    /// The camera image of the detector plane for a given input —
-    /// LightRidge's Fig. 6 "experimental measurement".
-    pub fn capture(&self, input: &Field, shot: u64) -> Vec<f64> {
-        let mut ws = self.make_workspace();
-        self.capture_with(input, shot, &mut ws);
-        ws.captured
-    }
-
-    /// [`PhysicalDonn::capture`] through a caller-owned workspace; the
-    /// captured image is left in the workspace's staging buffer
-    /// (allocation-free in steady state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` or `ws` does not match the system's plane.
-    fn capture_with(&self, input: &Field, shot: u64, ws: &mut PhysicalWorkspace) {
-        assert_eq!(
-            input.shape(),
-            self.detector.shape(),
-            "input/plane shape mismatch"
-        );
+    /// Runs the deployed stack plus the final hop over the active planes
+    /// of `ws`.
+    fn propagate_staged(&self, ws: &mut BatchWorkspace) {
         assert_eq!(
             ws.shape(),
             self.detector.shape(),
             "workspace/plane shape mismatch"
         );
-        ws.u.copy_from(input);
         for stage in &self.stages {
             match stage {
                 PhysicalStage::Modulated {
                     propagator,
                     modulation,
                 } => {
-                    propagator.propagate_with(&mut ws.u, &mut ws.scratch);
-                    ws.u.hadamard_assign(modulation);
+                    propagator.propagate_batch_into(&mut ws.u, &mut ws.scratch);
+                    ws.u.hadamard_broadcast_assign(modulation);
                 }
-                PhysicalStage::Nonlinear(sa) => sa.saturate(ws.u.as_mut_slice()),
+                PhysicalStage::Nonlinear(sa) => sa.infer_batch_inplace(&mut ws.u),
             }
         }
         self.final_propagator
-            .propagate_with(&mut ws.u, &mut ws.scratch);
-        ws.u.intensity_into(&mut ws.intensity);
-        // Normalize into the camera's dynamic range before capture.
+            .propagate_batch_into(&mut ws.u, &mut ws.scratch);
+    }
+
+    /// Camera capture of plane `b` of the propagated batch into the
+    /// workspace's `captured` plane: the intensity is normalized into the
+    /// camera's dynamic range, captured with the noise seed
+    /// `capture_seed + shot`, and scaled back.
+    fn capture_plane(&self, ws: &mut BatchWorkspace, b: usize, shot: u64) {
+        ws.intensity.clear();
+        ws.intensity
+            .extend(ws.u.plane(b).iter().map(|z| z.norm_sqr()));
         let max = ws.intensity.iter().cloned().fold(0.0, f64::max).max(1e-30);
         for i in ws.intensity.iter_mut() {
             *i /= max;
@@ -343,36 +313,56 @@ impl PhysicalDonn {
         }
     }
 
-    /// Warms every global cache and this thread's scratch for the deployed
-    /// stack (FFT plans, transfer kernels) by running one dummy capture.
-    /// Registries call this at registration time; never on a hot path.
-    pub fn prewarm(&self) {
-        for stage in &self.stages {
-            if let PhysicalStage::Modulated { propagator, .. } = stage {
-                propagator.prewarm();
-            }
-        }
-        self.final_propagator.prewarm();
-        let (rows, cols) = self.detector.shape();
-        let mut ws = self.make_workspace();
-        let mut logits = Vec::with_capacity(self.detector.num_classes());
-        self.infer_with(&Field::ones(rows, cols), &mut ws, &mut logits);
+    /// Loads `input` as a one-sample batch of a fresh workspace.
+    fn one_sample(&self, input: &Field) -> BatchWorkspace {
+        let mut ws = self.make_batch_workspace(1);
+        ws.begin_batch(1);
+        ws.load_input(0, input);
+        ws
     }
 
-    /// Classification accuracy of the deployed system.
-    pub fn evaluate(&self, data: &[LabeledImage]) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
+    /// All-optical inference: returns the class logits measured from the
+    /// camera capture (the one-sample [`PhysicalDonn::infer_staged_batch`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not match the system's plane.
+    pub fn infer(&self, input: &Field) -> Vec<f64> {
+        let mut ws = self.one_sample(input);
+        self.infer_staged_batch(&mut ws);
+        ws.staged_logits(0).to_vec()
+    }
+
+    /// The camera image of the detector plane for a given input —
+    /// LightRidge's Fig. 6 "experimental measurement".
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not match the system's plane.
+    pub fn capture(&self, input: &Field, shot: u64) -> Vec<f64> {
+        let mut ws = self.one_sample(input);
+        self.propagate_staged(&mut ws);
+        self.capture_plane(&mut ws, 0, shot);
+        ws.captured
+    }
+
+    /// Warms every global cache for the deployed stack (FFT plans,
+    /// transfer kernels) by running one dummy inference. Registries call
+    /// this at registration time; never on a hot path.
+    pub fn prewarm(&self) {
         let (rows, cols) = self.detector.shape();
-        let correct: usize = parallel::par_map(data.len(), |i| {
-            let (img, label) = &data[i];
-            let input = Field::from_amplitudes(rows, cols, img);
-            usize::from(argmax(&self.infer(&input)) == *label)
-        })
-        .into_iter()
-        .sum();
-        correct as f64 / data.len() as f64
+        self.infer(&Field::ones(rows, cols));
+    }
+
+    /// Classification accuracy of the deployed system: the worker-sharded
+    /// batched loop of [`crate::train::evaluate`] over
+    /// [`PhysicalDonn::infer_staged_batch`]. An empty dataset scores 0.
+    pub fn evaluate(&self, data: &[LabeledImage]) -> f64 {
+        crate::train::evaluate_staged(
+            data,
+            |capacity| self.make_batch_workspace(capacity),
+            |ws| self.infer_staged_batch(ws),
+        )
     }
 }
 

@@ -23,7 +23,7 @@
 //! where `g = ∂L/∂ū` and `t'(I) = (1 − α)·I_sat/(I + I_sat)²`.
 
 use lr_obs::{KernelKind, KernelTimer};
-use lr_tensor::{Complex64, FieldBatch};
+use lr_tensor::FieldBatch;
 
 /// A saturable-absorber nonlinear optical layer.
 ///
@@ -102,19 +102,13 @@ impl SaturableAbsorber {
         (1.0 - self.alpha) * self.saturation / (i + self.saturation).powi(2)
     }
 
-    /// `out = t(|u|²)·u` over raw samples in place: the kernel behind the
-    /// batched step, and the deployed system's one-plane film.
-    pub(crate) fn saturate(&self, samples: &mut [Complex64]) {
+    /// Batched inference step: `out = t(|u|²)·u` applied to every active
+    /// plane in place (elementwise, allocation-free).
+    pub fn infer_batch_inplace(&self, batch: &mut FieldBatch) {
         let _t = KernelTimer::start(KernelKind::Modulate);
-        for z in samples {
+        for z in batch.as_mut_slice() {
             *z *= self.transmission(z.norm_sqr());
         }
-    }
-
-    /// Batched inference step: the saturable transmission applied to every
-    /// active plane in place (elementwise, allocation-free).
-    pub fn infer_batch_inplace(&self, batch: &mut FieldBatch) {
-        self.saturate(batch.as_mut_slice());
     }
 
     /// Batched trace-building forward pass reusing a caller-owned cache.
@@ -154,7 +148,7 @@ impl SaturableAbsorber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_tensor::Field;
+    use lr_tensor::{Complex64, Field};
 
     /// One-sample traced forward: the output field and its cache.
     fn forward_one(sa: &SaturableAbsorber, u: &Field) -> (Field, NonlinearBatchCache) {

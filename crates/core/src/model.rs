@@ -138,11 +138,14 @@ impl ModelGrads {
 /// planes (one per sample, up to a fixed capacity), the shared
 /// propagation scratch, a gradient batch (grown lazily by the first
 /// backward pass), staged per-sample logits for the serving two-phase
-/// path, and a per-layer seed scratch.
+/// path, a per-layer seed scratch, and the camera staging planes of a
+/// deployed system (grown lazily by its first pass).
 ///
 /// Build one per `(thread, model, max batch)` via
-/// [`DonnModel::make_batch_workspace`] — or [`DonnModel::make_workspace`]
-/// for one sample at a time — and thread it through
+/// [`DonnModel::make_batch_workspace`] (or
+/// [`crate::deploy::PhysicalDonn::make_batch_workspace`] for a deployed
+/// system) — or [`DonnModel::make_workspace`] for one sample at a time —
+/// and thread it through
 /// [`DonnModel::infer_batch_into`] / [`DonnModel::infer_mode_into`] /
 /// [`DonnModel::forward_trace_batch_into`] /
 /// [`DonnModel::backward_batch_with`]. For any batch size up to the
@@ -163,15 +166,21 @@ pub struct BatchWorkspace {
     cols: usize,
     classes: usize,
     /// Running wavefield planes.
-    u: FieldBatch,
+    pub(crate) u: FieldBatch,
     /// Gradient planes (capacity 0 until the first batched backward, so
     /// inference-only owners — the serving runtime — pay nothing for it).
     grad: FieldBatch,
-    scratch: PropagationScratch,
+    pub(crate) scratch: PropagationScratch,
+    /// Camera staging planes of a deployed system's readout: the
+    /// normalized intensity and the captured image of the plane being read
+    /// (capacity 0 until the first [`crate::deploy::PhysicalDonn`] pass, so
+    /// emulation owners pay nothing for them).
+    pub(crate) intensity: Vec<f64>,
+    pub(crate) captured: Vec<f64>,
     /// Staged per-sample logits for the two-phase serving path
     /// ([`BatchWorkspace::load_input`] → [`DonnModel::infer_staged_batch`]
     /// → [`BatchWorkspace::staged_logits`]).
-    staged: Vec<Vec<f64>>,
+    pub(crate) staged: Vec<Vec<f64>>,
     /// Per-layer decorrelated seed scratch for the batched traced forward.
     layer_seeds: Vec<u64>,
 }
@@ -187,6 +196,8 @@ impl BatchWorkspace {
             u: FieldBatch::with_capacity(capacity, rows, cols),
             grad: FieldBatch::with_capacity(0, rows, cols),
             scratch: PropagationScratch::new(rows, cols),
+            intensity: Vec::new(),
+            captured: Vec::new(),
             staged: (0..capacity).map(|_| Vec::with_capacity(classes)).collect(),
             layer_seeds: Vec::with_capacity(capacity),
         }
@@ -264,6 +275,7 @@ impl BatchWorkspace {
         self.u.resident_bytes()
             + self.grad.resident_bytes()
             + self.scratch.resident_bytes()
+            + (self.intensity.capacity() + self.captured.capacity()) * std::mem::size_of::<f64>()
             + self
                 .staged
                 .iter()

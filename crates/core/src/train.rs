@@ -344,18 +344,35 @@ fn map_shards<T: Send + Default>(
 }
 
 fn evaluate_mode(model: &DonnModel, data: &[LabeledImage], mode: CodesignMode) -> f64 {
+    evaluate_staged(
+        data,
+        |capacity| model.make_batch_workspace(capacity),
+        |ws| model.infer_staged_batch(mode, ws),
+    )
+}
+
+/// Argmax accuracy of a staged batched forward over `data`: each worker
+/// streams its shard through one workspace from `make_workspace` in
+/// [`EVAL_BATCH`] chunks, runs `infer` on each loaded chunk and scores
+/// the staged logits. The loop behind [`evaluate`], [`evaluate_deployed`]
+/// and [`crate::deploy::PhysicalDonn::evaluate`].
+pub(crate) fn evaluate_staged(
+    data: &[LabeledImage],
+    make_workspace: impl Fn(usize) -> BatchWorkspace + Sync,
+    infer: impl Fn(&mut BatchWorkspace) + Sync,
+) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
     let correct: usize = map_shards(data, |_, shard| {
-        let mut ws = model.make_batch_workspace(shard.len().min(EVAL_BATCH));
+        let mut ws = make_workspace(shard.len().min(EVAL_BATCH));
         let mut correct = 0;
         for chunk in shard.chunks(EVAL_BATCH) {
             ws.begin_batch(chunk.len());
             for (b, (img, _)) in chunk.iter().enumerate() {
                 ws.load_amplitudes(b, img);
             }
-            model.infer_staged_batch(mode, &mut ws);
+            infer(&mut ws);
             for (b, (_, label)) in chunk.iter().enumerate() {
                 correct += usize::from(argmax(ws.staged_logits(b)) == *label);
             }

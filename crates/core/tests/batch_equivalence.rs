@@ -6,12 +6,16 @@
 //! readout mode, and mixed layer stacks — and the batched traced
 //! forward/backward must reproduce the B=1 training step's logits and
 //! gradients exactly, as must the batched `evaluate` /
-//! `evaluate_deployed` accuracy. `mean_confidence` must not depend on the
+//! `evaluate_deployed` accuracy. A deployed `PhysicalDonn` obeys the same
+//! contract: its staged batch equals B=1 `infer` at every forced SIMD
+//! level, and its `evaluate` equals the per-image argmax count at any
+//! thread count. `mean_confidence` must not depend on the
 //! thread count. Across SIMD
 //! dispatch levels the contract is tolerance-renegotiated: forced scalar
 //! vs detected-width results agree to ≤ 1e-12 relative (the detector
 //! readout's lane-partial reduction is the only re-association).
 
+use lightridge::deploy::{HardwareEnvironment, PhysicalDonn};
 use lightridge::train::{evaluate, evaluate_deployed, mean_confidence, LabeledImage};
 use lightridge::{BatchTrace, CodesignMode, Detector, DonnBuilder, DonnModel, ModelGrads};
 use lr_nn::loss::{one_hot_into, softmax_mse_into};
@@ -411,6 +415,94 @@ fn evaluate_matches_per_sample_argmax_at_every_simd_level() {
         parallel::set_threads(0);
         simd::force(None);
     }
+}
+
+/// A deployed system's staged batch must equal B=1 `PhysicalDonn::infer`
+/// bit for bit — on Rayleigh-Sommerfeld and Fraunhofer stacks with a
+/// nonlinear film, at every forced SIMD level, for batch sizes {1, 3, 8}
+/// run back to back through one workspace.
+#[test]
+fn physical_batch_bit_identical_to_b1_at_every_simd_level() {
+    let _pinned = pin_dispatch();
+    for approx in [Approximation::RayleighSommerfeld, Approximation::Fraunhofer] {
+        let model = donn(20, 22, approx, true);
+        let physical = PhysicalDonn::deploy(&model, &HardwareEnvironment::prototype(3));
+        let inputs: Vec<Field> = (0..8).map(|b| sample_input(20, 22, b)).collect();
+        let mut ws = physical.make_batch_workspace(8);
+        for level in [SimdLevel::Scalar, SimdLevel::X2, SimdLevel::X4] {
+            simd::force(Some(level));
+            for batch_size in [8usize, 3, 1] {
+                ws.begin_batch(batch_size);
+                for (b, input) in inputs[..batch_size].iter().enumerate() {
+                    ws.load_input(b, input);
+                }
+                physical.infer_staged_batch(&mut ws);
+                for (b, input) in inputs[..batch_size].iter().enumerate() {
+                    assert_eq!(
+                        ws.staged_logits(b),
+                        physical.infer(input).as_slice(),
+                        "{approx:?} physical batch diverges from B=1 at sample \
+                         {b}/{batch_size} ({level:?})"
+                    );
+                }
+            }
+        }
+        simd::force(None);
+    }
+}
+
+/// `PhysicalDonn::evaluate` streams worker shards through staged batches;
+/// its accuracy must equal the per-image argmax count of B=1
+/// `PhysicalDonn::infer` bit for bit at one, two and three workers.
+#[test]
+fn physical_evaluate_matches_per_image_argmax_across_threads() {
+    let _pinned = pin_dispatch();
+    let model = donn(20, 22, Approximation::RayleighSommerfeld, true);
+    let physical = PhysicalDonn::deploy(&model, &HardwareEnvironment::prototype(5));
+    let classes = physical.num_classes();
+    // Label every image with its per-image prediction, except every third
+    // one, so the exact accuracy depends on every argmax.
+    let data: Vec<LabeledImage> = (0..17)
+        .map(|i| {
+            let img: Vec<f64> = sample_input(20, 22, i)
+                .as_slice()
+                .iter()
+                .map(|z| z.re)
+                .collect();
+            let predicted = argmax(&physical.infer(&Field::from_amplitudes(20, 22, &img)));
+            let label = if i % 3 == 2 {
+                (predicted + 1) % classes
+            } else {
+                predicted
+            };
+            (img, label)
+        })
+        .collect();
+    for threads in [1, 2, 3] {
+        parallel::set_threads(threads);
+        for &n in &[0usize, 1, 3, 5, 9, 17] {
+            let data = &data[..n];
+            let correct = data
+                .iter()
+                .filter(|(img, label)| {
+                    argmax(&physical.infer(&Field::from_amplitudes(20, 22, img))) == *label
+                })
+                .count();
+            let expected = if n == 0 {
+                0.0
+            } else {
+                correct as f64 / n as f64
+            };
+            let accuracy = physical.evaluate(data);
+            assert_eq!(
+                accuracy.to_bits(),
+                expected.to_bits(),
+                "physical evaluate diverges from per-image argmax: {accuracy} vs \
+                 {expected} (n={n}, {threads} threads)"
+            );
+        }
+    }
+    parallel::set_threads(0);
 }
 
 proptest! {

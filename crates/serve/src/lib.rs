@@ -84,29 +84,32 @@
 //!
 //! * **Zero steady-state allocations.** Every buffer on the request path is
 //!   preallocated and reused: clients own one request slot (input field +
-//!   logit buffer), workers own per-model
-//!   [`BatchWorkspace`](lightridge::BatchWorkspace)s (emulated variants;
-//!   `max_batch` co-resident planes plus staged logits) /
-//!   [`PhysicalWorkspace`](lightridge::deploy::PhysicalWorkspace)s, each
+//!   logit buffer), workers own one per-model
+//!   [`BatchWorkspace`](lightridge::BatchWorkspace) for every variant,
+//!   emulated or physical (`max_batch` co-resident planes plus staged
+//!   logits, and a physical variant's camera planes), each
 //!   shard's queue is a bounded ring, registry/in-flight/metrics snapshot
 //!   loads are `Arc` refcount bumps, and the latency histograms are fixed
 //!   arrays of atomics. Enforced by the counting-allocator test
 //!   `tests/zero_alloc_serve.rs` at the workspace root (≥2 shards, with a
-//!   mid-run live version flip).
+//!   mid-run live version flip, and coalesced runs of a physical variant).
 //! * **True batched execution.** A dispatcher executes each coalesced
 //!   micro-batch as **single batched forwards**: the drained slots are
 //!   split into maximal same-model runs, each staged into the per-worker
 //!   `BatchWorkspace` and run through one fused `FieldBatch` pass
-//!   (`DonnModel::infer_staged_batch`). Mixed-model batches split per
-//!   model — still batched — and only physical variants fall back to
-//!   per-sample execution. Coalescing is observable via
-//!   [`ServerStats::batched_samples`] / [`ServerStats::batch_executions`].
+//!   (`DonnModel::infer_staged_batch`, or
+//!   `PhysicalDonn::infer_staged_batch` for a physical variant). There is
+//!   no per-sample execution path: mixed-model batches split per model —
+//!   still batched — and a lone request is a B=1 run. Coalescing is
+//!   observable via [`ServerStats::batched_samples`] (equal to
+//!   `completed`) / [`ServerStats::batch_executions`].
 //! * **Bit-identical results.** A request served through the registry and
 //!   micro-batcher returns exactly the logits of a direct
-//!   `DonnModel::infer` call — batching, arrival order, shard routing,
-//!   work stealing, and worker assignment never change the numbers
-//!   (per-sample requests are B=1 batched calls over the same plane
-//!   kernels, so there is only one propagation code path to trust).
+//!   `DonnModel::infer` (or `PhysicalDonn::infer`) call — batching,
+//!   arrival order, shard routing, work stealing, and worker assignment
+//!   never change the numbers (per-sample requests are B=1 batched calls
+//!   over the same plane kernels, so there is only one propagation code
+//!   path to trust).
 //! * **Flat first-request latency.** Registration — at startup *and* live
 //!   ([`Server::register_emulated`]) — prewarms FFT plans, diffraction
 //!   kernels ([`lr_optics::FreeSpace::prewarm`]) and every layer's

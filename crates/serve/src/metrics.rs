@@ -343,10 +343,9 @@ pub struct ServerStats {
     pub batches: u64,
     /// Mean requests per executed micro-batch.
     pub mean_batch_size: f64,
-    /// Requests served through **batched forwards** (`infer_batch_into` /
-    /// staged batch execution on an emulated variant's `BatchWorkspace`).
-    /// Equal to `completed` when every variant is emulated; physical
-    /// variants fall back to per-sample execution and are excluded.
+    /// Requests served through **batched forwards** (staged batch
+    /// execution on a variant's `BatchWorkspace`). Every completed request
+    /// runs this way, emulated or physical, so this equals `completed`.
     pub batched_samples: u64,
     /// Batched forward executions (one per same-model run of a drained
     /// micro-batch). `batched_samples / batch_executions` is the mean

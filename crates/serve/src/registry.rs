@@ -27,7 +27,7 @@
 //!   [`crate::Server::epoch`].
 
 use arc_swap::ArcSwap;
-use lightridge::deploy::{HardwareEnvironment, PhysicalDonn, PhysicalWorkspace};
+use lightridge::deploy::{HardwareEnvironment, PhysicalDonn};
 use lightridge::{BatchWorkspace, CodesignMode, DonnModel};
 use lr_tensor::Field;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -100,19 +100,20 @@ pub enum ServableVariant {
 }
 
 /// Per-worker scratch for one registered variant. Workers own one per
-/// `(worker, model)` pair; the serve path reuses it for every request.
-/// Emulated variants hold a [`BatchWorkspace`] sized for the policy's
-/// `max_batch`, so a dispatcher can execute a whole coalesced micro-batch
-/// as **one batched forward** (per-sample requests run as B=1 batches
-/// through the same planes — one propagation code path).
+/// `(worker, model)` pair; the serve path reuses it for every run. Every
+/// variant, emulated or physical, holds a [`BatchWorkspace`] sized for the
+/// policy's `max_batch`, so a dispatcher executes a whole coalesced
+/// same-model run as **one batched forward** (a lone request is the B=1
+/// batch through the same planes — one execution path).
 #[derive(Debug, Clone)]
 pub(crate) enum VariantWorkspace {
-    Emulated(BatchWorkspace),
-    Physical(PhysicalWorkspace),
+    /// The workspace of a servable entry (boxed, so a placeholder does not
+    /// occupy a whole workspace's size in the per-worker vector).
+    Live(Box<BatchWorkspace>),
     /// Slim placeholder left behind by [`crate::Server::reclaim`]: keeps
     /// the per-worker workspace vector dense (ids are slot indices) after
-    /// the real buffers have been dropped. A request that still reaches a
-    /// reclaimed slot — only possible for a submission racing the retire
+    /// the real buffers have been dropped. A run that still reaches a
+    /// reclaimed slot — only possible for submissions racing the retire
     /// flip — is failed with `UnknownModel`, never served from freed
     /// memory.
     Reclaimed,
@@ -122,14 +123,9 @@ impl VariantWorkspace {
     /// Heap bytes held by this workspace's buffers (0 once reclaimed).
     pub(crate) fn resident_bytes(&self) -> usize {
         match self {
-            VariantWorkspace::Emulated(ws) => ws.resident_bytes(),
-            VariantWorkspace::Physical(ws) => ws.resident_bytes(),
+            VariantWorkspace::Live(ws) => ws.resident_bytes(),
             VariantWorkspace::Reclaimed => 0,
         }
-    }
-
-    pub(crate) fn is_reclaimed(&self) -> bool {
-        matches!(self, VariantWorkspace::Reclaimed)
     }
 }
 
@@ -207,81 +203,32 @@ impl RegisteredModel {
         }
     }
 
-    /// Builds a per-worker workspace. Emulated variants get a
-    /// [`BatchWorkspace`] with room for `batch_capacity` co-resident
-    /// planes (the policy's `max_batch`), so coalesced micro-batches
-    /// execute as one batched forward without allocating.
-    pub(crate) fn make_workspace(&self, batch_capacity: usize) -> VariantWorkspace {
-        match &self.variant {
-            ServableVariant::Emulated { model, .. } => {
-                VariantWorkspace::Emulated(model.make_batch_workspace(batch_capacity.max(1)))
-            }
-            ServableVariant::Physical { donn } => VariantWorkspace::Physical(donn.make_workspace()),
-        }
-    }
-
-    /// Builds a per-worker workspace and runs one dummy inference through
-    /// it, so the workspace hands over fully sized and warm (part of the
-    /// flat-first-request-latency contract for live registration).
+    /// Builds a per-worker workspace — a [`BatchWorkspace`] with room for
+    /// `batch_capacity` co-resident planes (the policy's `max_batch`), so
+    /// coalesced runs execute as one batched forward without allocating —
+    /// and runs one dummy B=1 inference through it, so the workspace hands
+    /// over fully sized and warm (part of the flat-first-request-latency
+    /// contract for live registration).
     pub(crate) fn warmed_workspace(&self, batch_capacity: usize) -> VariantWorkspace {
-        let mut ws = self.make_workspace(batch_capacity);
+        let capacity = batch_capacity.max(1);
+        let mut ws = match &self.variant {
+            ServableVariant::Emulated { model, .. } => model.make_batch_workspace(capacity),
+            ServableVariant::Physical { donn } => donn.make_batch_workspace(capacity),
+        };
         let (rows, cols) = self.shape;
-        let mut probe = Vec::with_capacity(self.classes);
-        self.infer_into(&Field::ones(rows, cols), &mut ws, &mut probe);
-        ws
+        ws.begin_batch(1);
+        ws.load_input(0, &Field::ones(rows, cols));
+        self.infer_staged_batch(&mut ws);
+        VariantWorkspace::Live(Box::new(ws))
     }
 
-    /// Runs one inference through the given worker workspace. This is the
-    /// zero-allocation serve path; emulated variants execute as a B=1
-    /// batched forward — the same propagation code path as coalesced
-    /// micro-batches, so single and batched execution are bit-identical.
-    pub(crate) fn infer_into(
-        &self,
-        input: &Field,
-        ws: &mut VariantWorkspace,
-        logits: &mut Vec<f64>,
-    ) {
-        match (&self.variant, ws) {
-            (ServableVariant::Emulated { model, mode }, VariantWorkspace::Emulated(ws)) => {
-                ws.begin_batch(1);
-                ws.load_input(0, input);
-                model.infer_staged_batch(*mode, ws);
-                logits.clear();
-                logits.extend_from_slice(ws.staged_logits(0));
-            }
-            (ServableVariant::Physical { donn }, VariantWorkspace::Physical(ws)) => {
-                donn.infer_with(input, ws, logits);
-            }
-            // Justified invariant, not a request-path failure mode: every
-            // workspace is built by `make_workspace` on this same entry
-            // (startup, live registration, and post-panic rebuild all go
-            // through it), and reclaimed slots are filtered by the serve
-            // path before dispatch — a mismatch here is a construction bug
-            // that no typed ServeError could make safe to continue past.
-            _ => unreachable!("variant/workspace kind mismatch"),
-        }
-    }
-
-    /// Executes the batch already staged into an emulated variant's
-    /// [`BatchWorkspace`] (planes loaded via [`BatchWorkspace::load_input`])
-    /// as **one batched forward**, leaving per-sample logits staged in the
-    /// workspace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not an emulated variant or the workspace kind
-    /// mismatches.
-    pub(crate) fn infer_staged_batch(&self, ws: &mut VariantWorkspace) {
-        match (&self.variant, ws) {
-            (ServableVariant::Emulated { model, mode }, VariantWorkspace::Emulated(ws)) => {
-                model.infer_staged_batch(*mode, ws);
-            }
-            // Justified invariant: the dispatcher only routes a run here
-            // after matching the workspace as `Emulated` (see `serve_run`),
-            // and the workspace was built from this entry. Were it ever
-            // hit, the panic unwinds into the run-level containment and
-            // fails only that run with `WorkerPanic` — never the server.
-            _ => unreachable!("staged batch execution requires an emulated variant"),
+    /// Executes the batch already staged into `ws` (planes loaded via
+    /// [`BatchWorkspace::load_input`]) as **one batched forward** of this
+    /// variant, leaving per-sample logits staged in the workspace.
+    pub(crate) fn infer_staged_batch(&self, ws: &mut BatchWorkspace) {
+        match &self.variant {
+            ServableVariant::Emulated { model, mode } => model.infer_staged_batch(*mode, ws),
+            ServableVariant::Physical { donn } => donn.infer_staged_batch(ws),
         }
     }
 

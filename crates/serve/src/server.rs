@@ -2281,8 +2281,8 @@ fn process_deliveries(core: &ServerCore, shard_idx: usize, ctxs: &mut [WorkerCtx
 
 /// Fails every slot of a batch whose execution panicked. Served slots are
 /// already `Done` (and had their in-flight accounting retired inside
-/// `serve_one` — nothing in serve_one can panic *between* the decrement
-/// and `Done`), so only slots still `Queued` need failing and retiring.
+/// `serve_run` — nothing there can panic *between* the decrement and
+/// `Done`), so only slots still `Queued` need failing and retiring.
 /// The ticket check guards against a served client that already
 /// re-submitted into the same reusable slot: its new request (`Queued`
 /// again, but with a newer ticket) belongs to a different batch and must
@@ -2407,11 +2407,10 @@ fn execute_batch(
 
 /// Serves one worker's contiguous sub-range of a drained micro-batch:
 /// splits it into maximal **same-model runs** and executes each run as one
-/// batched forward against the worker's per-model [`BatchWorkspace`]
-/// (emulated variants). A batch that mixes models therefore falls back to
-/// per-model splitting — never to per-sample dispatch — and physical
-/// (hardware-emulated) variants, whose capture pipeline is inherently
-/// per-sample, take the per-sample path. Zero allocations in steady state.
+/// batched forward against the worker's per-model [`BatchWorkspace`],
+/// emulated and physical (hardware-emulated) variants alike. A batch that
+/// mixes models therefore falls back to per-model splitting — never to
+/// per-sample dispatch. Zero allocations in steady state.
 fn serve_range(
     core: &ServerCore,
     shard_idx: usize,
@@ -2454,7 +2453,7 @@ fn serve_range(
 /// account the panic toward quarantine, and rebuild the worker's
 /// workspace for the model so the shard returns to its warmed, zero-alloc
 /// steady state. Served slots of the run are already `Done` with their
-/// accounting retired (nothing in the serve paths can panic between the
+/// accounting retired (nothing in the serve path can panic between the
 /// in-flight decrement and `Done`), and drained slots are exclusively
 /// ours until their clients wake — so no ticket check is needed here,
 /// unlike whole-batch recovery.
@@ -2539,15 +2538,10 @@ fn serve_run(
     if core.fault_fires(FaultKind::PanicInForward) {
         panic!("injected fault: panic in forward");
     }
-    let batchable = matches!(ctx.workspaces[model.0], VariantWorkspace::Emulated(_));
-    if !batchable {
-        // Physical variants (per-sample capture pipeline) and reclaimed
-        // placeholders take the per-sample path, which handles both.
-        for slot in run {
-            serve_one(core, shard_idx, ctx, slot);
-        }
+    let VariantWorkspace::Live(ws) = &mut ctx.workspaces[model.0] else {
+        fail_reclaimed_run(core, model, run);
         return;
-    }
+    };
     // Stage every input into the workspace's plane batch, one slot lock at
     // a time — drained slots are exclusively ours until their clients are
     // woken, so dropping the lock between staging and write-back is safe
@@ -2566,29 +2560,21 @@ fn serve_run(
                 .expect("queued slot carries its pinned entry"),
         )
     };
-    {
-        let VariantWorkspace::Emulated(ws) = &mut ctx.workspaces[model.0] else {
-            unreachable!("batchable checked above");
-        };
-        ws.begin_batch(run.len());
-        for (b, slot) in run.iter().enumerate() {
-            let st = slot.lock();
-            debug_assert_eq!(st.stage, Stage::Queued, "drained slot must be queued");
-            debug_assert_eq!(st.model, model, "run must be model-homogeneous");
-            ws.load_input(b, &st.input);
-        }
+    ws.begin_batch(run.len());
+    for (b, slot) in run.iter().enumerate() {
+        let st = slot.lock();
+        debug_assert_eq!(st.stage, Stage::Queued, "drained slot must be queued");
+        debug_assert_eq!(st.model, model, "run must be model-homogeneous");
+        ws.load_input(b, &st.input);
     }
     // One batched forward for the whole coalesced run; its boundaries are
     // the staging/forward and forward/respond stage boundaries for every
     // request of the run.
     let forward_start = Instant::now();
-    entry.infer_staged_batch(&mut ctx.workspaces[model.0]);
+    entry.infer_staged_batch(ws);
     let forward_end = Instant::now();
     core.metrics.record_batched_execution(run.len() as u64);
     // Distribute staged logits and wake the clients.
-    let VariantWorkspace::Emulated(ws) = &ctx.workspaces[model.0] else {
-        unreachable!("batchable checked above");
-    };
     for (b, slot) in run.iter().enumerate() {
         let (latency_ns, enqueued, drained, request, sampled) = {
             let mut st = slot.lock();
@@ -2602,8 +2588,9 @@ fn serve_run(
                 st.sampled,
             )
         };
-        // Retire in-flight accounting *before* the client is woken, same
-        // as the per-sample path.
+        // Retire in-flight accounting *before* the client is woken — a
+        // sequential caller must never see its own just-completed request
+        // still counted against the per-model cap.
         core.inflight_release(model);
         let mut st = slot.lock();
         st.stage = Stage::Done;
@@ -2626,79 +2613,23 @@ fn serve_run(
     }
 }
 
-/// Serves a single request into its slot and wakes the client.
-///
-/// Once a slot has been drained out of a queue nothing else can fail it
-/// (shed and shutdown only touch queued entries), so its stage here is
-/// always `Queued`; the compute happens under the slot lock against the
-/// slot's own pinned entry (version-flip safe), the in-flight decrement is
-/// atomic, and only then is the client woken.
-fn serve_one(core: &ServerCore, shard_idx: usize, ctx: &mut WorkerCtx, slot: &RequestSlot) {
-    let (model, latency_ns, enqueued, drained, forward_start, forward_end, request, sampled) = {
-        let mut st = slot.lock();
-        debug_assert_eq!(st.stage, Stage::Queued, "drained slot must be queued");
-        let state = &mut *st;
-        let model = state.model;
-        // A submission that raced the retire flip (validated against a
-        // pre-retire snapshot, enqueued after the drain fence passed) can
-        // reach a reclaimed workspace slot. Refuse it — its model is
-        // retired — rather than serve from freed memory.
-        if ctx.workspaces[model.0].is_reclaimed() {
-            state.stage = Stage::Failed(ServeError::UnknownModel);
-            let waker = state.waker.clone();
-            drop(st);
-            core.inflight_release(model);
-            core.metrics.record_rejected();
-            slot.notify(waker);
-            return;
-        }
-        let entry = state
-            .entry
-            .as_ref()
-            // UNWRAP: same invariant (and same containment) as the
-            // batched path — a break here unwinds into run-level recovery
-            // and reaches the client as a typed `WorkerPanic`.
-            .expect("queued slot carries its pinned entry");
-        let forward_start = Instant::now();
-        entry.infer_into(
-            &state.input,
-            &mut ctx.workspaces[model.0],
-            &mut state.logits,
-        );
-        let forward_end = Instant::now();
-        (
-            model,
-            u64::try_from(state.enqueued_at.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            state.enqueued_at,
-            state.drained_at,
-            forward_start,
-            forward_end,
-            state.request,
-            state.sampled,
-        )
-    };
-    // Retire in-flight accounting *before* the client is woken — a
-    // sequential caller must never see its own just-completed request
-    // still counted against the per-model cap.
-    core.inflight_release(model);
-    let mut st = slot.lock();
-    st.stage = Stage::Done;
-    let waker = st.waker.clone();
-    drop(st);
-    core.metrics
-        .record_completed(shard_idx, model.0, latency_ns);
-    core.record_request_timing(
-        shard_idx,
-        model.0,
-        request,
-        sampled,
-        enqueued,
-        drained,
-        forward_start,
-        forward_end,
-        Instant::now(),
-    );
-    slot.notify(waker);
+/// Fails a run that reached a reclaimed workspace placeholder. Only
+/// submissions racing the retire flip (validated against a pre-retire
+/// snapshot, enqueued after the drain fence passed) get here; their model
+/// is retired, so each is refused with `UnknownModel` — never served from
+/// freed memory — and released from in-flight exactly once.
+fn fail_reclaimed_run(core: &ServerCore, model: ModelId, run: &[Arc<RequestSlot>]) {
+    for slot in run {
+        let waker = {
+            let mut st = slot.lock();
+            debug_assert_eq!(st.stage, Stage::Queued, "drained slot must be queued");
+            st.stage = Stage::Failed(ServeError::UnknownModel);
+            st.waker.clone()
+        };
+        core.inflight_release(model);
+        core.metrics.record_rejected();
+        slot.notify(waker);
+    }
 }
 
 #[cfg(test)]
@@ -2712,8 +2643,7 @@ mod tests {
     /// WorkerPanic, retire its in-flight accounting, and leave served
     /// slots alone — the dispatcher's panic containment depends on
     /// exactly this.
-    #[test]
-    fn recover_failed_batch_fails_queued_and_retires_inflight() {
+    fn one_model_server() -> (Server, ModelId) {
         let grid = Grid::square(8, PixelPitch::from_um(36.0));
         let model = DonnBuilder::new(grid, Wavelength::from_nm(532.0))
             .distance(Distance::from_mm(10.0))
@@ -2722,7 +2652,12 @@ mod tests {
             .build();
         let mut registry = ModelRegistry::new();
         let id = registry.register_emulated("m", 1, model, ReadoutMode::Emulation);
-        let server = Server::start(registry, BatchPolicy::default());
+        (Server::start(registry, BatchPolicy::default()), id)
+    }
+
+    #[test]
+    fn recover_failed_batch_fails_queued_and_retires_inflight() {
+        let (server, id) = one_model_server();
 
         // A batch of three drained slots mid-execution: one already
         // served, one still queued when the (simulated) panic hit, and
@@ -2774,6 +2709,49 @@ mod tests {
             1,
             "exactly one in-flight release: the ticket-matched unserved slot"
         );
+        server.shutdown();
+    }
+
+    /// A run that reaches a reclaimed workspace placeholder — only possible
+    /// for submissions racing the retire flip — must fail every slot with
+    /// `UnknownModel`, release each in-flight claim exactly once and count
+    /// each refusal under `rejected`, without touching the forward.
+    #[test]
+    fn serve_run_fails_a_reclaimed_run_as_a_whole() {
+        let (server, id) = one_model_server();
+        let run: Vec<Arc<RequestSlot>> = (0..3)
+            .map(|ticket| {
+                let slot = Arc::new(RequestSlot::new());
+                {
+                    let mut st = slot.lock();
+                    st.stage = Stage::Queued;
+                    st.model = id;
+                    st.ticket = ticket;
+                }
+                assert!(server.core.inflight_try_acquire(id));
+                slot
+            })
+            .collect();
+        assert_eq!(server.core.drain.inflight(id.0), 3);
+        let rejected = server.stats().rejected;
+        let mut ctx = WorkerCtx {
+            workspaces: vec![VariantWorkspace::Reclaimed],
+        };
+
+        serve_run(&server.core, 0, &mut ctx, id, &run);
+
+        for slot in &run {
+            assert_eq!(slot.lock().stage, Stage::Failed(ServeError::UnknownModel));
+        }
+        assert_eq!(
+            server.core.drain.inflight(id.0),
+            0,
+            "each in-flight claim must be released exactly once"
+        );
+        assert_eq!(server.stats().rejected, rejected + 3);
+        let stats = server.stats();
+        assert_eq!(stats.completed, 0);
+        assert_eq!(stats.batch_executions, 0, "no forward may run");
         server.shutdown();
     }
 }

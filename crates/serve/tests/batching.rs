@@ -1,8 +1,9 @@
 //! Dispatcher-level batched-execution tests: coalesced micro-batches must
 //! execute as **single batched forwards** (observable via the
 //! `batched_samples` / `batch_executions` counters), stay bit-identical to
-//! direct inference, split per model — not per sample — when a batch mixes
-//! models, and fall back to per-sample execution for physical variants.
+//! direct inference, and split per model — not per sample — when a batch
+//! mixes models. Physical (hardware-emulated) variants coalesce and
+//! execute the same way: there is no per-sample execution path.
 
 use lightridge::deploy::HardwareEnvironment;
 use lightridge::{Detector, DonnBuilder, DonnModel};
@@ -149,11 +150,13 @@ fn mixed_model_batches_split_per_model_and_stay_batched() {
     server.shutdown();
 }
 
-/// Physical (hardware-emulated) variants take the per-sample path — their
-/// requests never count as batched samples — while emulated requests in
-/// the same deployment stay batched. Both stay bit-identical.
+/// Physical (hardware-emulated) variants run through the same staged
+/// batched forward as emulated ones: a physical-only burst coalesces into
+/// at least one execution of more than one request, mixed emulated and
+/// physical traffic is served wholly through batched forwards, and every
+/// result stays bit-identical to direct inference.
 #[test]
-fn physical_variants_fall_back_to_per_sample() {
+fn physical_variants_coalesce_into_batched_forwards() {
     let emulated = donn(16, 1, 51);
     let physical = donn(16, 1, 52);
     let env = HardwareEnvironment::prototype(9);
@@ -163,6 +166,9 @@ fn physical_variants_fall_back_to_per_sample() {
     let server = Server::start(
         registry,
         BatchPolicy {
+            max_batch: 8,
+            // The same generous window as the emulated coalescing test.
+            max_delay: Duration::from_millis(25),
             shards: 1,
             workers: 1,
             ..BatchPolicy::default()
@@ -171,22 +177,56 @@ fn physical_variants_fall_back_to_per_sample() {
     let em = server.resolve("em", None).unwrap();
     let hw = server.resolve("hw", None).unwrap();
     let phys = lightridge::deploy::PhysicalDonn::deploy(&physical, &env);
+    let expected_em: Vec<Vec<f64>> = (0..8).map(|p| emulated.infer(&sample(16, p))).collect();
+    let expected_hw: Vec<Vec<f64>> = (0..8).map(|p| phys.infer(&sample(16, p))).collect();
 
-    let mut client = server.client();
-    let mut logits = Vec::new();
-    for phase in 0..4 {
-        let x = sample(16, phase);
-        client.infer(em, &x, &mut logits).unwrap();
-        assert_eq!(logits, emulated.infer(&x));
-        client.infer(hw, &x, &mut logits).unwrap();
-        assert_eq!(logits, phys.infer(&x));
-    }
+    let clients = 8;
+    let rounds = 4;
+    // `physical_only`: every client targets the physical variant;
+    // otherwise odd clients do and even clients target the emulated one.
+    let burst = |physical_only: bool| {
+        let barrier = Barrier::new(clients);
+        std::thread::scope(|scope| {
+            for t in 0..clients {
+                let mut client = server.client();
+                let barrier = &barrier;
+                let (id, expected) = if physical_only || t % 2 == 1 {
+                    (hw, &expected_hw)
+                } else {
+                    (em, &expected_em)
+                };
+                scope.spawn(move || {
+                    let mut logits = Vec::new();
+                    for _ in 0..rounds {
+                        barrier.wait();
+                        client.infer(id, &sample(16, t), &mut logits).unwrap();
+                        assert_eq!(&logits, &expected[t], "request {t} changed under batching");
+                    }
+                });
+            }
+        });
+    };
 
+    burst(true);
     let stats = server.stats();
-    assert_eq!(stats.completed, 8);
+    let total = (clients * rounds) as u64;
+    assert_eq!(stats.completed, total);
+    assert_eq!(stats.batched_samples, total);
+    assert!(
+        stats.batch_executions < stats.batched_samples,
+        "with {clients} clients racing a {rounds}-round window, at least one \
+         physical execution must have covered more than one request \
+         (executions {}, samples {})",
+        stats.batch_executions,
+        stats.batched_samples
+    );
+
+    burst(false);
+    let stats = server.stats();
+    assert_eq!(stats.completed, 2 * total);
     assert_eq!(
-        stats.batched_samples, 4,
-        "only the emulated half of the traffic is batchable"
+        stats.batched_samples, stats.completed,
+        "emulated and physical requests alike run through batched forwards"
     );
     server.shutdown();
 }

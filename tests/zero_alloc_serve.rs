@@ -30,12 +30,18 @@
 //! zero), so the measured windows also prove the injection seams
 //! themselves are allocation-free when quiet.
 //!
+//! The last server serves a **physical** (hardware-emulated) variant:
+//! bursts of 1..=`max_batch` concurrent requests coalesce into staged
+//! batched runs of the deployed system, and the steady state must be
+//! allocation-free and bitwise equal to `PhysicalDonn::infer`.
+//!
 //! Like `zero_alloc.rs`, this must stay a single-test binary: the counting
 //! allocator is process-global. Sequential mode is forced
 //! (`set_threads(1)`) so shard partitions have width 0 and batch execution
 //! runs inline on each dispatcher thread; the allocator counts allocations
 //! from *every* thread, so the dispatchers' steady state is covered too.
 
+use lightridge::deploy::{HardwareEnvironment, PhysicalDonn};
 use lightridge::{Detector, DonnBuilder, DonnModel};
 use lr_optics::{Distance, Grid, PixelPitch, Wavelength};
 use lr_serve::{
@@ -44,8 +50,8 @@ use lr_serve::{
 };
 use lr_tensor::{parallel, Complex64, Field};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 struct CountingAllocator;
@@ -421,5 +427,103 @@ fn steady_state_sharded_serve_path_allocates_nothing() {
     assert_eq!(traced_stats.completed, 14);
     assert_no_overflow(&traced_stats.stage_latency, "traced server");
     traced.shutdown();
+
+    // ---- Physical variant: coalesced runs of 1..=max_batch -----------
+    // One persistent client thread per batch slot (spawned outside the
+    // windows). Each burst releases the first k of them together through
+    // a barrier; the coalescing window gathers their requests into staged
+    // runs of the deployed system, so the windows cover physical runs of
+    // every size up to `max_batch`.
+    let max_batch = 4;
+    let model_p = donn(32, 2, 13);
+    let env = HardwareEnvironment::prototype(4);
+    let mut registry = ModelRegistry::new();
+    registry.register_physical("p", 1, &model_p, &env);
+    let physical = Server::start(
+        registry,
+        BatchPolicy {
+            shards: 1,
+            max_batch,
+            max_delay: Duration::from_millis(25),
+            ..BatchPolicy::default()
+        },
+    );
+    let p = physical.resolve("p", None).unwrap();
+    let deployed = PhysicalDonn::deploy(&model_p, &env);
+    let inputs: Vec<Field> = (0..max_batch)
+        .map(|t| {
+            Field::from_fn(32, 32, |r, c| {
+                Complex64::from_real(if (r + c + 3 * t) % 5 < 2 { 1.0 } else { 0.1 })
+            })
+        })
+        .collect();
+    let references: Vec<Vec<f64>> = inputs.iter().map(|x| deployed.infer(x)).collect();
+    let active = AtomicUsize::new(0);
+    let mismatches = AtomicUsize::new(0);
+    let start = Barrier::new(max_batch + 1);
+    let done = Barrier::new(max_batch + 1);
+    let allocations = std::thread::scope(|scope| {
+        for t in 0..max_batch {
+            let mut client = physical.client();
+            let (active, mismatches, start, done) = (&active, &mismatches, &start, &done);
+            let (input, reference) = (&inputs[t], &references[t]);
+            scope.spawn(move || {
+                let mut logits = Vec::with_capacity(reference.len());
+                loop {
+                    start.wait();
+                    let k = active.load(Ordering::SeqCst);
+                    if k == 0 {
+                        break;
+                    }
+                    if t < k
+                        && (client.infer(p, input, &mut logits).is_err() || logits != *reference)
+                    {
+                        mismatches.fetch_add(1, Ordering::SeqCst);
+                    }
+                    done.wait();
+                }
+            });
+        }
+        let burst = |k: usize| {
+            active.store(k, Ordering::SeqCst);
+            start.wait();
+            done.wait();
+        };
+        for k in (1..=max_batch).chain(1..=max_batch) {
+            burst(k);
+        }
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..3 {
+            for k in 1..=max_batch {
+                burst(k);
+            }
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        // Release the client threads before any assertion can unwind.
+        active.store(0, Ordering::SeqCst);
+        start.wait();
+        after - before
+    });
+    assert_eq!(
+        allocations, 0,
+        "coalesced physical runs must not allocate (got {allocations} allocations)"
+    );
+    assert_eq!(
+        mismatches.load(Ordering::SeqCst),
+        0,
+        "every physical reply must be bitwise equal to PhysicalDonn::infer"
+    );
+    let physical_stats = physical.stats();
+    let bursts = (5 * max_batch * (max_batch + 1) / 2) as u64;
+    assert_eq!(physical_stats.completed, bursts);
+    assert_eq!(physical_stats.batched_samples, bursts);
+    assert!(
+        physical_stats.batch_executions < physical_stats.batched_samples,
+        "at least one physical run must have coalesced more than one request \
+         (executions {}, samples {})",
+        physical_stats.batch_executions,
+        physical_stats.batched_samples
+    );
+    physical.shutdown();
     parallel::set_threads(0);
 }
