@@ -3,13 +3,15 @@
 //! The diffraction kernels in LightRidge are built on 2-D FFT convolution
 //! (paper Eq. 6–7). This module implements the transforms from scratch:
 //!
-//! * **Radix-4/radix-2 Cooley-Tukey** (iterative, precomputed twiddles and
+//! * **Radix-4/radix-8 Cooley-Tukey** (iterative, precomputed twiddles and
 //!   bit-reversal permutation) for power-of-two sizes. Stages are fused in
 //!   pairs into radix-4 butterflies — half the passes over the data of a
-//!   plain radix-2 loop — with a single radix-2 stage first when the stage
-//!   count is odd.
-//! * **Bluestein's chirp-z algorithm** for arbitrary sizes — the paper's
-//!   system resolutions (200², 350², 500²) are *not* powers of two.
+//!   plain radix-2 loop — with a single radix-8 stage first when the stage
+//!   count is odd (only `n = 2` keeps a lone radix-2 stage).
+//! * **Stockham mixed-radix** for 2·3·5·7-smooth sizes, which covers the
+//!   paper's system resolutions (200², 350², 500²): one pass per factor
+//!   with radix-2, radix-4 and a conjugate-pair odd-radix butterfly for 3,
+//!   5 and 7, skipping every twiddle that is exactly 1.
 //! * **Rader's algorithm** for prime lengths `p` whose `p − 1` is
 //!   2·3·5·7-smooth: the length-`p` DFT becomes a length-`p−1` cyclic
 //!   convolution run through the radix-2 or Stockham pipeline — one
@@ -17,6 +19,7 @@
 //!   `m ≥ 2p−1`. This retires the Bluestein fallback for most primes
 //!   (e.g. 197, 211); only primes like 23 or 199 whose `p − 1` has a
 //!   factor above 7 still take the chirp-z path.
+//! * **Bluestein's chirp-z algorithm** for every remaining size.
 //! * A global, thread-safe **plan cache** so repeated propagations at the
 //!   same resolution reuse twiddle tables and chirp spectra. Plan reuse is
 //!   one of the runtime optimizations that separates LightRidge from the
@@ -1331,7 +1334,9 @@ fn primitive_root(p: u64) -> u64 {
 /// evaluates (200 = 2³·5², 350 = 2·5²·7, 500 = 2²·5³). Compared to the
 /// Bluestein fallback this avoids the two length-`m ≥ 2n` inner transforms
 /// and all chirp passes: one streaming pass per factor, ping-ponging
-/// between the data and one scratch buffer, no permutation pass.
+/// between the data and one scratch buffer, no permutation pass. Radix 2
+/// and 4 run dedicated butterflies; radix 3, 5 and 7 run the
+/// conjugate-pair kernel [`odd`].
 #[derive(Debug)]
 struct MixedRadixPlan {
     n: usize,
@@ -1345,11 +1350,16 @@ struct MixedStage {
     radix: usize,
     m: usize,
     s: usize,
-    /// `tw[p·r + u] = e^{−2πi·p·u/n'}` — the post-butterfly twiddles.
+    /// `tw[(p−1)·(r−1) + u−1] = e^{−2πi·p·u/n'}` for `p ∈ 1..m` and
+    /// `u ∈ 1..r` — the post-butterfly twiddles that are not exactly 1.
+    /// Output `u = 0` and column `p = 0` twiddle by 1, so they are neither
+    /// stored nor multiplied, and the last stage (`m = 1`) has no table.
     tw: Vec<Complex64>,
-    /// `roots[u·r + t] = e^{−2πi·t·u/r}` — the r-point DFT matrix, rows
-    /// laid out per output `u` for sequential access.
-    roots: Vec<Complex64>,
+    /// Odd radices: `cos[u−1][t−1] = cos(2π·t·u/r)` and `sin[u−1][t−1] =
+    /// sin(2π·t·u/r)` for `t, u ∈ 1..=r/2` — the real constants of [`odd`]
+    /// (zero for radix 2 and 4, which do not read them).
+    cos: [[f64; 3]; 3],
+    sin: [[f64; 3]; 3],
 }
 
 impl MixedRadixPlan {
@@ -1386,16 +1396,20 @@ impl MixedRadixPlan {
         let mut s = 1;
         for &r in factors {
             let m = np / r;
-            let mut tw = Vec::with_capacity(m * r);
-            for p in 0..m {
-                for u in 0..r {
+            let mut tw = Vec::with_capacity((m - 1) * (r - 1));
+            for p in 1..m {
+                for u in 1..r {
                     tw.push(Complex64::cis(-2.0 * PI * (p * u) as f64 / np as f64));
                 }
             }
-            let mut roots = Vec::with_capacity(r * r);
-            for u in 0..r {
-                for t in 0..r {
-                    roots.push(Complex64::cis(-2.0 * PI * ((t * u) % r) as f64 / r as f64));
+            let (mut cos, mut sin) = ([[0.0; 3]; 3], [[0.0; 3]; 3]);
+            if r % 2 == 1 {
+                for u in 1..=r / 2 {
+                    for t in 1..=r / 2 {
+                        let theta = 2.0 * PI * ((t * u) % r) as f64 / r as f64;
+                        cos[u - 1][t - 1] = theta.cos();
+                        sin[u - 1][t - 1] = theta.sin();
+                    }
                 }
             }
             stages.push(MixedStage {
@@ -1403,7 +1417,8 @@ impl MixedRadixPlan {
                 m,
                 s,
                 tw,
-                roots,
+                cos,
+                sin,
             });
             np = m;
             s *= r;
@@ -1430,84 +1445,159 @@ impl MixedRadixPlan {
         }
     }
 
-    /// One Stockham DIF pass: gather `r` points strided `s·m` apart, apply
-    /// the r-point DFT, twiddle by `w^{p·u}`, scatter with stride `s`.
-    /// All element indices stay below `n' · s = n` by the stage
-    /// invariants; packed offsets scale them by `2L`.
+    /// One Stockham DIF pass: for every column `p < m` and offset `q < s`,
+    /// gather `r` points strided `s·m` apart, run the radix-`r` butterfly,
+    /// twiddle outputs `u ≥ 1` of columns `p ≥ 1` by `w^{p·u}`, and scatter
+    /// with stride `s`. Radix 2 and 4 have their own butterflies; radix 3,
+    /// 5 and 7 run [`odd`]. `factorize` emits no other radix.
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn step<C: ComplexLanes>(stage: &MixedStage, src: &[f64], dst: &mut [f64]) {
-        let stride = 2 * C::LANES;
-        let (r, m, s) = (stage.radix, stage.m, stage.s);
-        debug_assert!(src.len() >= r * m * s * stride && dst.len() >= r * m * s * stride);
+        let len = stage.radix * stage.m * stage.s * 2 * C::LANES;
+        assert!(src.len() >= len && dst.len() >= len);
         let sp = src.as_ptr().cast::<C>();
         let dp = dst.as_mut_ptr().cast::<C>();
-        match r {
-            2 => {
-                for p in 0..m {
-                    // u = 0 twiddle is 1; only the u = 1 lane twiddles.
-                    let w = C::splat(stage.tw[p * 2 + 1]);
-                    for q in 0..s {
-                        // SAFETY: q + s·(p + m·t) < s·m·r = n and
-                        // q + s·(r·p + u) < n (see method docs).
-                        unsafe {
-                            let a = C::load(sp.add(q + s * p));
-                            let b = C::load(sp.add(q + s * (p + m)));
-                            a.add(b).store(dp.add(q + s * (2 * p)));
-                            a.sub(b).mul(w).store(dp.add(q + s * (2 * p + 1)));
-                        }
-                    }
-                }
+        // SAFETY: both buffers hold r·m·s packed elements (asserted above)
+        // and are distinct borrows.
+        unsafe {
+            match stage.radix {
+                2 => stage.pass::<C, 2>(sp, dp),
+                4 => stage.pass::<C, 4>(sp, dp),
+                3 => stage.pass::<C, 3>(sp, dp),
+                5 => stage.pass::<C, 5>(sp, dp),
+                7 => stage.pass::<C, 7>(sp, dp),
+                r => unreachable!("factorize emits no radix-{r} stage"),
             }
-            4 => {
-                for p in 0..m {
-                    let w1 = C::splat(stage.tw[p * 4 + 1]);
-                    let w2 = C::splat(stage.tw[p * 4 + 2]);
-                    let w3 = C::splat(stage.tw[p * 4 + 3]);
-                    for q in 0..s {
-                        // SAFETY: as above; all element indices < n.
-                        unsafe {
-                            let a0 = C::load(sp.add(q + s * p));
-                            let a1 = C::load(sp.add(q + s * (p + m)));
-                            let a2 = C::load(sp.add(q + s * (p + 2 * m)));
-                            let a3 = C::load(sp.add(q + s * (p + 3 * m)));
-                            let t0 = a0.add(a2);
-                            let t1 = a1.add(a3);
-                            let t2 = a0.sub(a2);
-                            let t3 = a1.sub(a3);
-                            // -j·t3 (and +j·t3 through the subtraction)
-                            let jt3 = t3.rot::<false>();
-                            t0.add(t1).store(dp.add(q + s * (4 * p)));
-                            t2.add(jt3).mul(w1).store(dp.add(q + s * (4 * p + 1)));
-                            t0.sub(t1).mul(w2).store(dp.add(q + s * (4 * p + 2)));
-                            t2.sub(jt3).mul(w3).store(dp.add(q + s * (4 * p + 3)));
-                        }
-                    }
-                }
+        }
+    }
+}
+
+impl MixedStage {
+    /// Runs this stage as radix `R` (see [`MixedRadixPlan::step`]).
+    ///
+    /// # Safety
+    ///
+    /// `sp` must be readable and `dp` writable for `R·m·s` packed elements
+    /// each, and the two ranges must not overlap.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    unsafe fn pass<C: ComplexLanes, const R: usize>(&self, sp: *const C, dp: *mut C) {
+        debug_assert_eq!(self.radix, R);
+        // SAFETY: every column p < m (caller contract).
+        unsafe {
+            self.column::<C, R, false>(0, sp, dp, &[]);
+            for (p, w) in (1..self.m).zip(self.tw.chunks_exact(R - 1)) {
+                self.column::<C, R, true>(p, sp, dp, w);
             }
-            _ => {
-                let mut at = [C::splat(Complex64::ZERO); 8];
-                for p in 0..m {
-                    let wrow = &stage.tw[p * r..(p + 1) * r];
-                    for q in 0..s {
-                        // SAFETY: as above; all element indices < n, and
-                        // r ≤ 7 < at.len().
-                        unsafe {
-                            for (t, a) in at[..r].iter_mut().enumerate() {
-                                *a = C::load(sp.add(q + s * (p + m * t)));
-                            }
-                            for (u, &w) in wrow.iter().enumerate() {
-                                let row = &stage.roots[u * r..u * r + r];
-                                let mut acc = at[0];
-                                for t in 1..r {
-                                    acc = acc.add(at[t].mul(C::splat(row[t])));
-                                }
-                                acc.mul(C::splat(w)).store(dp.add(q + s * (r * p + u)));
-                            }
-                        }
-                    }
+        }
+    }
+
+    /// Column `p` of a pass: for every `q < s`, the butterfly of
+    /// `a_t = src[q + s·(p + m·t)]`, output `u` (times `w[u−1]` for
+    /// `u ≥ 1` when `TW`) stored to `dst[q + s·(R·p + u)]`.
+    ///
+    /// # Safety
+    ///
+    /// As [`MixedStage::pass`], and `p < m`.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    unsafe fn column<C: ComplexLanes, const R: usize, const TW: bool>(
+        &self,
+        p: usize,
+        sp: *const C,
+        dp: *mut C,
+        w: &[Complex64],
+    ) {
+        let (m, s) = (self.m, self.s);
+        let (cos, sin) = (self.cos, self.sin);
+        let mut wl = [C::splat(Complex64::ONE); R];
+        if TW {
+            for u in 1..R {
+                wl[u] = C::splat(w[u - 1]);
+            }
+        }
+        let mut a = [C::splat(Complex64::ZERO); R];
+        for q in 0..s {
+            // SAFETY: for q < s, p < m and t, u < R, q + s·(p + m·t) and
+            // q + s·(R·p + u) are below s·m·R, the element count of both
+            // buffers (caller contract).
+            unsafe {
+                for (t, at) in a.iter_mut().enumerate() {
+                    *at = C::load(sp.add(q + s * (p + m * t)));
+                }
+                let mut x = a;
+                match R {
+                    2 => dft2(&a, &mut x),
+                    4 => dft4(&a, &mut x),
+                    _ => odd::<C, R>(&a, &mut x, &cos, &sin),
+                }
+                for u in 0..R {
+                    let xu = if TW && u > 0 { x[u].mul(wl[u]) } else { x[u] };
+                    xu.store(dp.add(q + s * (R * p + u)));
                 }
             }
         }
+    }
+}
+
+/// The 2-point DFT of `a` into `x`.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn dft2<C: ComplexLanes>(a: &[C], x: &mut [C]) {
+    x[0] = a[0].add(a[1]);
+    x[1] = a[0].sub(a[1]);
+}
+
+/// The 4-point DFT of `a` into `x`.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn dft4<C: ComplexLanes>(a: &[C], x: &mut [C]) {
+    let t0 = a[0].add(a[2]);
+    let t1 = a[1].add(a[3]);
+    let t2 = a[0].sub(a[2]);
+    let t3 = a[1].sub(a[3]);
+    // -j·t3 (and +j·t3 through the subtraction)
+    let jt3 = t3.rot::<false>();
+    x[0] = t0.add(t1);
+    x[1] = t2.add(jt3);
+    x[2] = t0.sub(t1);
+    x[3] = t2.sub(jt3);
+}
+
+/// The conjugate-pair `R`-point DFT of `a` into `x`, for odd `R ≤ 7`.
+/// With `s_t = a_t + a_{R−t}` and `d_t = a_t − a_{R−t}` for
+/// `t = 1..=R/2`, it writes `X_0 = a_0 + Σ s_t` and, for `u = 1..=R/2`,
+/// `X_u = re_u − j·im_u` and `X_{R−u} = re_u + j·im_u`, where
+/// `re_u = a_0 + Σ cos(2πtu/R)·s_t` and `im_u = Σ sin(2πtu/R)·d_t`
+/// (`cos`, `sin` as in [`MixedStage`]). That is `(R−1)²/2` real-by-complex
+/// products per butterfly, where the dense DFT matrix takes `(R−1)²`
+/// complex ones.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn odd<C: ComplexLanes, const R: usize>(
+    a: &[C],
+    x: &mut [C],
+    cos: &[[f64; 3]; 3],
+    sin: &[[f64; 3]; 3],
+) {
+    let h = R / 2;
+    let mut sum = [a[0]; 3];
+    let mut dif = [a[0]; 3];
+    for t in 1..=h {
+        sum[t - 1] = a[t].add(a[R - t]);
+        dif[t - 1] = a[t].sub(a[R - t]);
+    }
+    let mut x0 = a[0];
+    for st in &sum[..h] {
+        x0 = x0.add(*st);
+    }
+    x[0] = x0;
+    for u in 1..=h {
+        let mut re = a[0];
+        for t in 1..=h {
+            re = re.add(sum[t - 1].scale(cos[u - 1][t - 1]));
+        }
+        let mut im = dif[0].scale(sin[u - 1][0]);
+        for t in 2..=h {
+            im = im.add(dif[t - 1].scale(sin[u - 1][t - 1]));
+        }
+        let jim = im.rot::<false>(); // −j·im_u
+        x[u] = re.add(jim);
+        x[R - u] = re.sub(jim);
     }
 }
 
@@ -2371,8 +2461,14 @@ mod tests {
     #[test]
     fn matches_naive_dft() {
         // Powers of two cover both the even (4, 16, 64, 256) and odd
-        // (2, 8, 32, 128) stage-count paths of the radix-4 kernel.
-        for n in [2, 3, 4, 5, 8, 16, 20, 31, 32, 64, 100, 128, 256] {
+        // (2, 8, 32, 128) stage-count paths of the radix-4 kernel. The odd
+        // lengths run the conjugate-pair butterfly at radix 3, 5 and 7,
+        // alone (3, 5, 7), repeated (9, 25, 49, 125, 343) and mixed (21,
+        // 35, 63, 105), so both twiddled and last (m = 1) stages are hit.
+        for n in [
+            2, 3, 4, 5, 7, 8, 9, 16, 20, 21, 25, 31, 32, 35, 49, 63, 64, 100, 105, 125, 128, 256,
+            343,
+        ] {
             against_naive(n);
         }
     }

@@ -122,7 +122,8 @@ fn one_workspace_serves_shrinking_and_growing_batches() {
 /// there is no tolerance to negotiate on these paths. Covers batch sizes
 /// {1, 3, 32}, row and column counts that leave 2-lane and 1-lane
 /// leftovers at x4, non-square grids, and every plan kind: radix-2 (16),
-/// mixed-radix Stockham (20, 24, 200), Rader primes (31: 30 = 2·3·5; 197:
+/// mixed-radix Stockham (20, 24, 200, and 21, 35, 49, 63 for direct
+/// radix-3 and radix-7 stages), Rader primes (31: 30 = 2·3·5; 197:
 /// 196 = 2²·7²), and Bluestein (23 and 198, whose 22 and 198 have the
 /// factor 11). The grids of at least 32768 samples run the vector levels
 /// at two threads, so their row groups and column blocks split across the
@@ -146,6 +147,10 @@ fn forced_simd_levels_bitwise_match_scalar_oracle() {
         (23, 23, small),
         (31, 24, small),
         (16, 23, small),
+        // Stockham planes with direct radix-3 and radix-7 stages: 21 = 3·7,
+        // 49 = 7·7, 63 = 3·3·7, 35 = 5·7.
+        (21, 49, small),
+        (63, 35, small),
         (197, 200, pooled),
         (200, 198, pooled),
         (198, 197, pooled),
