@@ -4,13 +4,15 @@
 //! Several independently initialized DONNs vote by summing their detector
 //! intensities — optically realizable by replicating the input beam with
 //! splitters and projecting all outputs onto a shared detector, exactly
-//! like the multi-channel architecture but with identical inputs.
+//! like the multi-channel architecture but with identical inputs. Each
+//! member trains with [`crate::train::train`]; the vote is evaluated in
+//! batched traced chunks of up to 8 images.
 
 use crate::layers::codesign::CodesignMode;
 use crate::model::DonnModel;
 use crate::train::{self, LabeledImage, TrainConfig};
 use lr_nn::metrics::argmax;
-use lr_tensor::{parallel, Field};
+use lr_tensor::Field;
 
 /// An ensemble of independently trained DONNs voting by intensity sum.
 ///
@@ -90,20 +92,18 @@ impl DonnEnsemble {
         logits
     }
 
-    /// Ensemble classification accuracy.
+    /// Ensemble classification accuracy. Each member streams the dataset
+    /// through traced batched forwards of up to 8 images per worker; the
+    /// member logits sum in member order.
     pub fn evaluate(&self, data: &[LabeledImage]) -> f64 {
-        if data.is_empty() {
-            return 0.0;
+        let mut votes = vec![vec![0.0; self.members[0].num_classes()]; data.len()];
+        for member in &self.members {
+            let logits = train::map_traced(member, data, |_, _, logits| logits.to_vec());
+            for (vote, l) in votes.iter_mut().zip(logits) {
+                vote.iter_mut().zip(l).for_each(|(a, v)| *a += v);
+            }
         }
-        let (rows, cols) = self.members[0].grid().shape();
-        let correct: usize = parallel::par_map(data.len(), |i| {
-            let (img, label) = &data[i];
-            let input = Field::from_amplitudes(rows, cols, img);
-            usize::from(argmax(&self.infer(&input)) == *label)
-        })
-        .into_iter()
-        .sum();
-        correct as f64 / data.len() as f64
+        train::hit_rate(&votes, data, |v, (_, label)| argmax(v) == *label)
     }
 
     /// Accuracy of each individual member (for comparing against the

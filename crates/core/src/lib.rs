@@ -78,9 +78,9 @@ pub use layers::detector::{Detector, DetectorRegion, PlaneReadout};
 pub use layers::diffractive::{DiffractiveBatchCache, DiffractiveLayer};
 pub use layers::nonlinear::{NonlinearBatchCache, SaturableAbsorber};
 pub use model::{
-    BatchLayerCache, BatchTrace, BatchWorkspace, DonnBuilder, DonnModel, Layer, ModelGrads,
+    BatchLayerCache, BatchTrace, BatchTraceRing, BatchWorkspace, DonnBuilder, DonnModel, Layer,
+    ModelGrads,
 };
 pub use multichannel::MultiChannelDonn;
 pub use multitask::{MultiTaskDonn, MultiTaskImage};
 pub use segmentation::{SegmentationDonn, SegmentationOptions};
-pub use train::BatchTraceRing;

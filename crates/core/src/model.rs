@@ -95,6 +95,11 @@ impl ModelGrads {
         &self.per_layer[i]
     }
 
+    /// Every layer's gradient buffer, in layer order.
+    pub(crate) fn into_buffers(self) -> Vec<Vec<f64>> {
+        self.per_layer
+    }
+
     /// Accumulates another gradient set: `self += other`.
     ///
     /// # Panics
@@ -248,6 +253,15 @@ impl BatchWorkspace {
         self.u.set_plane_amplitudes(b, amplitudes);
     }
 
+    /// Starts a batch of `images` and amplitude-encodes them into its
+    /// planes, allocation-free while they fit the capacity.
+    pub(crate) fn load_images<'a>(&mut self, images: impl ExactSizeIterator<Item = &'a [f64]>) {
+        self.begin_batch(images.len());
+        for (b, img) in images.enumerate() {
+            self.load_amplitudes(b, img);
+        }
+    }
+
     /// The logits staged for sample `b` by the latest
     /// [`DonnModel::infer_staged_batch`] call.
     ///
@@ -298,7 +312,7 @@ pub enum BatchLayerCache {
 
 /// Full forward trace of a batch of samples (needed for the backward
 /// pass), reused in place across training steps (see
-/// [`crate::train::BatchTraceRing`]). A per-sample trace is the
+/// [`BatchTraceRing`]). A per-sample trace is the
 /// one-sample batch.
 #[derive(Debug, Clone)]
 pub struct BatchTrace {
@@ -328,6 +342,73 @@ impl BatchTrace {
     /// Number of samples in the latest traced batch.
     pub fn batch(&self) -> usize {
         self.detector_fields.batch()
+    }
+}
+
+/// A per-worker ring of reusable forward traces: [`BatchTrace`]s whose
+/// per-layer activation caches span a whole batch (or one sample, as a
+/// one-plane batch). [`BatchTraceRing::forward`] overwrites the oldest
+/// slot in place via [`DonnModel::forward_trace_batch_into`], so in steady
+/// state a training step (one fused forward + one fused backward per
+/// batch) performs zero heap allocations — enforced by
+/// `tests/zero_alloc.rs`. Rings are never shared across threads.
+/// Capacity 1 serves a loop whose forward and backward alternate
+/// strictly; capacity > 1 is for callers that interleave models or
+/// shapes, so each stream keeps its own slot shaped.
+#[derive(Debug, Clone)]
+pub struct BatchTraceRing {
+    slots: Vec<BatchTrace>,
+    capacity: usize,
+    next: usize,
+}
+
+impl BatchTraceRing {
+    /// Creates an empty ring that will hold up to `capacity` batch traces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "trace ring needs at least one slot");
+        BatchTraceRing {
+            slots: Vec::with_capacity(capacity),
+            capacity,
+            next: 0,
+        }
+    }
+
+    /// Number of trace slots currently materialized.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True if no trace has been materialized yet.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Runs one batched traced forward pass through the next ring slot,
+    /// reusing its buffers in place (allocating only while the ring fills
+    /// up or a batch outgrows its slot), and returns the completed trace.
+    pub fn forward<'a>(
+        &'a mut self,
+        model: &DonnModel,
+        inputs: &FieldBatch,
+        mode: CodesignMode,
+        seeds: &[u64],
+        ws: &mut BatchWorkspace,
+    ) -> &'a BatchTrace {
+        if self.slots.len() < self.capacity {
+            let mut trace = BatchTrace::new();
+            model.forward_trace_batch_into(inputs, mode, seeds, ws, &mut trace);
+            self.slots.push(trace);
+            self.slots.last().expect("just pushed")
+        } else {
+            let i = self.next;
+            self.next = (self.next + 1) % self.capacity;
+            model.forward_trace_batch_into(inputs, mode, seeds, ws, &mut self.slots[i]);
+            &self.slots[i]
+        }
     }
 }
 
@@ -628,7 +709,7 @@ impl DonnModel {
     }
 
     /// The traced forward pass over the planes already loaded into `ws`.
-    fn trace_loaded(
+    pub(crate) fn trace_loaded(
         &self,
         mode: CodesignMode,
         seeds: &[u64],

@@ -8,19 +8,18 @@
 //!
 //! Because intensities add at the detector (`I = Σ_ch |U_ch|²`), the
 //! backward pass hands the same per-class logit gradients to every channel,
-//! each expanding them through its own detector field.
+//! each expanding them through its own detector field. Training runs the
+//! summed-readout step of lr-core's data-parallel driver ([`crate::train`])
+//! on batched traced chunks of up to 8 images per channel.
 
 use crate::layers::codesign::CodesignMode;
 use crate::layers::detector::Detector;
-use crate::model::{DonnBuilder, DonnModel, ModelGrads};
-use lr_nn::loss::{one_hot, softmax_mse};
+use crate::model::{DonnBuilder, DonnModel};
+use crate::train::{hit_rate, staged_logits, Fit, Summed, Tally};
+use lr_nn::loss::{one_hot, softmax_mse_into};
 use lr_nn::metrics::{argmax, top_k_correct};
-use lr_nn::{Adam, Optimizer};
 use lr_optics::{Approximation, Distance, Grid, Wavelength};
-use lr_tensor::{parallel, Field};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use lr_tensor::Field;
 
 /// An RGB sample: three channel images plus a label.
 pub type RgbImage = ([Vec<f64>; 3], usize);
@@ -116,7 +115,8 @@ impl MultiChannelDonn {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or labels are out of range.
+    /// Panics if `data` is empty, `batch_size` is zero, or labels are out
+    /// of range.
     pub fn train(
         &mut self,
         data: &[RgbImage],
@@ -125,110 +125,48 @@ impl MultiChannelDonn {
         lr: f64,
         seed: u64,
     ) -> Vec<f64> {
-        assert!(!data.is_empty(), "training set must be non-empty");
         let classes = self.num_classes();
         for (_, label) in data {
             assert!(*label < classes, "label out of range");
         }
-        let (rows, cols) = self.channels[0].grid().shape();
-        let mut opt = Adam::new(lr);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut history = Vec::with_capacity(epochs);
-
-        for _epoch in 0..epochs {
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            for batch in order.chunks(batch_size) {
-                // Shard the batch across workers; each worker accumulates
-                // per-channel gradients.
-                let workers = parallel::threads().min(batch.len()).max(1);
-                let shard = batch.len().div_ceil(workers);
-                let results = parallel::par_map(workers, |w| {
-                    let mut grads: Vec<ModelGrads> =
-                        self.channels.iter().map(ModelGrads::zeros_like).collect();
-                    let mut loss_sum = 0.0;
-                    for &idx in batch.iter().skip(w * shard).take(shard) {
-                        let (rgb, label) = &data[idx];
-                        let target = one_hot(*label, classes);
-                        // Forward all channels, merge logits.
-                        let traces: Vec<_> = self
-                            .channels
-                            .iter()
-                            .zip(rgb)
-                            .map(|(m, img)| {
-                                let input = Field::from_amplitudes(rows, cols, img);
-                                m.forward_trace(&input, CodesignMode::Soft, 0)
-                            })
-                            .collect();
-                        let mut logits = vec![0.0; classes];
-                        for t in &traces {
-                            for (acc, &v) in logits.iter_mut().zip(&t.logits[0]) {
-                                *acc += v;
-                            }
-                        }
-                        let (loss, logit_grads) = softmax_mse(&logits, &target);
-                        loss_sum += loss;
-                        // I = Σ_ch I_ch ⇒ the same dL/dI_k reaches each channel.
-                        for (model, (trace, g)) in self
-                            .channels
-                            .iter()
-                            .zip(traces.iter().zip(grads.iter_mut()))
-                        {
-                            model.backward(trace, &logit_grads, g);
-                        }
-                    }
-                    (grads, loss_sum)
-                });
-                let mut total: Vec<ModelGrads> =
-                    self.channels.iter().map(ModelGrads::zeros_like).collect();
-                for (grads, loss) in results {
-                    epoch_loss += loss;
-                    for (t, g) in total.iter_mut().zip(&grads) {
-                        t.accumulate(g);
-                    }
-                }
-                let scale = 1.0 / batch.len() as f64;
-                for (ch, (model, grads)) in
-                    self.channels.iter_mut().zip(total.iter_mut()).enumerate()
-                {
-                    grads.scale(scale);
-                    for (i, layer) in model.layers_mut().iter_mut().enumerate() {
-                        opt.step(ch * 1000 + i, layer.params_mut(), grads.layer(i));
-                    }
-                }
-            }
-            history.push(epoch_loss / data.len() as f64);
-        }
-        history
+        let mut trainee = Summed {
+            models: &mut self.channels,
+            mode: CodesignMode::Soft,
+            image: |(rgb, _): &RgbImage, ch| &rgb[ch],
+            score: |(_, label): &RgbImage, logits: &[f64], g: &mut Vec<f64>, tally: &mut Tally| {
+                tally.0 += softmax_mse_into(logits, &one_hot(*label, logits.len()), g);
+            },
+        };
+        Fit::new(data.len(), batch_size, lr, seed).mean_losses(&mut trainee, data, epochs)
     }
 
     /// Top-k accuracy over a dataset (Table 5 reports top-1/3/5).
     pub fn evaluate_top_k(&self, data: &[RgbImage], k: usize) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let correct: usize = parallel::par_map(data.len(), |i| {
-            let (rgb, label) = &data[i];
-            usize::from(top_k_correct(&self.infer(rgb), *label, k))
-        })
-        .into_iter()
-        .sum();
-        correct as f64 / data.len() as f64
+        self.accuracy(data, |logits, label| top_k_correct(logits, label, k))
     }
 
     /// Top-1 accuracy.
     pub fn evaluate(&self, data: &[RgbImage]) -> f64 {
-        if data.is_empty() {
-            return 0.0;
+        self.accuracy(data, |logits, label| argmax(logits) == label)
+    }
+
+    /// The fraction of `data` whose merged logits `hit` their label. Each
+    /// channel streams the dataset through batched forwards of up to 8
+    /// images per worker; the logits sum in channel order.
+    fn accuracy(&self, data: &[RgbImage], hit: impl Fn(&[f64], usize) -> bool) -> f64 {
+        let mut merged = vec![vec![0.0; self.num_classes()]; data.len()];
+        for (ch, model) in self.channels.iter().enumerate() {
+            let logits = staged_logits(
+                data,
+                |(rgb, _)| &rgb[ch],
+                |capacity| model.make_batch_workspace(capacity),
+                |ws| model.infer_staged_batch(CodesignMode::Soft, ws),
+            );
+            for (sum, l) in merged.iter_mut().zip(logits) {
+                sum.iter_mut().zip(l).for_each(|(a, v)| *a += v);
+            }
         }
-        let correct: usize = parallel::par_map(data.len(), |i| {
-            let (rgb, label) = &data[i];
-            usize::from(argmax(&self.infer(rgb)) == *label)
-        })
-        .into_iter()
-        .sum();
-        correct as f64 / data.len() as f64
+        hit_rate(&merged, data, |l, (_, label)| hit(l, *label))
     }
 }
 

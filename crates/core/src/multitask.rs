@@ -9,22 +9,20 @@
 //! logit gradients concatenate into one detector-plane gradient and flow
 //! through the shared phase masks together.
 //!
-//! Internally the union of all tasks' regions forms one
-//! [`Detector`], so the whole [`DonnModel`] machinery (forward traces,
-//! Wirtinger backward, deployment) is reused unchanged; this module only
+//! Internally the union of all tasks' regions forms one [`Detector`], so
+//! the [`DonnModel`] machinery is reused unchanged: training runs the
+//! classifier step of lr-core's data-parallel driver ([`crate::train`])
+//! on batched traced chunks of up to 8 images, and this module only
 //! tracks which logit slice belongs to which task.
 
 use crate::layers::codesign::CodesignMode;
 use crate::layers::detector::{Detector, DetectorRegion};
-use crate::model::{DonnBuilder, DonnModel, ModelGrads};
+use crate::model::{DonnBuilder, DonnModel};
+use crate::train::{hit_rate, staged_logits, Fit, Summed, Tally};
 use lr_nn::loss::{one_hot, softmax_mse};
 use lr_nn::metrics::argmax;
-use lr_nn::{Adam, Optimizer};
 use lr_optics::{Approximation, Distance, Grid, Wavelength};
-use lr_tensor::{parallel, Field};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use lr_tensor::Field;
 
 /// A multi-task sample: one intensity image with one label per task.
 pub type MultiTaskImage = (Vec<f64>, Vec<usize>);
@@ -200,8 +198,8 @@ impl MultiTaskDonn {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty, a sample has the wrong number of labels,
-    /// or a label is out of its task's range.
+    /// Panics if `data` is empty, `batch_size` is zero, a sample has the
+    /// wrong number of labels, or a label is out of its task's range.
     pub fn train(
         &mut self,
         data: &[MultiTaskImage],
@@ -210,7 +208,6 @@ impl MultiTaskDonn {
         lr: f64,
         seed: u64,
     ) -> Vec<f64> {
-        assert!(!data.is_empty(), "training set must be non-empty");
         for (_, labels) in data {
             assert_eq!(
                 labels.len(),
@@ -224,78 +221,44 @@ impl MultiTaskDonn {
                 );
             }
         }
-        let (rows, cols) = self.model.grid().shape();
-        let spans = self.task_spans.clone();
-        let union_len: usize = spans.iter().map(|&(_, len)| len).sum();
-        let mut opt = Adam::new(lr);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut history = Vec::with_capacity(epochs);
-
-        for _epoch in 0..epochs {
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            for batch in order.chunks(batch_size) {
-                let workers = parallel::threads().min(batch.len()).max(1);
-                let shard = batch.len().div_ceil(workers);
-                let results = parallel::par_map(workers, |w| {
-                    let mut grads = ModelGrads::zeros_like(&self.model);
-                    let mut loss_sum = 0.0;
-                    for &idx in batch.iter().skip(w * shard).take(shard) {
-                        let (image, labels) = &data[idx];
-                        let input = Field::from_amplitudes(rows, cols, image);
-                        let trace = self.model.forward_trace(&input, CodesignMode::Soft, 0);
-                        // Per-task losses over disjoint logit slices.
-                        let mut logit_grads = vec![0.0; union_len];
-                        for (&(start, len), &label) in spans.iter().zip(labels) {
-                            let target = one_hot(label, len);
-                            let (loss, g) =
-                                softmax_mse(&trace.logits[0][start..start + len], &target);
-                            loss_sum += loss;
-                            logit_grads[start..start + len].copy_from_slice(&g);
-                        }
-                        self.model.backward(&trace, &logit_grads, &mut grads);
-                    }
-                    (grads, loss_sum)
-                });
-                let mut total = ModelGrads::zeros_like(&self.model);
-                for (grads, loss) in results {
-                    epoch_loss += loss;
-                    total.accumulate(&grads);
+        let mut trainee = Summed {
+            models: std::slice::from_mut(&mut self.model),
+            mode: CodesignMode::Soft,
+            image: |(img, _): &MultiTaskImage, _| img,
+            score: |(_, labels): &MultiTaskImage,
+                    logits: &[f64],
+                    g: &mut Vec<f64>,
+                    tally: &mut Tally| {
+                // The task spans tile the union logits in order, so the
+                // per-task gradients concatenate into the union gradient.
+                g.clear();
+                for (&(start, len), &label) in self.task_spans.iter().zip(labels) {
+                    let (loss, task_grad) =
+                        softmax_mse(&logits[start..start + len], &one_hot(label, len));
+                    tally.0 += loss;
+                    g.extend_from_slice(&task_grad);
                 }
-                total.scale(1.0 / batch.len() as f64);
-                for (i, layer) in self.model.layers_mut().iter_mut().enumerate() {
-                    opt.step(i, layer.params_mut(), total.layer(i));
-                }
-            }
-            history.push(epoch_loss / data.len() as f64);
-        }
-        history
+            },
+        };
+        Fit::new(data.len(), batch_size, lr, seed).mean_losses(&mut trainee, data, epochs)
     }
 
-    /// Per-task accuracy over a dataset.
+    /// Per-task accuracy over a dataset: each worker streams its shard
+    /// through batched forwards of up to 8 images.
     pub fn evaluate(&self, data: &[MultiTaskImage]) -> Vec<f64> {
-        if data.is_empty() {
-            return vec![0.0; self.num_tasks()];
-        }
-        let per_sample = parallel::par_map(data.len(), |i| {
-            let (image, labels) = &data[i];
-            let preds = self.predict(image);
-            preds
-                .iter()
-                .zip(labels)
-                .map(|(p, l)| usize::from(p == l))
-                .collect::<Vec<usize>>()
-        });
-        let mut correct = vec![0usize; self.num_tasks()];
-        for sample in &per_sample {
-            for (acc, &c) in correct.iter_mut().zip(sample) {
-                *acc += c;
-            }
-        }
-        correct
-            .iter()
-            .map(|&c| c as f64 / data.len() as f64)
+        let logits = staged_logits(
+            data,
+            |(img, _)| img,
+            |capacity| self.model.make_batch_workspace(capacity),
+            |ws| self.model.infer_staged_batch(CodesignMode::Soft, ws),
+        );
+        let spans = self.task_spans.iter().enumerate();
+        spans
+            .map(|(t, &(start, len))| {
+                hit_rate(&logits, data, |l, (_, labels)| {
+                    argmax(&l[start..start + len]) == labels[t]
+                })
+            })
             .collect()
     }
 }
@@ -303,6 +266,7 @@ impl MultiTaskDonn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ModelGrads;
     use lr_optics::PixelPitch;
 
     fn model(size: usize, classes: &[usize]) -> MultiTaskDonn {

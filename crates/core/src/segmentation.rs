@@ -16,15 +16,14 @@
 //!
 //! The baseline (no skip, no layer norm, raw-intensity MSE as in the
 //! Lin/Zhou training recipes) is included for the Fig. 13 comparison.
+//! Training and IoU evaluation run on lr-core's data-parallel driver
+//! ([`crate::train`]) in batched chunks of up to 8 images.
 
 use crate::layers::detector::PlaneReadout;
 use crate::layers::diffractive::{DiffractiveBatchCache, DiffractiveLayer};
-use lr_nn::{Adam, Optimizer};
+use crate::train::{map_chunks, Fit, Tally, Trainee};
 use lr_optics::{Approximation, Distance, FreeSpace, Grid, PropagationScratch, Wavelength};
-use lr_tensor::{parallel, FieldBatch};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use lr_tensor::FieldBatch;
 use std::f64::consts::FRAC_1_SQRT_2;
 
 /// An image/mask pair: grayscale input and binary target mask, both
@@ -146,11 +145,18 @@ impl SegmentationDonn {
         (self.pre.len() + self.post.len()) * self.grid.rows() * self.grid.cols()
     }
 
-    /// Forwards every active plane of `u` (the input images) through the
-    /// system, consuming it as the running field.
-    fn forward(&self, mut u: FieldBatch, scratch: &mut PropagationScratch) -> SegTrace {
+    /// Forwards a batch of images (amplitude-encoded) through the system.
+    fn forward<'a>(
+        &self,
+        images: impl ExactSizeIterator<Item = &'a [f64]>,
+        scratch: &mut PropagationScratch,
+    ) -> SegTrace {
         let (rows, cols) = self.grid.shape();
-        let n = u.batch();
+        let n = images.len();
+        let mut u = FieldBatch::zeros(n, rows, cols);
+        for (b, img) in images.enumerate() {
+            u.set_plane_amplitudes(b, img);
+        }
         // Beam splitter: both branches get the field scaled by 1/√2 (when
         // the skip path is enabled).
         let skip = self.options.skip_connection.then(|| {
@@ -204,39 +210,32 @@ impl SegmentationDonn {
         }
     }
 
-    /// The images as a batch of input planes (amplitude-encoded).
-    fn input_batch<'a>(&self, images: impl ExactSizeIterator<Item = &'a [f64]>) -> FieldBatch {
-        let (rows, cols) = self.grid.shape();
-        let mut batch = FieldBatch::zeros(images.len(), rows, cols);
-        for (b, img) in images.enumerate() {
-            batch.set_plane_amplitudes(b, img);
-        }
-        batch
-    }
-
     /// Predicted binary mask for an input image, thresholded at the mean
     /// detector intensity (a threshold an analog comparator could realize).
     pub fn predict_mask(&self, image: &[f64]) -> Vec<f64> {
-        let (rows, cols) = self.grid.shape();
-        let input = self.input_batch(std::iter::once(image));
-        let trace = self.forward(input, &mut PropagationScratch::new(rows, cols));
-        let intensity = &trace.intensities[0];
-        let mean = intensity.iter().sum::<f64>() / intensity.len() as f64;
-        intensity.iter().map(|&i| f64::from(i >= mean)).collect()
+        let mut scratch = self.final_propagator.make_scratch();
+        let trace = self.forward(std::iter::once(image), &mut scratch);
+        threshold_mask(&trace.intensities[0])
     }
 
-    /// Mean IoU over a dataset.
+    /// Mean IoU over a dataset: each worker streams its shard through
+    /// batched forwards of up to 8 images, and the per-image IoUs are
+    /// summed in data order.
     pub fn evaluate_iou(&self, data: &[MaskedImage]) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
-        let sum: f64 = parallel::par_map(data.len(), |i| {
-            let (img, mask) = &data[i];
-            lr_nn::metrics::binary_iou(&self.predict_mask(img), mask)
-        })
-        .into_iter()
-        .sum();
-        sum / data.len() as f64
+        let ious = map_chunks(
+            data,
+            |_| self.final_propagator.make_scratch(),
+            |scratch, _, chunk, ious| {
+                let trace = self.forward(chunk.iter().map(|(img, _)| img.as_slice()), scratch);
+                for (intensity, (_, mask)) in trace.intensities.iter().zip(chunk) {
+                    ious.push(lr_nn::metrics::binary_iou(&threshold_mask(intensity), mask));
+                }
+            },
+        );
+        ious.into_iter().sum::<f64>() / data.len() as f64
     }
 
     /// Trains with per-pixel MSE (through LayerNorm + sigmoid when enabled);
@@ -244,7 +243,8 @@ impl SegmentationDonn {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or image/mask sizes mismatch the grid.
+    /// Panics if `data` is empty, `batch_size` is zero, or image/mask
+    /// sizes mismatch the grid.
     pub fn train(
         &mut self,
         data: &[MaskedImage],
@@ -253,68 +253,12 @@ impl SegmentationDonn {
         lr: f64,
         seed: u64,
     ) -> Vec<f64> {
-        assert!(!data.is_empty(), "training set must be non-empty");
         let (rows, cols) = self.grid.shape();
         for (img, mask) in data {
             assert_eq!(img.len(), rows * cols, "image size mismatch");
             assert_eq!(mask.len(), rows * cols, "mask size mismatch");
         }
-        let mut opt = Adam::new(lr);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut history = Vec::with_capacity(epochs);
-        let n_layers = self.depth();
-
-        for _ in 0..epochs {
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            for batch in order.chunks(batch_size) {
-                let workers = parallel::threads().min(batch.len()).max(1);
-                let shard = batch.len().div_ceil(workers);
-                // Each worker forwards and backwards its shard as one batch.
-                let results = parallel::par_map(workers, |w| {
-                    let mut grads: Vec<Vec<f64>> = vec![vec![0.0; rows * cols]; n_layers];
-                    let mut loss_sum = 0.0;
-                    let idx: Vec<usize> =
-                        batch.iter().skip(w * shard).take(shard).copied().collect();
-                    if idx.is_empty() {
-                        return (grads, loss_sum);
-                    }
-                    let mut scratch = PropagationScratch::new(rows, cols);
-                    let input = self.input_batch(idx.iter().map(|&i| data[i].0.as_slice()));
-                    let trace = self.forward(input, &mut scratch);
-                    let pred_grads: Vec<Vec<f64>> = idx
-                        .iter()
-                        .zip(&trace.predictions)
-                        .map(|(&i, prediction)| {
-                            let (loss, g) = lr_nn::loss::mse(prediction, &data[i].1);
-                            loss_sum += loss;
-                            g
-                        })
-                        .collect();
-                    self.backward(&trace, &pred_grads, &mut grads, &mut scratch);
-                    (grads, loss_sum)
-                });
-                let mut total: Vec<Vec<f64>> = vec![vec![0.0; rows * cols]; n_layers];
-                for (grads, loss) in results {
-                    epoch_loss += loss;
-                    for (t, g) in total.iter_mut().zip(&grads) {
-                        for (a, &b) in t.iter_mut().zip(g) {
-                            *a += b;
-                        }
-                    }
-                }
-                let scale = 1.0 / batch.len() as f64;
-                let split = self.pre.len();
-                for (i, layer) in self.pre.iter_mut().chain(self.post.iter_mut()).enumerate() {
-                    let g: Vec<f64> = total[i].iter().map(|v| v * scale).collect();
-                    opt.step(i, layer.phases_mut(), &g);
-                }
-                debug_assert!(split <= n_layers);
-            }
-            history.push(epoch_loss / data.len() as f64);
-        }
-        history
+        Fit::new(data.len(), batch_size, lr, seed).mean_losses(self, data, epochs)
     }
 
     /// Backward pass from per-sample prediction gradients, accumulating
@@ -366,6 +310,49 @@ impl SegmentationDonn {
             layer.backward_batch_inplace(&mut g, &trace.caches[i], &mut grads[i], scratch);
         }
     }
+}
+
+/// A segmentation DONN's chunk step: forwards the chunk as one batch,
+/// scores each prediction with per-pixel MSE against its mask, and
+/// backwards the chunk into the per-layer phase gradients.
+impl Trainee<MaskedImage> for SegmentationDonn {
+    type Worker = (PropagationScratch, Vec<Vec<f64>>);
+
+    fn worker(&self, _capacity: usize) -> Self::Worker {
+        let (rows, cols) = self.grid.shape();
+        let grads = vec![vec![0.0; rows * cols]; self.depth()];
+        (self.final_propagator.make_scratch(), grads)
+    }
+
+    fn chunk(&self, w: &mut Self::Worker, samples: &[&MaskedImage], _: &[u64], tally: &mut Tally) {
+        let (scratch, grads) = w;
+        let trace = self.forward(samples.iter().map(|(img, _)| img.as_slice()), scratch);
+        let masks = samples.iter().map(|(_, mask)| mask);
+        let pred_grads: Vec<Vec<f64>> = (trace.predictions.iter().zip(masks))
+            .map(|(prediction, mask)| {
+                let (loss, g) = lr_nn::loss::mse(prediction, mask);
+                tally.0 += loss;
+                g
+            })
+            .collect();
+        self.backward(&trace, &pred_grads, grads, scratch);
+    }
+
+    fn into_grads((_, grads): Self::Worker) -> Vec<Vec<f64>> {
+        grads
+    }
+
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        let layers = self.pre.iter_mut().chain(&mut self.post);
+        layers.map(DiffractiveLayer::phases_mut)
+    }
+}
+
+/// The binary mask of a detector intensity image, thresholded at its mean
+/// (a threshold an analog comparator could realize).
+fn threshold_mask(intensity: &[f64]) -> Vec<f64> {
+    let mean = intensity.iter().sum::<f64>() / intensity.len() as f64;
+    intensity.iter().map(|&i| f64::from(i >= mean)).collect()
 }
 
 fn sigmoid(x: f64) -> f64 {
@@ -476,10 +463,7 @@ mod tests {
         let d = donn(options);
         let data = toy_masks(2, 16);
         let trace_of = |d: &SegmentationDonn, scratch: &mut PropagationScratch| {
-            d.forward(
-                d.input_batch(data.iter().map(|(img, _)| img.as_slice())),
-                scratch,
-            )
+            d.forward(data.iter().map(|(img, _)| img.as_slice()), scratch)
         };
         let mut scratch = PropagationScratch::new(16, 16);
         let loss = |d: &SegmentationDonn| -> f64 {
@@ -581,10 +565,12 @@ mod tests {
         });
         let (img, _) = &toy_masks(1, 16)[0];
         let intensity = |d: &SegmentationDonn| {
-            let input = d.input_batch(std::iter::once(img.as_slice()));
-            d.forward(input, &mut PropagationScratch::new(16, 16))
-                .intensities
-                .remove(0)
+            d.forward(
+                std::iter::once(img.as_slice()),
+                &mut PropagationScratch::new(16, 16),
+            )
+            .intensities
+            .remove(0)
         };
         let a = intensity(&with);
         let b = intensity(&without);

@@ -1,4 +1,5 @@
-//! DONN training loop (`lr.train` in the paper's DSL).
+//! DONN training loop (`lr.train` in the paper's DSL) and the one
+//! data-parallel driver behind every lr-core trainer and evaluator.
 //!
 //! Training follows the paper exactly: intensity-encoded complex inputs
 //! (`data_to_cplex`), forward emulation through the stacked diffractive
@@ -6,16 +7,22 @@
 //! updates (§5.1), and — for codesign layers — Gumbel-Softmax temperature
 //! annealing across epochs.
 //!
-//! Samples within a batch are independent given the shared parameters, so
-//! the batch is sharded across worker threads (`lr_tensor::parallel`), each
-//! shard accumulating private gradient buffers that are merged afterwards.
+//! Every lr-core trainer — [`train`], [`crate::SegmentationDonn::train`],
+//! [`crate::MultiTaskDonn::train`] and [`crate::MultiChannelDonn::train`]
+//! — runs on one data-parallel driver (`Fit`). It owns the seeded
+//! shuffle, the split of each batch into one contiguous shard per worker
+//! (`lr_tensor::parallel`), the shard-order merge of gradients, loss and
+//! correct count, the `1/batch` scaling and the Adam steps; each worker
+//! streams its shard in `EVAL_BATCH`-sample (8) chunks, and a trainer
+//! supplies only a chunk's batched forward, loss and backward. The
+//! evaluators shard and chunk the same way (`map_chunks`).
 
 use crate::layers::codesign::CodesignMode;
-use crate::model::{BatchTrace, BatchWorkspace, DonnModel, ModelGrads};
-use lr_nn::loss::{one_hot_into, softmax_mse_into};
-use lr_nn::metrics::{argmax, Accuracy};
+use crate::model::{BatchTrace, BatchWorkspace, DonnModel, Layer, ModelGrads};
+use lr_nn::loss::{one_hot, softmax_mse_into};
+use lr_nn::metrics::argmax;
 use lr_nn::{Adam, Optimizer};
-use lr_tensor::{parallel, Complex64, FieldBatch};
+use lr_tensor::{parallel, Complex64};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -59,73 +66,6 @@ impl Default for TrainConfig {
     }
 }
 
-/// A per-worker ring of reusable forward traces: [`BatchTrace`]s whose
-/// per-layer activation caches span a whole worker shard (or one sample,
-/// as a one-plane batch). [`BatchTraceRing::forward`] overwrites the
-/// oldest slot in place via [`DonnModel::forward_trace_batch_into`], so in
-/// steady state the training step (one fused forward + one fused backward
-/// per shard) performs zero heap allocations — enforced by
-/// `tests/zero_alloc.rs`. Rings are never shared across threads. The
-/// training loop uses capacity 1 (forward and backward alternate
-/// strictly); capacity > 1 is for callers that interleave models or
-/// shapes, so each stream keeps its own slot shaped.
-#[derive(Debug, Clone)]
-pub struct BatchTraceRing {
-    slots: Vec<BatchTrace>,
-    capacity: usize,
-    next: usize,
-}
-
-impl BatchTraceRing {
-    /// Creates an empty ring that will hold up to `capacity` batch traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace ring needs at least one slot");
-        BatchTraceRing {
-            slots: Vec::with_capacity(capacity),
-            capacity,
-            next: 0,
-        }
-    }
-
-    /// Number of trace slots currently materialized.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if no trace has been materialized yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Runs one batched traced forward pass through the next ring slot,
-    /// reusing its buffers in place (allocating only while the ring fills
-    /// up or a batch outgrows its slot), and returns the completed trace.
-    pub fn forward<'a>(
-        &'a mut self,
-        model: &DonnModel,
-        inputs: &FieldBatch,
-        mode: CodesignMode,
-        seeds: &[u64],
-        ws: &mut BatchWorkspace,
-    ) -> &'a BatchTrace {
-        if self.slots.len() < self.capacity {
-            let mut trace = BatchTrace::new();
-            model.forward_trace_batch_into(inputs, mode, seeds, ws, &mut trace);
-            self.slots.push(trace);
-            self.slots.last().expect("just pushed")
-        } else {
-            let i = self.next;
-            self.next = (self.next + 1) % self.capacity;
-            model.forward_trace_batch_into(inputs, mode, seeds, ws, &mut self.slots[i]);
-            &self.slots[i]
-        }
-    }
-}
-
 /// Per-epoch training statistics.
 #[derive(Debug, Clone)]
 pub struct EpochStats {
@@ -143,14 +83,13 @@ pub struct EpochStats {
 ///
 /// # Panics
 ///
-/// Panics if `data` is empty, any image length mismatches the grid, or any
-/// label is out of range.
+/// Panics if `data` is empty, `batch_size` is zero, any image length
+/// mismatches the grid, or any label is out of range.
 pub fn train(
     model: &mut DonnModel,
     data: &[LabeledImage],
     config: &TrainConfig,
 ) -> Vec<EpochStats> {
-    assert!(!data.is_empty(), "training set must be non-empty");
     let (rows, cols) = model.grid().shape();
     let classes = model.num_classes();
     for (img, label) in data {
@@ -161,50 +100,37 @@ pub fn train(
         );
         assert!(*label < classes, "label out of range");
     }
-
-    let mut opt = Adam::new(config.learning_rate);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut history = Vec::with_capacity(config.epochs);
-
-    for epoch in 0..config.epochs {
-        let tau = anneal_temperature(config, epoch);
-        model.set_temperature(tau);
-        order.shuffle(&mut rng);
-
-        let mut epoch_loss = 0.0;
-        let mut acc = Accuracy::new();
-
-        for (batch_idx, batch) in order.chunks(config.batch_size).enumerate() {
-            let (grads, loss_sum, correct) =
-                batch_gradients(model, data, batch, epoch as u64, batch_idx as u64);
-            epoch_loss += loss_sum;
-            for _ in 0..correct {
-                acc.update(&[1.0, 0.0], 0);
+    let n = data.len();
+    let mut fit = Fit::new(n, config.batch_size, config.learning_rate, config.seed);
+    (0..config.epochs)
+        .map(|epoch| {
+            let tau = anneal_temperature(config, epoch);
+            model.set_temperature(tau);
+            let mut trainee = Summed {
+                models: std::slice::from_mut(model),
+                mode: CodesignMode::Train,
+                image: |(img, _): &LabeledImage, _| img,
+                score: |(_, label): &LabeledImage, logits: &[f64], g: &mut _, tally: &mut Tally| {
+                    tally.0 += softmax_mse_into(logits, &one_hot(*label, logits.len()), g);
+                    tally.1 += usize::from(argmax(logits) == *label);
+                },
+            };
+            let (loss, correct) = fit.epoch(&mut trainee, data, epoch);
+            let stats = EpochStats {
+                epoch,
+                loss: loss / n as f64,
+                train_accuracy: correct as f64 / n as f64,
+                temperature: tau,
+            };
+            if config.verbose {
+                println!(
+                    "epoch {:>3}  loss {:.5}  acc {:.3}  tau {:.3}",
+                    stats.epoch, stats.loss, stats.train_accuracy, stats.temperature
+                );
             }
-            for _ in 0..(batch.len() - correct) {
-                acc.update(&[0.0, 1.0], 0);
-            }
-            let mut grads = grads;
-            grads.scale(1.0 / batch.len() as f64);
-            apply(model, &mut opt, &grads);
-        }
-
-        let stats = EpochStats {
-            epoch,
-            loss: epoch_loss / data.len() as f64,
-            train_accuracy: acc.value(),
-            temperature: tau,
-        };
-        if config.verbose {
-            println!(
-                "epoch {:>3}  loss {:.5}  acc {:.3}  tau {:.3}",
-                stats.epoch, stats.loss, stats.train_accuracy, stats.temperature
-            );
-        }
-        history.push(stats);
-    }
-    history
+            stats
+        })
+        .collect()
 }
 
 fn anneal_temperature(config: &TrainConfig, epoch: usize) -> f64 {
@@ -215,86 +141,172 @@ fn anneal_temperature(config: &TrainConfig, epoch: usize) -> f64 {
     config.initial_temperature * (config.final_temperature / config.initial_temperature).powf(t)
 }
 
-/// Computes summed gradients, loss, and correct count over one batch,
-/// sharded across worker threads — each worker forwards and backwards its
-/// **whole shard as one fused batch** ([`DonnModel::forward_trace_batch_into`]
-/// / [`DonnModel::backward_batch_with`]), so FFT plans, transfer kernels,
-/// and scratch amortize across the shard instead of being re-dispatched
-/// per sample. Gradients accumulate in sample order, so the step is
-/// bit-identical to one-sample passes with the same Gumbel seeds.
-fn batch_gradients(
-    model: &DonnModel,
-    data: &[LabeledImage],
-    batch: &[usize],
-    epoch: u64,
-    batch_idx: u64,
-) -> (ModelGrads, f64, usize) {
-    let workers = parallel::threads().min(batch.len()).max(1);
-    let shard_size = batch.len().div_ceil(workers);
-    let classes = model.num_classes();
-    let (rows, cols) = model.grid().shape();
+/// Summed loss and correct count, in sample order.
+pub(crate) type Tally = (f64, usize);
 
-    let shards = parallel::par_map(workers, |w| {
-        // One batch workspace, batched trace ring, and set of small
-        // buffers per shard: the whole shard forwards and backwards as one
-        // FieldBatch, and steady-state steps reuse every buffer in place
-        // (see tests/zero_alloc.rs).
-        let shard: Vec<usize> = batch
-            .iter()
-            .skip(w * shard_size)
-            .take(shard_size)
-            .copied()
-            .collect();
-        let bsz = shard.len();
-        let mut grads = ModelGrads::zeros_like(model);
-        let mut loss_sum = 0.0;
-        let mut correct = 0usize;
-        if bsz == 0 {
-            return (grads, loss_sum, correct);
-        }
-        let mut ws = model.make_batch_workspace(bsz);
-        let mut ring = BatchTraceRing::new(1);
-        let mut inputs = FieldBatch::zeros(bsz, rows, cols);
-        let mut seeds = Vec::with_capacity(bsz);
-        let mut target = Vec::with_capacity(classes);
-        let mut logit_grads: Vec<Vec<f64>> =
-            (0..bsz).map(|_| Vec::with_capacity(classes)).collect();
-        for (b, &idx) in shard.iter().enumerate() {
-            inputs.set_plane_amplitudes(b, &data[idx].0);
-            seeds.push(
-                epoch
-                    .wrapping_mul(1_000_003)
-                    .wrapping_add(batch_idx.wrapping_mul(4099))
-                    .wrapping_add(idx as u64),
-            );
-        }
-        let trace = ring.forward(model, &inputs, CodesignMode::Train, &seeds, &mut ws);
-        for (b, &idx) in shard.iter().enumerate() {
-            let label = data[idx].1;
-            one_hot_into(label, classes, &mut target);
-            loss_sum += softmax_mse_into(&trace.logits[b], &target, &mut logit_grads[b]);
-            if argmax(&trace.logits[b]) == label {
-                correct += 1;
-            }
-        }
-        model.backward_batch_with(trace, &logit_grads, &mut grads, &mut ws);
-        (grads, loss_sum, correct)
-    });
+/// What a trainer supplies to the driver ([`Fit`]) for samples `S`.
+pub(crate) trait Trainee<S>: Sync {
+    /// A worker's buffers and gradient sums, reused across its chunks.
+    type Worker;
 
-    let mut total = ModelGrads::zeros_like(model);
-    let mut loss_sum = 0.0;
-    let mut correct = 0;
-    for (g, l, c) in shards {
-        total.accumulate(&g);
-        loss_sum += l;
-        correct += c;
-    }
-    (total, loss_sum, correct)
+    /// A worker with zeroed gradients, for chunks of up to `capacity`.
+    fn worker(&self, capacity: usize) -> Self::Worker;
+
+    /// Forwards, scores and backwards one chunk, adding its gradients to
+    /// the worker's and its summed loss and correct count to `tally` in
+    /// sample order. `seeds[b]` is sample `b`'s Gumbel seed.
+    fn chunk(&self, w: &mut Self::Worker, samples: &[&S], seeds: &[u64], tally: &mut Tally);
+
+    /// A worker's gradient buffers, in [`Trainee::params_mut`] order.
+    fn into_grads(w: Self::Worker) -> Vec<Vec<f64>>;
+
+    /// The parameter buffers Adam steps, one optimizer key each.
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut [f64]>;
 }
 
-fn apply(model: &mut DonnModel, opt: &mut Adam, grads: &ModelGrads) {
-    for (i, layer) in model.layers_mut().iter_mut().enumerate() {
-        opt.step(i, layer.params_mut(), grads.layer(i));
+/// The data-parallel training driver. Its Adam state, shuffle RNG and
+/// sample order persist across epochs.
+pub(crate) struct Fit {
+    opt: Adam,
+    rng: StdRng,
+    order: Vec<usize>,
+    batch_size: usize,
+}
+
+impl Fit {
+    /// Panics if `len` or `batch_size` is zero.
+    pub(crate) fn new(len: usize, batch_size: usize, learning_rate: f64, seed: u64) -> Self {
+        assert!(len > 0, "training set must be non-empty");
+        assert!(batch_size > 0, "batch_size must be at least 1");
+        Fit {
+            opt: Adam::new(learning_rate),
+            rng: StdRng::seed_from_u64(seed),
+            order: (0..len).collect(),
+            batch_size,
+        }
+    }
+
+    /// Runs epoch `epoch` over `data` and returns its summed loss and
+    /// correct count. Per batch: one shard per worker streamed in
+    /// [`EVAL_BATCH`] chunks, shard sums merged in shard order, gradients
+    /// scaled by `1/batch`, one Adam step per parameter buffer.
+    pub(crate) fn epoch<S: Sync, T: Trainee<S>>(
+        &mut self,
+        trainee: &mut T,
+        data: &[S],
+        epoch: usize,
+    ) -> Tally {
+        self.order.shuffle(&mut self.rng);
+        let (mut loss, mut correct) = (0.0, 0);
+        for (batch_idx, batch) in self.order.chunks(self.batch_size).enumerate() {
+            let frozen = &*trainee;
+            // Sample `i`'s Gumbel seed is `seed_base + i`.
+            let seed_base = (epoch as u64)
+                .wrapping_mul(1_000_003)
+                .wrapping_add((batch_idx as u64).wrapping_mul(4099));
+            let shards = map_shards(batch, |_, shard| {
+                let mut w = frozen.worker(shard.len().min(EVAL_BATCH));
+                let mut tally = (0.0, 0);
+                for chunk in shard.chunks(EVAL_BATCH) {
+                    let samples: Vec<&S> = chunk.iter().map(|&i| &data[i]).collect();
+                    let seeds: Vec<u64> = chunk
+                        .iter()
+                        .map(|&i| seed_base.wrapping_add(i as u64))
+                        .collect();
+                    frozen.chunk(&mut w, &samples, &seeds, &mut tally);
+                }
+                (T::into_grads(w), tally)
+            });
+            let mut total: Vec<Vec<f64>> = Vec::new();
+            let mut batch_loss = 0.0;
+            for (grads, (shard_loss, shard_correct)) in shards {
+                total.resize_with(grads.len(), Vec::new);
+                for (t, g) in total.iter_mut().zip(grads) {
+                    t.resize(g.len(), 0.0);
+                    t.iter_mut().zip(g).for_each(|(a, b)| *a += b);
+                }
+                batch_loss += shard_loss;
+                correct += shard_correct;
+            }
+            loss += batch_loss;
+            let scale = 1.0 / batch.len() as f64;
+            for (key, (params, grads)) in trainee.params_mut().zip(&mut total).enumerate() {
+                grads.iter_mut().for_each(|g| *g *= scale);
+                self.opt.step(key, params, grads);
+            }
+        }
+        (loss, correct)
+    }
+
+    /// Runs `epochs` epochs and returns each one's mean loss.
+    pub(crate) fn mean_losses<S: Sync>(
+        mut self,
+        trainee: &mut impl Trainee<S>,
+        data: &[S],
+        epochs: usize,
+    ) -> Vec<f64> {
+        let n = data.len() as f64;
+        (0..epochs)
+            .map(|e| self.epoch(trainee, data, e).0 / n)
+            .collect()
+    }
+}
+
+/// A classifier whose logits sum the detector readouts of `models` (one
+/// model for [`train`] and multi-task, one per channel for multi-channel),
+/// model `m` fed `image(sample, m)`. `score` writes a sample's logit
+/// gradients from its summed logits and adds its loss (and hit) to the tally.
+pub(crate) struct Summed<'a, S, L> {
+    pub(crate) models: &'a mut [DonnModel],
+    pub(crate) mode: CodesignMode,
+    pub(crate) image: fn(&S, usize) -> &[f64],
+    pub(crate) score: L,
+}
+
+impl<S: Sync, L> Trainee<S> for Summed<'_, S, L>
+where
+    L: Fn(&S, &[f64], &mut Vec<f64>, &mut Tally) + Sync,
+{
+    /// Per model: workspace, trace and gradients; and the logit gradients.
+    type Worker = (Vec<(BatchWorkspace, BatchTrace, ModelGrads)>, Vec<Vec<f64>>);
+
+    fn worker(&self, capacity: usize) -> Self::Worker {
+        let per_model = self.models.iter().map(|m| {
+            let grads = ModelGrads::zeros_like(m);
+            (m.make_batch_workspace(capacity), BatchTrace::new(), grads)
+        });
+        (per_model.collect(), Vec::new())
+    }
+
+    fn chunk(&self, w: &mut Self::Worker, samples: &[&S], seeds: &[u64], tally: &mut Tally) {
+        let (per_model, logit_grads) = w;
+        for (m, (model, (ws, trace, _))) in self.models.iter().zip(&mut *per_model).enumerate() {
+            ws.load_images(samples.iter().map(|s| (self.image)(s, m)));
+            model.trace_loaded(self.mode, seeds, ws, trace);
+        }
+        logit_grads.resize_with(samples.len(), Vec::new);
+        for (b, (s, g)) in samples.iter().zip(&mut *logit_grads).enumerate() {
+            let mut logits = vec![0.0; self.models[0].num_classes()];
+            for (_, trace, _) in per_model.iter() {
+                for (a, v) in logits.iter_mut().zip(&trace.logits[b]) {
+                    *a += v;
+                }
+            }
+            (self.score)(s, &logits, g, tally);
+        }
+        for (model, (ws, trace, grads)) in self.models.iter().zip(per_model) {
+            model.backward_batch_with(trace, logit_grads, grads, ws);
+        }
+    }
+
+    fn into_grads((per_model, _): Self::Worker) -> Vec<Vec<f64>> {
+        let grads = per_model.into_iter().map(|(_, _, g)| g);
+        grads.flat_map(ModelGrads::into_buffers).collect()
+    }
+
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        let layers = self.models.iter_mut().flat_map(|m| m.layers_mut());
+        layers.map(Layer::params_mut)
     }
 }
 
@@ -303,124 +315,125 @@ fn apply(model: &mut DonnModel, opt: &mut Adam, grads: &ModelGrads) {
 ///
 /// The dataset is sharded across worker threads; each worker streams its
 /// shard through one [`BatchWorkspace`] in batches of up to 8 images, so
-/// every layer hop is one batched [`FieldBatch`] pass. Accuracy is
+/// every layer hop is one batched [`lr_tensor::FieldBatch`] pass. Accuracy is
 /// bitwise equal to running [`DonnModel::infer_mode_into`] on each image
 /// and taking the argmax, because a batch is bit-identical to its
 /// one-plane passes. An empty dataset scores 0.
 pub fn evaluate(model: &DonnModel, data: &[LabeledImage]) -> f64 {
-    evaluate_mode(model, data, CodesignMode::Soft)
+    let make_workspace = |capacity| model.make_batch_workspace(capacity);
+    evaluate_staged(data, make_workspace, |ws| {
+        model.infer_staged_batch(CodesignMode::Soft, ws)
+    })
 }
 
 /// Evaluates accuracy with hard (deployable) codesign states — the
 /// batched, worker-sharded loop of [`evaluate`] in
 /// [`CodesignMode::Deploy`].
 pub fn evaluate_deployed(model: &DonnModel, data: &[LabeledImage]) -> f64 {
-    evaluate_mode(model, data, CodesignMode::Deploy)
-}
-
-/// Images per batched forward in [`evaluate`] and the other evaluation
-/// loops. The SIMD lanes run inside each plane, so the batch size does not
-/// feed them: it bounds each worker's workspace to 8 planes and spreads
-/// the per-call setup (plan lookups, dispatch) over the batch.
-const EVAL_BATCH: usize = 8;
-
-/// Splits `data` into one contiguous shard per worker, runs `f` on each
-/// non-empty shard (given the data index of its first image) on the pool,
-/// and returns the per-shard results in data order.
-fn map_shards<T: Send + Default>(
-    data: &[LabeledImage],
-    f: impl Fn(usize, &[LabeledImage]) -> T + Sync,
-) -> Vec<T> {
-    let workers = parallel::threads().min(data.len()).max(1);
-    let shard_size = data.len().div_ceil(workers);
-    parallel::par_map(workers, |w| {
-        let start = (w * shard_size).min(data.len());
-        let shard = &data[start..(start + shard_size).min(data.len())];
-        if shard.is_empty() {
-            return T::default();
-        }
-        f(start, shard)
+    let make_workspace = |capacity| model.make_batch_workspace(capacity);
+    evaluate_staged(data, make_workspace, |ws| {
+        model.infer_staged_batch(CodesignMode::Deploy, ws)
     })
 }
 
-fn evaluate_mode(model: &DonnModel, data: &[LabeledImage], mode: CodesignMode) -> f64 {
-    evaluate_staged(
-        data,
-        |capacity| model.make_batch_workspace(capacity),
-        |ws| model.infer_staged_batch(mode, ws),
-    )
+/// Samples per batched pass of a worker, in training and evaluation. The
+/// SIMD lanes run inside each plane, so this does not feed them: it
+/// bounds each worker's workspace and trace to 8 planes and spreads the
+/// per-call setup (plan lookups, dispatch) over the chunk.
+const EVAL_BATCH: usize = 8;
+
+/// Splits `items` into one contiguous shard per worker, runs `f` on each
+/// non-empty shard (given the index of its first item) on the pool, and
+/// returns the per-shard results in item order — the one place lr-core
+/// splits work across the pool.
+fn map_shards<S: Sync, T: Send>(items: &[S], f: impl Fn(usize, &[S]) -> T + Sync) -> Vec<T> {
+    let workers = parallel::threads().min(items.len()).max(1);
+    let shard_size = items.len().div_ceil(workers);
+    let shards = parallel::par_map(workers, |w| {
+        let start = (w * shard_size).min(items.len());
+        let shard = &items[start..(start + shard_size).min(items.len())];
+        (!shard.is_empty()).then(|| f(start, shard))
+    });
+    shards.into_iter().flatten().collect()
 }
 
-/// Argmax accuracy of a staged batched forward over `data`: each worker
-/// streams its shard through one workspace from `make_workspace` in
-/// [`EVAL_BATCH`] chunks, runs `infer` on each loaded chunk and scores
-/// the staged logits. The loop behind [`evaluate`], [`evaluate_deployed`]
-/// and [`crate::deploy::PhysicalDonn::evaluate`].
+/// Streams each worker's shard of `data` through one `W` (built by
+/// `worker` for the chunk capacity) in [`EVAL_BATCH`] chunks; `chunk`
+/// gets each chunk and the data index of its first item and pushes one
+/// result per item. Results come back in data order.
+pub(crate) fn map_chunks<S: Sync, W, T: Send>(
+    data: &[S],
+    worker: impl Fn(usize) -> W + Sync,
+    chunk: impl Fn(&mut W, usize, &[S], &mut Vec<T>) + Sync,
+) -> Vec<T> {
+    let shards = map_shards(data, |start, shard| {
+        let mut w = worker(shard.len().min(EVAL_BATCH));
+        let mut out = Vec::with_capacity(shard.len());
+        for (c, items) in shard.chunks(EVAL_BATCH).enumerate() {
+            chunk(&mut w, start + c * EVAL_BATCH, items, &mut out);
+        }
+        out
+    });
+    shards.into_iter().flatten().collect()
+}
+
+/// The fraction of samples whose logits `hit` them; 0 for none.
+pub(crate) fn hit_rate<S>(
+    logits: &[Vec<f64>],
+    data: &[S],
+    hit: impl Fn(&[f64], &S) -> bool,
+) -> f64 {
+    let hits = logits.iter().zip(data).filter(|(l, s)| hit(l, s)).count();
+    hits as f64 / data.len().max(1) as f64
+}
+
+/// Argmax accuracy of a staged batched forward over `data` (see
+/// [`staged_logits`]): the loop behind [`evaluate`],
+/// [`evaluate_deployed`] and [`crate::deploy::PhysicalDonn::evaluate`].
 pub(crate) fn evaluate_staged(
     data: &[LabeledImage],
     make_workspace: impl Fn(usize) -> BatchWorkspace + Sync,
     infer: impl Fn(&mut BatchWorkspace) + Sync,
 ) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let correct: usize = map_shards(data, |_, shard| {
-        let mut ws = make_workspace(shard.len().min(EVAL_BATCH));
-        let mut correct = 0;
-        for chunk in shard.chunks(EVAL_BATCH) {
-            ws.begin_batch(chunk.len());
-            for (b, (img, _)) in chunk.iter().enumerate() {
-                ws.load_amplitudes(b, img);
-            }
-            infer(&mut ws);
-            for (b, (_, label)) in chunk.iter().enumerate() {
-                correct += usize::from(argmax(ws.staged_logits(b)) == *label);
-            }
-        }
-        correct
+    let logits = staged_logits(data, |(img, _)| img, make_workspace, infer);
+    hit_rate(&logits, data, |l, (_, label)| argmax(l) == *label)
+}
+
+/// Every sample's logits from a staged batched forward, in data order:
+/// each worker streams its shard through one workspace from
+/// `make_workspace` in [`EVAL_BATCH`] chunks, loads each sample's
+/// `image` and runs `infer` on the chunk.
+pub(crate) fn staged_logits<S: Sync>(
+    data: &[S],
+    image: impl Fn(&S) -> &[f64] + Sync,
+    make_workspace: impl Fn(usize) -> BatchWorkspace + Sync,
+    infer: impl Fn(&mut BatchWorkspace) + Sync,
+) -> Vec<Vec<f64>> {
+    map_chunks(data, make_workspace, |ws, _, chunk, out| {
+        ws.load_images(chunk.iter().map(&image));
+        infer(ws);
+        out.extend((0..chunk.len()).map(|b| ws.staged_logits(b).to_vec()));
     })
-    .into_iter()
-    .sum();
-    correct as f64 / data.len() as f64
 }
 
 /// Runs `per_image` on every image's emulation-mode traced forward — its
 /// data index, detector-plane field and logits — streaming each worker's
 /// shard through one [`BatchWorkspace`] and [`BatchTrace`] in
 /// [`EVAL_BATCH`] chunks. Results come back in data order.
-fn map_traced<T: Send>(
+pub(crate) fn map_traced<T: Send>(
     model: &DonnModel,
     data: &[LabeledImage],
     per_image: impl Fn(usize, &[Complex64], &[f64]) -> T + Sync,
 ) -> Vec<T> {
-    let (rows, cols) = model.grid().shape();
-    map_shards(data, |start, shard| {
-        let capacity = shard.len().min(EVAL_BATCH);
-        let mut ws = model.make_batch_workspace(capacity);
-        let mut inputs = FieldBatch::zeros(capacity, rows, cols);
-        let mut trace = BatchTrace::new();
-        let mut out = Vec::with_capacity(shard.len());
-        for chunk in shard.chunks(EVAL_BATCH) {
-            inputs.set_batch(chunk.len());
-            for (b, (img, _)) in chunk.iter().enumerate() {
-                inputs.set_plane_amplitudes(b, img);
-            }
-            let seeds = &[0; EVAL_BATCH][..chunk.len()];
-            model.forward_trace_batch_into(&inputs, CodesignMode::Soft, seeds, &mut ws, &mut trace);
-            for b in 0..chunk.len() {
-                let i = start + out.len();
-                out.push(per_image(
-                    i,
-                    trace.detector_fields.plane(b),
-                    &trace.logits[b],
-                ));
-            }
+    let worker = |capacity| (model.make_batch_workspace(capacity), BatchTrace::new());
+    map_chunks(data, worker, |(ws, trace), start, chunk, out| {
+        ws.load_images(chunk.iter().map(|(img, _)| img.as_slice()));
+        let seeds = &[0; EVAL_BATCH][..chunk.len()];
+        model.trace_loaded(CodesignMode::Soft, seeds, ws, trace);
+        for (b, logits) in trace.logits.iter().enumerate() {
+            out.push(per_image(start + b, trace.detector_fields.plane(b), logits));
         }
-        out
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Evaluates accuracy with bounded uniform detector noise (the paper's
@@ -434,16 +447,13 @@ pub fn evaluate_with_detector_noise(
     bound: f64,
     seed: u64,
 ) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let hits = map_traced(model, data, |i, field, _| {
+    let logits = map_traced(model, data, |i, field, _| {
         let intensity: Vec<f64> = field.iter().map(|z| z.norm_sqr()).collect();
         let noisy =
             lr_hardware::uniform_detector_noise(&intensity, bound, seed.wrapping_add(i as u64));
-        argmax(&model.detector().read_intensity(&noisy)) == data[i].1
+        model.detector().read_intensity(&noisy)
     });
-    hits.into_iter().filter(|&hit| hit).count() as f64 / data.len() as f64
+    hit_rate(&logits, data, |l, (_, label)| argmax(l) == *label)
 }
 
 /// Mean prediction confidence (softmax probability of the predicted class)
@@ -579,6 +589,17 @@ mod tests {
         let mut model = toy_model(1);
         let data = vec![(vec![0.0; 256], 9usize)];
         train(&mut model, &data, &TrainConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size must be at least 1")]
+    fn train_rejects_zero_batch_size() {
+        let mut model = toy_model(1);
+        let config = TrainConfig {
+            batch_size: 0,
+            ..TrainConfig::default()
+        };
+        train(&mut model, &toy_dataset(4, 16, 16), &config);
     }
 
     #[test]

@@ -10,20 +10,32 @@
 //! contract: its staged batch equals B=1 `infer` at every forced SIMD
 //! level, and its `evaluate` equals the per-image argmax count at any
 //! thread count. `mean_confidence` must not depend on the
-//! thread count. Across SIMD
-//! dispatch levels the contract is tolerance-renegotiated: forced scalar
+//! thread count. The shared training driver, which streams each worker's
+//! shard in chunks of up to 8 samples, must reproduce the per-sample
+//! multi-task and multi-channel training loops bit for bit at one worker,
+//! and the segmentation, multi-task, multi-channel and ensemble
+//! evaluators must equal their per-image references at any thread count.
+//! Across SIMD dispatch levels the contract is tolerance-renegotiated: forced scalar
 //! vs detected-width results agree to ≤ 1e-12 relative (the detector
 //! readout's lane-partial reduction is the only re-association).
 
 use lightridge::deploy::{HardwareEnvironment, PhysicalDonn};
+use lightridge::multichannel::RgbImage;
 use lightridge::train::{evaluate, evaluate_deployed, mean_confidence, LabeledImage};
-use lightridge::{BatchTrace, CodesignMode, Detector, DonnBuilder, DonnModel, ModelGrads};
-use lr_nn::loss::{one_hot_into, softmax_mse_into};
-use lr_nn::metrics::argmax;
+use lightridge::{
+    BatchTrace, CodesignMode, Detector, DonnBuilder, DonnEnsemble, DonnModel, ModelGrads,
+    MultiChannelDonn, MultiTaskDonn, MultiTaskImage, SegmentationDonn, SegmentationOptions,
+};
+use lr_nn::loss::{one_hot, one_hot_into, softmax_mse, softmax_mse_into};
+use lr_nn::metrics::{argmax, binary_iou, top_k_correct};
+use lr_nn::{Adam, Optimizer};
 use lr_optics::{Approximation, Distance, Grid, PixelPitch, Wavelength};
 use lr_tensor::simd::{self, SimdLevel};
 use lr_tensor::{parallel, Complex64, Field, FieldBatch};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// `simd::force` and `parallel::set_threads` are process-global, and the
@@ -501,6 +513,277 @@ fn physical_evaluate_matches_per_image_argmax_across_threads() {
                  {expected} (n={n}, {threads} threads)"
             );
         }
+    }
+    parallel::set_threads(0);
+}
+
+/// A 24² image, distinct per `(i, salt)`.
+fn image(i: usize, salt: usize) -> Vec<f64> {
+    (0..24 * 24)
+        .map(|p| ((p * 7 + i * 13 + salt * 5) % 17) as f64 / 17.0)
+        .collect()
+}
+
+/// Runs one epoch of the parent per-sample training loop on `models`:
+/// the seeded shuffle, batches of `batch_size`, and for each sample B=1
+/// `forward_trace` of every model on its `image(sample, model)`, summed
+/// logits, `loss` (which writes the logit gradients and returns the
+/// sample's per-term losses in order), and B=1 `backward` of every model;
+/// then `1/batch` scaling and one Adam step per layer. Returns the mean
+/// epoch loss.
+fn per_sample_epoch<S>(
+    models: &mut [DonnModel],
+    data: &[S],
+    batch_size: usize,
+    seed: u64,
+    image: impl Fn(&S, usize) -> &[f64],
+    loss: impl Fn(&S, &[f64], &mut Vec<f64>) -> Vec<f64>,
+) -> f64 {
+    let (rows, cols) = models[0].grid().shape();
+    let mut opt = Adam::new(0.2);
+    let mut order: Vec<usize> = (0..data.len()).collect();
+    order.shuffle(&mut StdRng::seed_from_u64(seed));
+    let mut epoch_loss = 0.0;
+    for batch in order.chunks(batch_size) {
+        let mut grads: Vec<ModelGrads> = models.iter().map(ModelGrads::zeros_like).collect();
+        let mut batch_loss = 0.0;
+        for &i in batch {
+            let traces: Vec<BatchTrace> = (models.iter().enumerate())
+                .map(|(m, model)| {
+                    let input = Field::from_amplitudes(rows, cols, image(&data[i], m));
+                    model.forward_trace(&input, CodesignMode::Soft, 0)
+                })
+                .collect();
+            let mut logits = vec![0.0; models[0].num_classes()];
+            for trace in &traces {
+                for (a, v) in logits.iter_mut().zip(&trace.logits[0]) {
+                    *a += v;
+                }
+            }
+            let mut logit_grads = Vec::new();
+            for l in loss(&data[i], &logits, &mut logit_grads) {
+                batch_loss += l;
+            }
+            for ((model, trace), g) in models.iter().zip(&traces).zip(&mut grads) {
+                model.backward(trace, &logit_grads, g);
+            }
+        }
+        epoch_loss += batch_loss;
+        let mut key = 0;
+        for (model, g) in models.iter_mut().zip(&mut grads) {
+            g.scale(1.0 / batch.len() as f64);
+            for (i, layer) in model.layers_mut().iter_mut().enumerate() {
+                opt.step(key, layer.params_mut(), g.layer(i));
+                key += 1;
+            }
+        }
+    }
+    epoch_loss / data.len() as f64
+}
+
+fn assert_same_params(a: &DonnModel, b: &DonnModel, what: &str) {
+    for (i, (x, y)) in a.layers().iter().zip(b.layers()).enumerate() {
+        assert_eq!(
+            x.params(),
+            y.params(),
+            "{what}: layer {i} parameters diverge"
+        );
+    }
+}
+
+fn multitask_donn() -> MultiTaskDonn {
+    MultiTaskDonn::new(
+        Grid::square(24, PixelPitch::from_um(36.0)),
+        Wavelength::from_nm(532.0),
+        Distance::from_mm(10.0),
+        Approximation::RayleighSommerfeld,
+        2,
+        MultiTaskDonn::split_plane_layout(24, 24, &[4, 2], 3),
+        11,
+    )
+}
+
+fn multichannel_donn() -> MultiChannelDonn {
+    MultiChannelDonn::new(
+        Grid::square(24, PixelPitch::from_um(36.0)),
+        Wavelength::from_nm(532.0),
+        Distance::from_mm(10.0),
+        Approximation::RayleighSommerfeld,
+        2,
+        Detector::grid_layout(24, 24, 3, 3),
+        11,
+    )
+}
+
+/// At one worker, one epoch of `MultiTaskDonn::train` and of
+/// `MultiChannelDonn::train` — batched traced chunks of up to 8 samples
+/// through the shared driver — equals the per-sample B=1 loop bit for
+/// bit: parameters and epoch loss. Batch 21 leaves a shard that is not a
+/// multiple of the chunk size.
+#[test]
+fn multitask_and_multichannel_train_match_per_sample_loop_bitwise() {
+    let _pinned = pin_dispatch();
+    parallel::set_threads(1);
+
+    let mut mt = multitask_donn();
+    let spans = [(0, 4), (4, 2)];
+    let data: Vec<MultiTaskImage> = (0..30).map(|i| (image(i, 0), vec![i % 4, i % 2])).collect();
+    let mut reference = vec![mt.model().clone()];
+    let expected = per_sample_epoch(
+        &mut reference,
+        &data,
+        21,
+        5,
+        |(img, _), _| img,
+        |(_, labels), logits, g| {
+            let tasks = spans.iter().zip(labels);
+            tasks
+                .map(|(&(start, len), &label)| {
+                    let target = one_hot(label, len);
+                    let (loss, task_grad) = softmax_mse(&logits[start..start + len], &target);
+                    g.extend(task_grad);
+                    loss
+                })
+                .collect()
+        },
+    );
+    let losses = mt.train(&data, 1, 21, 0.2, 5);
+    assert_same_params(mt.model(), &reference[0], "multi-task");
+    assert_eq!(losses[0].to_bits(), expected.to_bits(), "multi-task loss");
+
+    let mut mc = multichannel_donn();
+    let data: Vec<RgbImage> = (0..30)
+        .map(|i| ([image(i, 1), image(i, 2), image(i, 3)], i % 3))
+        .collect();
+    let mut reference = mc.channels().to_vec();
+    let expected = per_sample_epoch(
+        &mut reference,
+        &data,
+        21,
+        3,
+        |(rgb, _), ch| &rgb[ch],
+        |(_, label), logits, g| {
+            let target = one_hot(*label, logits.len());
+            vec![softmax_mse_into(logits, &target, g)]
+        },
+    );
+    let losses = mc.train(&data, 1, 21, 0.2, 3);
+    for (ch, (a, b)) in mc.channels().iter().zip(&reference).enumerate() {
+        assert_same_params(a, b, &format!("multi-channel channel {ch}"));
+    }
+    assert_eq!(
+        losses[0].to_bits(),
+        expected.to_bits(),
+        "multi-channel loss"
+    );
+    parallel::set_threads(0);
+}
+
+/// The sharded, chunked evaluators of the segmentation, multi-task,
+/// multi-channel and ensemble DONNs equal per-image references bit for
+/// bit at one, two and three workers, on 21 images (shards that are not
+/// multiples of the chunk size).
+#[test]
+fn composite_evaluators_match_per_image_references_across_threads() {
+    let _pinned = pin_dispatch();
+    let n = 21;
+    let rate = |hits: usize| hits as f64 / n as f64;
+
+    let seg = SegmentationDonn::new(
+        Grid::square(24, PixelPitch::from_um(36.0)),
+        Wavelength::from_nm(532.0),
+        Distance::from_mm(5.0),
+        Approximation::RayleighSommerfeld,
+        3,
+        SegmentationOptions::proposed(),
+        13,
+    );
+    let masks: Vec<(Vec<f64>, Vec<f64>)> = (0..n)
+        .map(|i| {
+            let img = image(i, 4);
+            let mask = img.iter().map(|&v| f64::from(v > 0.5)).collect();
+            (img, mask)
+        })
+        .collect();
+    let iou = masks
+        .iter()
+        .map(|(img, mask)| binary_iou(&seg.predict_mask(img), mask))
+        .sum::<f64>()
+        / n as f64;
+
+    let mt = multitask_donn();
+    let tasks: Vec<MultiTaskImage> = (0..n).map(|i| (image(i, 5), vec![i % 4, i % 2])).collect();
+    let task_accuracy: Vec<f64> = (0..2)
+        .map(|t| {
+            rate(
+                tasks
+                    .iter()
+                    .filter(|(img, labels)| mt.predict(img)[t] == labels[t])
+                    .count(),
+            )
+        })
+        .collect();
+
+    let mc = multichannel_donn();
+    let rgb: Vec<RgbImage> = (0..n)
+        .map(|i| ([image(i, 6), image(i, 7), image(i, 8)], i % 3))
+        .collect();
+    let top2 = rate(
+        rgb.iter()
+            .filter(|(x, label)| top_k_correct(&mc.infer(x), *label, 2))
+            .count(),
+    );
+
+    let ensemble = DonnEnsemble::new(
+        (0..3)
+            .map(|seed| {
+                DonnBuilder::new(
+                    Grid::square(24, PixelPitch::from_um(36.0)),
+                    Wavelength::from_nm(532.0),
+                )
+                .distance(Distance::from_mm(10.0))
+                .diffractive_layers(2)
+                .detector(Detector::grid_layout(24, 24, 4, 3))
+                .init_seed(seed * 31 + 1)
+                .build()
+            })
+            .collect(),
+    );
+    let labeled: Vec<LabeledImage> = (0..n).map(|i| (image(i, 9), i % 4)).collect();
+    let vote = rate(
+        labeled
+            .iter()
+            .filter(|(img, label)| {
+                argmax(&ensemble.infer(&Field::from_amplitudes(24, 24, img))) == *label
+            })
+            .count(),
+    );
+
+    for threads in [1, 2, 3] {
+        parallel::set_threads(threads);
+        assert_eq!(
+            seg.evaluate_iou(&masks).to_bits(),
+            iou.to_bits(),
+            "IoU, {threads} threads"
+        );
+        let accuracy = mt.evaluate(&tasks);
+        for (t, (a, b)) in accuracy.iter().zip(&task_accuracy).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "task {t} accuracy, {threads} threads"
+            );
+        }
+        assert_eq!(
+            mc.evaluate_top_k(&rgb, 2).to_bits(),
+            top2.to_bits(),
+            "top-2, {threads} threads"
+        );
+        assert_eq!(
+            ensemble.evaluate(&labeled).to_bits(),
+            vote.to_bits(),
+            "vote, {threads} threads"
+        );
     }
     parallel::set_threads(0);
 }

@@ -22,6 +22,7 @@ use lr_tensor::{
     FieldBatch, PinnedCache, J,
 };
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::sync::Arc;
 
@@ -472,37 +473,18 @@ impl FreeSpace {
         PropagationScratch::new(self.grid.rows(), self.grid.cols())
     }
 
-    /// Propagates `field` in place over the planned distance.
-    ///
-    /// Internally borrows thread-local FFT scratch; allocation-sensitive
-    /// callers should prefer [`FreeSpace::propagate_with`].
+    /// Propagates `field` in place over the planned distance: the
+    /// one-plane kernel of [`FreeSpace::propagate_with`] on thread-local
+    /// scratch (allocation-free once warm for this grid); callers that own
+    /// scratch should prefer [`FreeSpace::propagate_with`].
     ///
     /// # Panics
     ///
     /// Panics if the field shape does not match the planned grid.
     pub fn propagate(&self, field: &mut Field) {
-        assert_eq!(
-            field.shape(),
-            self.grid.shape(),
-            "field/grid shape mismatch"
-        );
-        match &self.inner {
-            Inner::Spectral { transfer, fft } => fft.convolve_spectrum(field, transfer),
-            Inner::SingleFourier {
-                post_phase,
-                scale,
-                fft,
-            } => {
-                let (rows, cols) = self.grid.shape();
-                ifftshift_in_place(field.as_mut_slice(), rows, cols);
-                fft.forward(field);
-                fftshift_in_place(field.as_mut_slice(), rows, cols);
-                field.hadamard_assign(post_phase);
-                for z in field.as_mut_slice() {
-                    *z *= *scale;
-                }
-            }
-        }
+        with_tls_scratch(self.grid.shape(), |scratch| {
+            self.propagate_with(field, scratch)
+        });
     }
 
     /// [`FreeSpace::propagate`] with caller-owned scratch — the
@@ -594,35 +576,16 @@ impl FreeSpace {
     }
 
     /// Applies the adjoint operator `Aᴴ` in place — the gradient backward
-    /// pass corresponding to [`FreeSpace::propagate`].
+    /// pass corresponding to [`FreeSpace::propagate`], on thread-local
+    /// scratch like it.
     ///
     /// # Panics
     ///
     /// Panics if the field shape does not match the planned grid.
     pub fn adjoint(&self, grad: &mut Field) {
-        assert_eq!(grad.shape(), self.grid.shape(), "field/grid shape mismatch");
-        match &self.inner {
-            Inner::Spectral { transfer, fft } => fft.convolve_spectrum_adjoint(grad, transfer),
-            Inner::SingleFourier {
-                post_phase,
-                scale,
-                fft,
-            } => {
-                // A = s · P₂ F P₁ with diag(post) after P₂:
-                // A = diag(post)·P₂·F·P₁·s  ⇒  Aᴴ = s̄·P₁⁻¹·Fᴴ·P₂⁻¹·diag(post̄)
-                // with Fᴴ = N·F⁻¹.
-                let (rows, cols) = self.grid.shape();
-                let n = (rows * cols) as f64;
-                grad.hadamard_conj_assign(post_phase);
-                ifftshift_in_place(grad.as_mut_slice(), rows, cols);
-                fft.inverse(grad);
-                fftshift_in_place(grad.as_mut_slice(), rows, cols);
-                let s = scale.conj() * n;
-                for z in grad.as_mut_slice() {
-                    *z *= s;
-                }
-            }
-        }
+        with_tls_scratch(self.grid.shape(), |scratch| {
+            self.adjoint_with(grad, scratch)
+        });
     }
 
     /// [`FreeSpace::adjoint`] with caller-owned scratch (zero allocation on
@@ -655,6 +618,8 @@ impl FreeSpace {
                 scale,
                 fft,
             } => {
+                // A = s·diag(post)·P₂·F·P₁ ⇒ Aᴴ = s̄·P₁⁻¹·Fᴴ·P₂⁻¹·diag(post̄),
+                // with Fᴴ = N·F⁻¹.
                 let n = (rows * cols) as f64;
                 for (z, &p) in plane.iter_mut().zip(post_phase.as_slice()) {
                     *z *= p.conj();
@@ -745,6 +710,32 @@ impl FreeSpace {
     pub fn fresnel_number(&self) -> f64 {
         self.grid.max_radius().powi(2) / (self.wavelength.meters() * self.distance.meters())
     }
+}
+
+thread_local! {
+    /// Per-thread scratch backing [`FreeSpace::propagate`] and
+    /// [`FreeSpace::adjoint`], one per plane shape.
+    static TLS_SCRATCH: RefCell<Vec<PropagationScratch>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Lends this thread's scratch for `shape` to `f`, creating it on first
+/// use for that shape on this thread.
+fn with_tls_scratch<R>(shape: (usize, usize), f: impl FnOnce(&mut PropagationScratch) -> R) -> R {
+    let mut scratch = TLS_SCRATCH.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        match cache.iter().position(|s| s.shape() == shape) {
+            Some(i) => cache.swap_remove(i),
+            None => PropagationScratch::new(shape.0, shape.1),
+        }
+    });
+    let out = f(&mut scratch);
+    TLS_SCRATCH.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if cache.len() < 8 {
+            cache.push(scratch);
+        }
+    });
+    out
 }
 
 #[cfg(test)]
@@ -1008,6 +999,37 @@ mod tests {
                     assert_eq!(batch.plane(b), expect.as_slice(), "{rows}x{cols} batched");
                 }
             }
+        }
+    }
+
+    /// The implicit entry points run the same one-plane kernels as the
+    /// scratch-threaded ones, so they agree bit for bit on every
+    /// approximation.
+    #[test]
+    fn implicit_entry_points_equal_scratch_entry_points_bitwise() {
+        let grid = Grid::new(12, 10, PixelPitch::from_um(10.0));
+        for approx in [
+            Approximation::RayleighSommerfeld,
+            Approximation::Fresnel,
+            Approximation::Fraunhofer,
+        ] {
+            let prop = FreeSpace::new(
+                grid,
+                Wavelength::from_nm(GREEN),
+                Distance::from_mm(2.0),
+                approx,
+            );
+            let x = Field::from_fn(12, 10, |r, c| {
+                Complex64::new((r * 10 + c) as f64 * 0.07, (r as f64 - c as f64) * 0.3)
+            });
+            let mut scratch = prop.make_scratch();
+            let (mut u, mut v) = (x.clone(), x.clone());
+            prop.propagate(&mut u);
+            prop.propagate_with(&mut v, &mut scratch);
+            assert_eq!(u, v, "{approx:?} propagate");
+            prop.adjoint(&mut u);
+            prop.adjoint_with(&mut v, &mut scratch);
+            assert_eq!(u, v, "{approx:?} adjoint");
         }
     }
 
