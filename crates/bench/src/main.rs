@@ -60,7 +60,8 @@ const SIMD_KERNELS: [&str; 3] = ["fft2_batch", "transfer_apply", "detector_reado
 /// Raw medians of one kernel run, in nanoseconds. [`kernel_artifact`]
 /// gives them their metric names.
 struct KernelRun {
-    /// `Fft2::forward` at each of [`FFT_SIZES`].
+    /// Forward `Fft2::process_planes` on one plane at each of
+    /// [`FFT_SIZES`].
     fft2: [f64; 3],
     /// `Fft2::process_reference` at `FFT_SIZES[0]`.
     fft2_reference: f64,
@@ -149,15 +150,14 @@ fn simd_lanes_medians(samples: usize) -> ([[Option<f64>; 3]; 3], usize) {
             // Clamped: this CPU cannot execute the requested width.
             continue;
         }
-        let mut batch_ws = fft.make_batch_workspace();
+        let mut ws = fft.make_workspace();
         medians[0][w] = Some(median_ns(samples, || {
-            fft.fft2_batch_with(&mut batch, &mut batch_ws);
-            fft.ifft2_batch_with(&mut batch, &mut batch_ws);
+            fft.process_planes(batch.as_mut_slice(), Direction::Forward, &mut ws);
+            fft.process_planes(batch.as_mut_slice(), Direction::Inverse, &mut ws);
             std::hint::black_box(&batch);
         }));
-        let mut ws = fft.make_workspace();
         medians[1][w] = Some(median_ns(samples, || {
-            fft.convolve_spectrum_batch_with(&mut planes, &transfer, &mut ws);
+            fft.convolve_planes(&mut planes, &transfer, &mut ws);
             std::hint::black_box(&planes);
         }));
         medians[2][w] = Some(median_ns(samples, || {
@@ -184,9 +184,10 @@ fn measure_kernels(quick: bool) -> KernelRun {
         let fft = Fft2::new(n, n);
         let base = make_field(n);
         let mut f = base.clone();
+        let mut ws = fft.make_workspace();
         fft2[i] = median_ns(fft_samples, || {
             f.copy_from(&base);
-            fft.forward(&mut f);
+            fft.process_planes(f.as_mut_slice(), Direction::Forward, &mut ws);
         });
         if i == 0 {
             fft2_reference = median_ns(fft_samples, || {

@@ -4,7 +4,7 @@
 //! `lr-bench` perf artifacts use too.
 
 use lr_lightpipes::LpField;
-use lr_tensor::{Complex64, Fft2, Field};
+use lr_tensor::{Complex64, Fft2, Fft2Workspace, Field};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,16 +28,18 @@ impl Mode {
 
 /// The hand-rolled LightRidge `depth`-layer forward the Fig. 8 / Fig. 9 /
 /// Table 1 comparisons time: per layer, one spectral convolution with
-/// `transfer` and a phase mask computed with `cis` on every call.
+/// `transfer` and a phase mask computed with `cis` on every call, on the
+/// caller's workspace.
 pub fn lightridge_forward(
     fft: &Fft2,
+    ws: &mut Fft2Workspace,
     mut field: Field,
     transfer: &Field,
     phases: &[f64],
     depth: usize,
 ) -> Field {
     for _ in 0..depth {
-        fft.convolve_spectrum(&mut field, transfer);
+        fft.convolve_planes(field.as_mut_slice(), transfer, ws);
         for (z, &p) in field.as_mut_slice().iter_mut().zip(phases) {
             *z *= Complex64::cis(p);
         }

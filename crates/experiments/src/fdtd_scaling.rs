@@ -54,10 +54,11 @@ pub fn run(mode: Mode) -> Report {
         // conservative (finer than real devices).
         let n = ((w as f64 / 2.0) as usize).max(8);
         let fft = Fft2::new(n, n);
+        let mut ws = fft.make_workspace();
         let transfer = Field::from_fn(n, n, |r, c| Complex64::cis((r * c) as f64 * 1e-3));
         let fft_ns = median_ns(runs, || {
             let mut f = Field::ones(n, n);
-            fft.convolve_spectrum(&mut f, &transfer);
+            fft.convolve_planes(f.as_mut_slice(), &transfer, &mut ws);
             std::hint::black_box(&f);
         });
 

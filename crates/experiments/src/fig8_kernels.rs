@@ -7,7 +7,7 @@
 
 use crate::common::{lightpipes_forward, lightridge_forward, speedup, Mode, Report};
 use lr_bench::median_ns;
-use lr_tensor::{Complex64, Fft2, Field};
+use lr_tensor::{Complex64, Direction, Fft2, Field};
 
 /// Runs the experiment.
 pub fn run(mode: Mode) -> Report {
@@ -31,9 +31,10 @@ pub fn run(mode: Mode) -> Report {
 
     // --- FFT2 ---
     let fft = Fft2::new(n, n);
+    let mut ws = fft.make_workspace();
     let lr_fft = median_ns(runs, || {
         let mut f = field.clone();
-        fft.forward(&mut f);
+        fft.process_planes(f.as_mut_slice(), Direction::Forward, &mut ws);
         std::hint::black_box(&f);
     });
     let lp_fft = median_ns(runs, || {
@@ -44,7 +45,7 @@ pub fn run(mode: Mode) -> Report {
     // --- iFFT2 ---
     let lr_ifft = median_ns(runs, || {
         let mut f = field.clone();
-        fft.inverse(&mut f);
+        fft.process_planes(f.as_mut_slice(), Direction::Inverse, &mut ws);
         std::hint::black_box(&f);
     });
     let lp_ifft = median_ns(runs, || {
@@ -71,6 +72,7 @@ pub fn run(mode: Mode) -> Report {
     let lr_total = median_ns(runs, || {
         std::hint::black_box(lightridge_forward(
             &fft,
+            &mut ws,
             field.clone(),
             &transfer,
             &phases,

@@ -29,10 +29,12 @@ pub fn run(mode: Mode) -> Report {
         let field = Field::from_fn(n, n, |r, c| Complex64::new((r + c) as f64 * 0.01, 0.0));
         let transfer = Field::from_fn(n, n, |r, c| Complex64::cis((r * c) as f64 * 1e-4));
         let fft = Fft2::new(n, n);
+        let mut ws = fft.make_workspace();
         for &depth in &depths {
             let lr = median_ns(runs, || {
                 std::hint::black_box(lightridge_forward(
                     &fft,
+                    &mut ws,
                     field.clone(),
                     &transfer,
                     &phases,

@@ -102,10 +102,12 @@ pub fn run(mode: Mode) -> Report {
     // Pre-fab runtime: one 5-layer validation pass per engine.
     let phases: Vec<f64> = (0..n * n).map(|i| (i % 628) as f64 * 0.01).collect();
     let fft = Fft2::new(n, n);
+    let mut ws = fft.make_workspace();
     let transfer = Field::from_fn(n, n, |r, c| Complex64::cis((r * c) as f64 * 1e-4));
     let lr_time = median_ns(runs, || {
         std::hint::black_box(lightridge_forward(
             &fft,
+            &mut ws,
             Field::ones(n, n),
             &transfer,
             &phases,

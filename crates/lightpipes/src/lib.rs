@@ -343,7 +343,7 @@ mod tests {
             false,
         );
         let mut lr_field = Field::from_amplitudes(n, n, &image);
-        prop.propagate(&mut lr_field);
+        prop.propagate_with(&mut lr_field, &mut prop.make_scratch());
 
         let lp_flat = flatten(&lp_out.grid);
         for (a, b) in lp_flat.iter().zip(lr_field.as_slice()) {

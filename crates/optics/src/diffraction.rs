@@ -22,7 +22,6 @@ use lr_tensor::{
     FieldBatch, PinnedCache, J,
 };
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::sync::Arc;
 
@@ -255,9 +254,7 @@ pub fn rayleigh_sommerfeld_ir_spectrum(
         let rad = (z * z + x * x + y * y).sqrt();
         (Complex64::cis(k * rad) / J) * (z / (lambda * rad * rad)) * area
     });
-    let mut spec = h.ifftshift();
-    Fft2::new(grid.rows(), grid.cols()).forward(&mut spec);
-    spec
+    spectrum(h)
 }
 
 /// Samples the Fresnel impulse response
@@ -273,16 +270,33 @@ pub fn fresnel_ir_spectrum(grid: &Grid, wavelength: Wavelength, distance: Distan
         let y = grid.y_coord(r);
         scale * Complex64::cis(k * (x * x + y * y) / (2.0 * z))
     });
+    spectrum(h)
+}
+
+/// Forward 2-D FFT of the origin-shifted kernel `h`.
+fn spectrum(h: Field) -> Field {
     let mut spec = h.ifftshift();
-    Fft2::new(grid.rows(), grid.cols()).forward(&mut spec);
+    let fft = Fft2::new(spec.rows(), spec.cols());
+    fft.process_planes(
+        spec.as_mut_slice(),
+        Direction::Forward,
+        &mut fft.make_workspace(),
+    );
     spec
 }
 
 /// A planned free-space propagation operator between two parallel planes.
 ///
 /// Construction precomputes the spectral kernel (or Fraunhofer phases) once;
-/// [`FreeSpace::propagate`] then costs two FFTs plus one fused elementwise
-/// multiply. This plan-once/run-many structure is the LightRidge fast path.
+/// each hop then costs two FFTs plus one fused elementwise multiply. This
+/// plan-once/run-many structure is the LightRidge fast path.
+///
+/// Every hop runs one private kernel on caller-owned
+/// [`PropagationScratch`] (made once by [`FreeSpace::make_scratch`]):
+/// [`FreeSpace::propagate_with`] / [`FreeSpace::adjoint_with`] on one
+/// [`Field`], [`FreeSpace::propagate_batch_into`] /
+/// [`FreeSpace::adjoint_batch_into`] on every plane of a [`FieldBatch`].
+/// A plane's result does not depend on which entry point carried it.
 ///
 /// # Examples
 ///
@@ -296,8 +310,9 @@ pub fn fresnel_ir_spectrum(grid: &Grid, wavelength: Wavelength, distance: Distan
 ///     Distance::from_mm(300.0),
 ///     Approximation::RayleighSommerfeld,
 /// );
+/// let mut scratch = prop.make_scratch();
 /// let mut u = Field::ones(64, 64);
-/// prop.propagate(&mut u);
+/// prop.propagate_with(&mut u, &mut scratch); // no allocation
 /// assert!(u.is_finite());
 /// ```
 #[derive(Debug, Clone)]
@@ -322,14 +337,14 @@ enum Inner {
     },
 }
 
-/// Caller-owned scratch for allocation-free propagation
-/// ([`FreeSpace::propagate_with`] / [`FreeSpace::adjoint_with`]).
+/// Caller-owned scratch for allocation-free propagation: the one
+/// workspace type of every [`FreeSpace`] hop, per-plane and batched.
 ///
-/// Owns the 2-D FFT workspace; the Fraunhofer shifts run in place, so no
-/// plane is staged. Build one per `(thread, grid shape)` via
-/// [`FreeSpace::make_scratch`] and reuse it for every propagation at that
-/// shape; the spectral (Rayleigh-Sommerfeld / Fresnel) paths then perform
-/// zero heap allocations in steady state.
+/// Owns the 2-D FFT workspace, which serves any plane count; the
+/// Fraunhofer shifts run in place, so no plane is staged. Build one per
+/// `(thread, grid shape)` via [`FreeSpace::make_scratch`] and reuse it for
+/// every propagation at that shape; every hop then performs zero heap
+/// allocations.
 #[derive(Debug, Clone)]
 pub struct PropagationScratch {
     fft: Fft2Workspace,
@@ -343,9 +358,8 @@ impl PropagationScratch {
         }
     }
 
-    /// Builds scratch for batched propagation of `rows × cols` planes.
-    /// Identical to [`PropagationScratch::new`]: one workspace serves
-    /// per-sample and batched calls alike.
+    /// [`PropagationScratch::new`] under its batched name. Kept for
+    /// perfbench until ROADMAP item 2.
     pub fn new_batched(rows: usize, cols: usize) -> Self {
         Self::new(rows, cols)
     }
@@ -474,22 +488,9 @@ impl FreeSpace {
     }
 
     /// Propagates `field` in place over the planned distance: the
-    /// one-plane kernel of [`FreeSpace::propagate_with`] on thread-local
-    /// scratch (allocation-free once warm for this grid); callers that own
-    /// scratch should prefer [`FreeSpace::propagate_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field shape does not match the planned grid.
-    pub fn propagate(&self, field: &mut Field) {
-        with_tls_scratch(self.grid.shape(), |scratch| {
-            self.propagate_with(field, scratch)
-        });
-    }
-
-    /// [`FreeSpace::propagate`] with caller-owned scratch — the
-    /// zero-allocation fast path the propagation workspaces thread through
-    /// every layer.
+    /// one-plane call of the hop kernel that
+    /// [`FreeSpace::propagate_batch_into`] runs, so the two are
+    /// bit-identical per plane.
     ///
     /// # Panics
     ///
@@ -500,53 +501,18 @@ impl FreeSpace {
             self.grid.shape(),
             "field/grid shape mismatch"
         );
-        self.propagate_plane(field.as_mut_slice(), scratch);
-    }
-
-    /// Propagates one row-major plane given as a raw sample slice. The
-    /// spectral path is the one-plane case of the batched convolve
-    /// ([`Fft2::convolve_spectrum_batch_with`]) that
-    /// [`FreeSpace::propagate_batch_into`] runs, which is what makes the
-    /// per-sample and batched entry points bit-identical.
-    fn propagate_plane(&self, plane: &mut [Complex64], scratch: &mut PropagationScratch) {
-        let (rows, cols) = self.grid.shape();
-        assert_eq!(plane.len(), rows * cols, "plane/grid length mismatch");
-        assert_eq!(
-            scratch.shape(),
-            self.grid.shape(),
-            "scratch/grid shape mismatch"
-        );
-        match &self.inner {
-            Inner::Spectral { transfer, fft } => {
-                fft.convolve_spectrum_batch_with(plane, transfer, &mut scratch.fft);
-            }
-            Inner::SingleFourier {
-                post_phase,
-                scale,
-                fft,
-            } => {
-                ifftshift_in_place(plane, rows, cols);
-                fft.process_planes_with(plane, Direction::Forward, &mut scratch.fft);
-                fftshift_in_place(plane, rows, cols);
-                for (z, &p) in plane.iter_mut().zip(post_phase.as_slice()) {
-                    *z *= p;
-                }
-                for z in plane.iter_mut() {
-                    *z *= *scale;
-                }
-            }
-        }
+        self.hop(field.as_mut_slice(), false, scratch);
     }
 
     /// Propagates **every active plane** of a [`FieldBatch`] in place — the
-    /// batched free-space hop. The spectral path runs the fused batched
-    /// convolve ([`Fft2::convolve_spectrum_batch_with`]), which runs each
-    /// plane's rows and columns in SIMD lane groups at the runtime dispatch
-    /// level and multiplies every plane by the cached transfer kernel; every
-    /// lane runs the 1-lane operation sequence, so the call stays
+    /// batched free-space hop. The spectral path runs the fused convolve
+    /// ([`Fft2::convolve_planes`]) over all planes at once, each plane's
+    /// rows and columns in SIMD lane groups at the runtime dispatch level;
+    /// every lane runs the 1-lane operation sequence, so the call stays
     /// **bit-identical** to `B` separate [`FreeSpace::propagate_with`]
-    /// calls at every dispatch level, and performs **zero heap allocations**
-    /// in steady state.
+    /// calls at every dispatch level, and performs **zero heap
+    /// allocations**. Unlike a raw plane slice, the batch carries its
+    /// plane shape, and that shape must be the grid's.
     ///
     /// # Panics
     ///
@@ -558,87 +524,25 @@ impl FreeSpace {
             self.grid.shape(),
             "batch plane/grid shape mismatch"
         );
-        assert_eq!(
-            scratch.shape(),
-            self.grid.shape(),
-            "scratch/grid shape mismatch"
-        );
-        match &self.inner {
-            Inner::Spectral { transfer, fft } => {
-                fft.convolve_spectrum_batch_with(batch.as_mut_slice(), transfer, &mut scratch.fft);
-            }
-            Inner::SingleFourier { .. } => {
-                for b in 0..batch.batch() {
-                    self.propagate_plane(batch.plane_mut(b), scratch);
-                }
-            }
-        }
+        self.hop(batch.as_mut_slice(), false, scratch);
     }
 
-    /// Applies the adjoint operator `Aᴴ` in place — the gradient backward
-    /// pass corresponding to [`FreeSpace::propagate`], on thread-local
-    /// scratch like it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field shape does not match the planned grid.
-    pub fn adjoint(&self, grad: &mut Field) {
-        with_tls_scratch(self.grid.shape(), |scratch| {
-            self.adjoint_with(grad, scratch)
-        });
-    }
-
-    /// [`FreeSpace::adjoint`] with caller-owned scratch (zero allocation on
-    /// the spectral paths).
+    /// Applies the adjoint operator `Aᴴ` to `grad` in place — the gradient
+    /// backward pass of [`FreeSpace::propagate_with`], and the one-plane
+    /// call of the kernel [`FreeSpace::adjoint_batch_into`] runs.
     ///
     /// # Panics
     ///
     /// Panics if `grad` or `scratch` does not match the planned grid.
     pub fn adjoint_with(&self, grad: &mut Field, scratch: &mut PropagationScratch) {
         assert_eq!(grad.shape(), self.grid.shape(), "field/grid shape mismatch");
-        self.adjoint_plane(grad.as_mut_slice(), scratch);
-    }
-
-    /// The shared adjoint kernel on one raw plane (see
-    /// [`FreeSpace::propagate_plane`]).
-    fn adjoint_plane(&self, plane: &mut [Complex64], scratch: &mut PropagationScratch) {
-        let (rows, cols) = self.grid.shape();
-        assert_eq!(plane.len(), rows * cols, "plane/grid length mismatch");
-        assert_eq!(
-            scratch.shape(),
-            self.grid.shape(),
-            "scratch/grid shape mismatch"
-        );
-        match &self.inner {
-            Inner::Spectral { transfer, fft } => {
-                fft.convolve_spectrum_adjoint_batch_with(plane, transfer, &mut scratch.fft);
-            }
-            Inner::SingleFourier {
-                post_phase,
-                scale,
-                fft,
-            } => {
-                // A = s·diag(post)·P₂·F·P₁ ⇒ Aᴴ = s̄·P₁⁻¹·Fᴴ·P₂⁻¹·diag(post̄),
-                // with Fᴴ = N·F⁻¹.
-                let n = (rows * cols) as f64;
-                for (z, &p) in plane.iter_mut().zip(post_phase.as_slice()) {
-                    *z *= p.conj();
-                }
-                ifftshift_in_place(plane, rows, cols);
-                fft.process_planes_with(plane, Direction::Inverse, &mut scratch.fft);
-                fftshift_in_place(plane, rows, cols);
-                let s = scale.conj() * n;
-                for z in plane.iter_mut() {
-                    *z *= s;
-                }
-            }
-        }
+        self.hop(grad.as_mut_slice(), true, scratch);
     }
 
     /// Adjoint-propagates every active plane of a gradient batch in place —
     /// the batched backward hop matching [`FreeSpace::propagate_batch_into`]
-    /// (conjugated kernel broadcast in one pass, zero steady-state
-    /// allocations, bit-identical to per-plane [`FreeSpace::adjoint_with`]).
+    /// (conjugated kernel broadcast in one pass, zero allocations,
+    /// bit-identical to per-plane [`FreeSpace::adjoint_with`]).
     ///
     /// # Panics
     ///
@@ -650,33 +554,64 @@ impl FreeSpace {
             self.grid.shape(),
             "batch plane/grid shape mismatch"
         );
+        self.hop(grad.as_mut_slice(), true, scratch);
+    }
+
+    /// The hop kernel behind every entry point: propagates `B ≥ 1`
+    /// row-major grid planes in place, or with `adjoint` applies `Aᴴ`.
+    fn hop(&self, planes: &mut [Complex64], adjoint: bool, scratch: &mut PropagationScratch) {
         assert_eq!(
             scratch.shape(),
             self.grid.shape(),
             "scratch/grid shape mismatch"
         );
+        let ws = &mut scratch.fft;
         match &self.inner {
-            Inner::Spectral { transfer, fft } => {
-                fft.convolve_spectrum_adjoint_batch_with(
-                    grad.as_mut_slice(),
-                    transfer,
-                    &mut scratch.fft,
-                );
+            Inner::Spectral { transfer, fft } if adjoint => {
+                fft.convolve_planes_adjoint(planes, transfer, ws)
             }
-            Inner::SingleFourier { .. } => {
-                for b in 0..grad.batch() {
-                    self.adjoint_plane(grad.plane_mut(b), scratch);
+            Inner::Spectral { transfer, fft } => fft.convolve_planes(planes, transfer, ws),
+            Inner::SingleFourier {
+                post_phase,
+                scale,
+                fft,
+            } => {
+                let (rows, cols) = self.grid.shape();
+                for plane in planes.chunks_exact_mut(rows * cols) {
+                    if adjoint {
+                        // A = s·diag(post)·P₂·F·P₁ ⇒
+                        // Aᴴ = s̄·P₁⁻¹·Fᴴ·P₂⁻¹·diag(post̄), with Fᴴ = N·F⁻¹.
+                        for (z, &p) in plane.iter_mut().zip(post_phase.as_slice()) {
+                            *z *= p.conj();
+                        }
+                        ifftshift_in_place(plane, rows, cols);
+                        fft.process_planes(plane, Direction::Inverse, ws);
+                        fftshift_in_place(plane, rows, cols);
+                        let s = scale.conj() * (rows * cols) as f64;
+                        for z in plane.iter_mut() {
+                            *z *= s;
+                        }
+                    } else {
+                        ifftshift_in_place(plane, rows, cols);
+                        fft.process_planes(plane, Direction::Forward, ws);
+                        fftshift_in_place(plane, rows, cols);
+                        for (z, &p) in plane.iter_mut().zip(post_phase.as_slice()) {
+                            *z *= p;
+                        }
+                        for z in plane.iter_mut() {
+                            *z *= *scale;
+                        }
+                    }
                 }
             }
         }
     }
 
     /// Forces every lazily-materialized piece of this propagator's fast
-    /// path into the process-global and per-thread caches: the per-axis FFT
-    /// plans, the spectral transfer function (both already built at
-    /// construction and shared via the global caches), and — by running one
-    /// dummy propagate/adjoint round trip — the calling thread's
-    /// thread-local FFT scratch for this shape.
+    /// path into the process-global caches: the per-axis FFT plans and the
+    /// spectral transfer function (both already built at construction and
+    /// shared via the global caches), then runs one dummy propagate/adjoint
+    /// round trip on fresh [`FreeSpace::make_scratch`] scratch.
     ///
     /// Serving registries call this at model-registration time so that the
     /// first real request pays no plan-construction or scratch-sizing
@@ -712,32 +647,6 @@ impl FreeSpace {
     }
 }
 
-thread_local! {
-    /// Per-thread scratch backing [`FreeSpace::propagate`] and
-    /// [`FreeSpace::adjoint`], one per plane shape.
-    static TLS_SCRATCH: RefCell<Vec<PropagationScratch>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Lends this thread's scratch for `shape` to `f`, creating it on first
-/// use for that shape on this thread.
-fn with_tls_scratch<R>(shape: (usize, usize), f: impl FnOnce(&mut PropagationScratch) -> R) -> R {
-    let mut scratch = TLS_SCRATCH.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        match cache.iter().position(|s| s.shape() == shape) {
-            Some(i) => cache.swap_remove(i),
-            None => PropagationScratch::new(shape.0, shape.1),
-        }
-    });
-    let out = f(&mut scratch);
-    TLS_SCRATCH.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.len() < 8 {
-            cache.push(scratch);
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,6 +656,11 @@ mod tests {
     }
 
     const GREEN: f64 = 532.0;
+
+    /// One hop of `u` on fresh scratch.
+    fn propagate(prop: &FreeSpace, u: &mut Field) {
+        prop.propagate_with(u, &mut prop.make_scratch());
+    }
 
     #[test]
     fn rs_transfer_unit_magnitude_propagating() {
@@ -786,7 +700,7 @@ mod tests {
             }
         });
         let p0 = u.total_power();
-        prop.propagate(&mut u);
+        propagate(&prop, &mut u);
         assert!(
             (u.total_power() - p0).abs() < 1e-9 * p0,
             "unitary propagation must conserve energy"
@@ -805,7 +719,7 @@ mod tests {
         );
         let u0 = Field::from_fn(32, 32, |r, c| Complex64::new(r as f64, c as f64));
         let mut u = u0.clone();
-        prop.propagate(&mut u);
+        propagate(&prop, &mut u);
         assert!(u.distance(&u0) / u0.total_power().sqrt() < 1e-4);
     }
 
@@ -824,8 +738,8 @@ mod tests {
         });
         let mut u_rs = u0.clone();
         let mut u_fr = u0.clone();
-        rs.propagate(&mut u_rs);
-        fr.propagate(&mut u_fr);
+        propagate(&rs, &mut u_rs);
+        propagate(&fr, &mut u_fr);
         // Compare intensities (global phase may differ slightly).
         let i_rs = u_rs.intensity();
         let i_fr = u_fr.intensity();
@@ -954,7 +868,7 @@ mod tests {
                 } else {
                     Direction::Forward
                 };
-                fft.process_with(&mut shifted, dir, &mut fft.make_workspace());
+                fft.process_planes(shifted.as_mut_slice(), dir, &mut fft.make_workspace());
                 let mut u = shifted.fftshift();
                 if !adjoint {
                     u.hadamard_assign(post_phase);
@@ -976,17 +890,13 @@ mod tests {
             for adjoint in [false, true] {
                 let mut batch = FieldBatch::zeros(inputs.len(), rows, cols);
                 for (b, x) in inputs.iter().enumerate() {
-                    let expect = staged(x, adjoint);
-                    let (mut u, mut v) = (x.clone(), x.clone());
+                    let mut v = x.clone();
                     if adjoint {
-                        prop.adjoint(&mut u);
                         prop.adjoint_with(&mut v, &mut scratch);
                     } else {
-                        prop.propagate(&mut u);
                         prop.propagate_with(&mut v, &mut scratch);
                     }
-                    assert_eq!(u, expect, "{rows}x{cols} adjoint={adjoint}");
-                    assert_eq!(v, expect, "{rows}x{cols} adjoint={adjoint} (scratch)");
+                    assert_eq!(v, staged(x, adjoint), "{rows}x{cols} adjoint={adjoint}");
                     batch.copy_plane_from(b, x);
                 }
                 if adjoint {
@@ -1002,35 +912,66 @@ mod tests {
         }
     }
 
-    /// The implicit entry points run the same one-plane kernels as the
-    /// scratch-threaded ones, so they agree bit for bit on every
-    /// approximation.
+    /// The per-plane entry points are the one-plane call of the batched
+    /// hop's kernel, so on every approximation each plane of a batch
+    /// agrees bit for bit with its own `propagate_with` / `adjoint_with`.
     #[test]
-    fn implicit_entry_points_equal_scratch_entry_points_bitwise() {
-        let grid = Grid::new(12, 10, PixelPitch::from_um(10.0));
-        for approx in [
-            Approximation::RayleighSommerfeld,
-            Approximation::Fresnel,
-            Approximation::Fraunhofer,
-        ] {
+    fn per_plane_hops_equal_batched_hops_bitwise() {
+        let (rows, cols) = (12, 10);
+        let grid = Grid::new(rows, cols, PixelPitch::from_um(10.0));
+        let inputs: Vec<Field> = (0..3)
+            .map(|b| {
+                Field::from_fn(rows, cols, |r, c| {
+                    Complex64::new(
+                        (r * cols + c + b) as f64 * 0.07,
+                        (r as f64 - c as f64) * 0.3,
+                    )
+                })
+            })
+            .collect();
+        for approx in Approximation::ALL {
             let prop = FreeSpace::new(
                 grid,
                 Wavelength::from_nm(GREEN),
                 Distance::from_mm(2.0),
                 approx,
             );
-            let x = Field::from_fn(12, 10, |r, c| {
-                Complex64::new((r * 10 + c) as f64 * 0.07, (r as f64 - c as f64) * 0.3)
-            });
             let mut scratch = prop.make_scratch();
-            let (mut u, mut v) = (x.clone(), x.clone());
-            prop.propagate(&mut u);
-            prop.propagate_with(&mut v, &mut scratch);
-            assert_eq!(u, v, "{approx:?} propagate");
-            prop.adjoint(&mut u);
-            prop.adjoint_with(&mut v, &mut scratch);
-            assert_eq!(u, v, "{approx:?} adjoint");
+            let mut batch = FieldBatch::zeros(inputs.len(), rows, cols);
+            for (b, x) in inputs.iter().enumerate() {
+                batch.copy_plane_from(b, x);
+            }
+            prop.propagate_batch_into(&mut batch, &mut scratch);
+            let mut planes = inputs.clone();
+            for (b, u) in planes.iter_mut().enumerate() {
+                prop.propagate_with(u, &mut scratch);
+                assert_eq!(
+                    batch.plane(b),
+                    u.as_slice(),
+                    "{approx:?} propagate plane {b}"
+                );
+            }
+            prop.adjoint_batch_into(&mut batch, &mut scratch);
+            for (b, u) in planes.iter_mut().enumerate() {
+                prop.adjoint_with(u, &mut scratch);
+                assert_eq!(batch.plane(b), u.as_slice(), "{approx:?} adjoint plane {b}");
+            }
         }
+    }
+
+    /// The typed hop checks the batch's plane shape, not only its length:
+    /// two 8×16 planes hold exactly one 16×16 grid plane's samples.
+    #[test]
+    #[should_panic(expected = "batch plane/grid shape mismatch")]
+    fn batched_hop_rejects_a_plane_shape_of_matching_length() {
+        let prop = FreeSpace::new(
+            test_grid(16),
+            Wavelength::from_nm(GREEN),
+            Distance::from_mm(2.0),
+            Approximation::RayleighSommerfeld,
+        );
+        let mut batch = FieldBatch::zeros(2, 8, 16);
+        prop.propagate_batch_into(&mut batch, &mut prop.make_scratch());
     }
 
     fn check_adjoint(prop: &FreeSpace) {
@@ -1041,10 +982,11 @@ mod tests {
         let y = Field::from_fn(rows, cols, |r, c| {
             Complex64::new(c as f64 * 0.1, (r + 1) as f64 * 0.2)
         });
+        let mut scratch = prop.make_scratch();
         let mut ax = x.clone();
-        prop.propagate(&mut ax);
+        prop.propagate_with(&mut ax, &mut scratch);
         let mut ahy = y.clone();
-        prop.adjoint(&mut ahy);
+        prop.adjoint_with(&mut ahy, &mut scratch);
         let lhs = ax.inner(&y);
         let rhs = x.inner(&ahy);
         assert!(
@@ -1077,7 +1019,7 @@ mod tests {
             false,
         );
         let mut u = u0.clone();
-        prop.propagate(&mut u);
+        propagate(&prop, &mut u);
         let w_measured = beam_radius(&u, &grid);
         let w_expected = w0 * (1.0f64 + (z / zr).powi(2)).sqrt();
         let rel = (w_measured - w_expected).abs() / w_expected;
@@ -1164,7 +1106,7 @@ mod tests {
         );
         let mut u = Field::zeros(32, 32);
         u[(16, 16)] = Complex64::ONE;
-        prop.propagate(&mut u);
+        propagate(&prop, &mut u);
         let mags = u.amplitude();
         let first = mags[0];
         for m in mags {

@@ -19,7 +19,7 @@
 //!     Distance::from_mm(50.0),
 //!     Approximation::RayleighSommerfeld,
 //! );
-//! prop.propagate(&mut u);
+//! prop.propagate_with(&mut u, &mut prop.make_scratch());
 //! // Interference fringes appear on axis.
 //! assert!(u.total_power() > 0.0);
 //! ```

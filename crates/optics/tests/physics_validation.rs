@@ -34,7 +34,7 @@ fn talbot_self_imaging_of_periodic_grating() {
         false,
     );
     let mut u = grating.clone();
-    prop.propagate(&mut u);
+    prop.propagate_with(&mut u, &mut prop.make_scratch());
 
     // Compare intensity profiles (use a central row away from edges).
     let row = n / 2;
@@ -56,7 +56,7 @@ fn talbot_self_imaging_of_periodic_grating() {
         false,
     );
     let mut u2 = grating.clone();
-    prop_half.propagate(&mut u2);
+    prop_half.propagate_with(&mut u2, &mut prop_half.make_scratch());
     let half: Vec<f64> = (0..n).map(|c| u2[(row, c)].norm_sqr()).collect();
     let corr_half = pearson(&orig, &half);
     assert!(
@@ -86,7 +86,7 @@ fn double_slit_fringe_spacing_matches_theory() {
         Approximation::RayleighSommerfeld,
         true,
     );
-    prop.propagate(&mut u);
+    prop.propagate_with(&mut u, &mut prop.make_scratch());
 
     // Fringe period in pixels along the central row.
     let expected = lambda * z / separation; // 266 µm
@@ -139,7 +139,7 @@ fn fraunhofer_sinc_zeros_of_square_aperture() {
         Approximation::Fraunhofer,
     );
     let mut u = u0;
-    prop.propagate(&mut u);
+    prop.propagate_with(&mut u, &mut prop.make_scratch());
 
     // First zero at x = λz/w from the optical axis, in *output* pixels.
     let out_pitch = prop.output_pitch().meters();
@@ -180,8 +180,9 @@ fn adjoint_inverts_unitary_propagation() {
         Complex64::new((r as f64 * 0.2).sin(), (c as f64 * 0.15).cos())
     });
     let mut u = u0.clone();
-    prop.propagate(&mut u);
-    prop.adjoint(&mut u);
+    let mut scratch = prop.make_scratch();
+    prop.propagate_with(&mut u, &mut scratch);
+    prop.adjoint_with(&mut u, &mut scratch);
     assert!(
         u.distance(&u0) < 1e-8 * u0.total_power().sqrt(),
         "A^H A = I for unitary propagation"

@@ -228,7 +228,7 @@ impl FieldBatch {
     }
 
     /// Re-encodes real amplitudes into active plane `b` (phase zero) — the
-    /// batched counterpart of [`Field::set_amplitudes`].
+    /// in-place counterpart of [`Field::from_amplitudes`].
     ///
     /// # Panics
     ///
@@ -262,27 +262,6 @@ impl FieldBatch {
         for plane in self.planes_mut() {
             for (a, &b) in plane.iter_mut().zip(r) {
                 *a *= b;
-            }
-        }
-    }
-
-    /// Hadamard-multiplies every active plane by the conjugate of one
-    /// field — the batched adjoint of
-    /// [`FieldBatch::hadamard_broadcast_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` does not match the plane shape.
-    pub fn hadamard_conj_broadcast_assign(&mut self, rhs: &Field) {
-        assert_eq!(
-            rhs.shape(),
-            (self.rows, self.cols),
-            "hadamard_conj_broadcast_assign: plane shape mismatch"
-        );
-        let r = rhs.as_slice();
-        for plane in self.planes_mut() {
-            for (a, &b) in plane.iter_mut().zip(r) {
-                *a *= b.conj();
             }
         }
     }
@@ -361,11 +340,6 @@ mod tests {
         let mut expect = Field::filled(2, 2, Complex64::new(2.0, -1.0));
         expect.hadamard_assign(&m);
         b.hadamard_broadcast_assign(&m);
-        for plane in b.planes() {
-            assert_eq!(plane, expect.as_slice());
-        }
-        b.hadamard_conj_broadcast_assign(&m);
-        expect.hadamard_conj_assign(&m);
         for plane in b.planes() {
             assert_eq!(plane, expect.as_slice());
         }

@@ -30,35 +30,34 @@
 //!   fields are ever materialized (earlier revisions allocated two full
 //!   fields per 2-D transform). Large fields additionally split their
 //!   row/column loops across the persistent worker pool (`crate::parallel`).
-//! * **Batched entry points**: [`Fft2::fft2_batch_with`] /
-//!   [`Fft2::ifft2_batch_with`] (and the direction-generic
-//!   [`Fft2::process_batch_with`]) transform every plane of a
-//!   [`FieldBatch`] with **one plan lookup** and one shared
-//!   [`BatchWorkspace`], streaming the same precomputed twiddles across
-//!   all `B` planes. A per-sample transform ([`Fft2::process_with`]) is
-//!   the one-plane batch: both run through the same plane driver and the
-//!   same kernels, so batched and per-sample transforms are
-//!   **bit-identical** — the invariant the whole batched propagation stack
-//!   (lr-optics `propagate_batch_into`, lr-core `infer_batch_into`, the
-//!   lr-serve dispatcher) is built on.
+//! * **Plane-slice entry points**: [`Fft2::process_planes`] (one 2-D
+//!   transform), [`Fft2::convolve_planes`] (the fused
+//!   `IFFT2(FFT2(U) ⊙ H)` hop) and [`Fft2::convolve_planes_adjoint`]
+//!   (the same with `conj(H)`) each take a `&mut [Complex64]` holding
+//!   `B ≥ 1` whole row-major planes and one [`Fft2Workspace`]. A batch is
+//!   **one plan lookup**, the same precomputed twiddles streamed across
+//!   all `B` planes; a per-sample call is the one-plane slice. Both run
+//!   through the same plane driver and the same kernels, so a plane's
+//!   result does not depend on the batch it rides in: batched and
+//!   per-sample transforms are **bit-identical** — the invariant the
+//!   whole batched propagation stack (lr-optics `propagate_batch_into`,
+//!   lr-core `infer_batch_into`, the lr-serve dispatcher) is built on.
 //!
 //! # Workspace-reuse contract
 //!
-//! All per-call scratch lives in an [`Fft2Workspace`] (2-D), a
-//! [`BatchWorkspace`] (batched 2-D — one per-plane workspace shared by all
-//! planes, sized independently of the batch count), or a plain
-//! `Vec<Complex64>` (1-D, from [`FftPlan::make_scratch`]):
+//! All per-call scratch lives in one [`Fft2Workspace`] per 2-D shape
+//! (valid for any plane count — its buffers hold one row group or one
+//! column block, never a plane) or a plain `Vec<Complex64>` (1-D, from
+//! [`FftPlan::make_scratch`]):
 //!
 //! * **Ownership** — the *caller* owns workspaces and passes them by
-//!   `&mut`. [`Fft2::process_with`] performs **zero heap allocations** once
-//!   the workspace has warmed up for its shape. The convenience entry
-//!   points ([`Fft2::forward`], [`Fft2::inverse`], …) borrow a
-//!   thread-local workspace keyed by shape, so they are also
-//!   allocation-free in steady state without any API change.
+//!   `&mut`; there are no implicit entry points and no thread-local
+//!   workspace pool. Every entry point performs **zero heap allocations**
+//!   once the workspace is made for its shape ([`Fft2::make_workspace`]).
 //! * **Thread safety** — plans are immutable after construction and shared
 //!   via `Arc`; the global plan cache is a mutex-guarded map touched once
 //!   per new length. Workspaces are *not* `Sync`; each thread uses its
-//!   own (the thread-local pool guarantees this for implicit calls).
+//!   own.
 //! * **Parallel mode** — when a field is large (≥ `PAR_MIN_LEN` samples),
 //!   the current thread is not already inside a parallel region, and more
 //!   than one worker is configured, row/column loops run on the persistent
@@ -1670,9 +1669,9 @@ const PAR_MIN_LEN: usize = 32_768;
 /// Owned scratch for one [`Fft2`] shape.
 ///
 /// Holds the axis plans' scratch and the lane staging buffer — never a
-/// whole plane. Allocated once per shape (`Fft2::make_workspace`) and
-/// reused for every subsequent transform; see the module docs for the full
-/// workspace-reuse contract.
+/// whole plane, so one workspace serves any plane count. Allocated once
+/// per shape ([`Fft2::make_workspace`]) and reused for every subsequent
+/// transform; see the module docs for the full workspace-reuse contract.
 #[derive(Debug, Clone)]
 pub struct Fft2Workspace {
     rows: usize,
@@ -1698,59 +1697,24 @@ impl Fft2Workspace {
     }
 }
 
-/// Caller-owned scratch for the batched 2-D entry points
-/// ([`Fft2::fft2_batch_with`] / [`Fft2::ifft2_batch_with`] /
-/// [`Fft2::process_batch_with`]).
-///
-/// Per-plane scratch is independent of the batch count — every plane of a
-/// [`FieldBatch`] reuses the one wrapped [`Fft2Workspace`] — so a single
-/// `BatchWorkspace` serves any `B` at its shape with **zero allocations**
-/// in steady state, exactly like the per-sample workspace contract (see
-/// the module docs).
-#[derive(Debug, Clone)]
-pub struct BatchWorkspace {
-    fft: Fft2Workspace,
-}
-
-impl BatchWorkspace {
-    /// Plane shape this workspace serves.
-    pub fn shape(&self) -> (usize, usize) {
-        self.fft.shape()
-    }
-
-    /// The wrapped per-plane 2-D workspace.
-    pub fn fft_mut(&mut self) -> &mut Fft2Workspace {
-        &mut self.fft
-    }
-
-    /// Heap bytes held by this workspace's scratch buffers.
-    pub fn resident_bytes(&self) -> usize {
-        self.fft.resident_bytes()
-    }
-}
-
 /// A 2-D FFT engine for a fixed field shape, holding one plan per axis.
+///
+/// Every transform runs on a plane slice — `B ≥ 1` whole row-major
+/// planes — with caller-owned scratch made once by
+/// [`Fft2::make_workspace`]; a [`Field`] or a [`FieldBatch`] passes its
+/// samples with `as_mut_slice`.
 ///
 /// # Examples
 ///
 /// ```
-/// use lr_tensor::{Complex64, Field, Fft2};
+/// use lr_tensor::{Complex64, Direction, Field, Fft2};
 /// let fft = Fft2::new(4, 6);
+/// let mut ws = fft.make_workspace();
 /// let f = Field::from_fn(4, 6, |r, c| Complex64::new((r + c) as f64, 0.0));
 /// let mut g = f.clone();
-/// fft.forward(&mut g);
-/// fft.inverse(&mut g);
+/// fft.process_planes(g.as_mut_slice(), Direction::Forward, &mut ws); // no allocation
+/// fft.process_planes(g.as_mut_slice(), Direction::Inverse, &mut ws);
 /// assert!(f.distance(&g) < 1e-10);
-/// ```
-///
-/// Allocation-sensitive callers own their scratch explicitly:
-///
-/// ```
-/// use lr_tensor::{Complex64, Field, Fft2, Direction};
-/// let fft = Fft2::new(8, 8);
-/// let mut ws = fft.make_workspace();
-/// let mut f = Field::ones(8, 8);
-/// fft.process_with(&mut f, Direction::Forward, &mut ws); // no allocation
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fft2 {
@@ -1836,14 +1800,6 @@ impl Fft2 {
         ws
     }
 
-    /// Allocates a batched workspace sized for this engine's shape (valid
-    /// for any batch count — per-plane scratch is batch-independent).
-    pub fn make_batch_workspace(&self) -> BatchWorkspace {
-        BatchWorkspace {
-            fft: self.make_workspace(),
-        }
-    }
-
     /// Grows `ws` to serve `lanes`-wide groups; a no-op once sized
     /// (steady-state zero allocation).
     fn reserve_lanes(&self, ws: &mut Fft2Workspace, lanes: usize) {
@@ -1869,53 +1825,19 @@ impl Fft2 {
         row_group.max(self.rows * COL_BLOCK.min(self.cols))
     }
 
-    /// In-place forward 2-D FFT.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `field` does not match the planned shape.
-    pub fn forward(&self, field: &mut Field) {
-        self.process(field, Direction::Forward);
-    }
-
-    /// In-place inverse 2-D FFT (scaled by `1/(rows·cols)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `field` does not match the planned shape.
-    pub fn inverse(&self, field: &mut Field) {
-        self.process(field, Direction::Inverse);
-    }
-
-    /// In-place 2-D transform in the given direction, using a thread-local
-    /// workspace (allocation-free once warm for this shape).
-    pub fn process(&self, field: &mut Field, dir: Direction) {
-        with_tls_workspace(self, |fft, ws| fft.process_with(field, dir, ws));
-    }
-
-    /// In-place 2-D transform using caller-owned scratch: the one-plane
-    /// batch, so it is bit-identical to the same plane inside any batched
-    /// call. Performs no heap allocation (in sequential mode; see the
-    /// module docs for how large fields borrow per-thread scratch in
-    /// parallel mode instead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `field` or `workspace` does not match the planned shape.
-    pub fn process_with(&self, field: &mut Field, dir: Direction, workspace: &mut Fft2Workspace) {
-        assert_eq!(field.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
-        self.process_planes_with(field.as_mut_slice(), dir, workspace);
-    }
-
-    /// [`Fft2::process_with`] over a contiguous run of row-major planes
-    /// given as raw samples (one plane for a per-sample call), each
-    /// bit-identical to its own [`Fft2::process_with`] call.
+    /// Transforms `B ≥ 1` row-major planes in place, each one
+    /// independently in direction `dir` (the inverse scales by
+    /// `1/(rows·cols)`): one plan lookup, the twiddle/chirp tables
+    /// streamed over all `B` planes. A plane's result is bit-identical
+    /// whatever the plane count, and the call performs no heap allocation
+    /// (in sequential mode; see the module docs for how large planes borrow
+    /// per-thread scratch in parallel mode). An empty slice is a no-op.
     ///
     /// # Panics
     ///
     /// Panics if `planes` does not hold whole planes of the planned shape
     /// or `workspace` does not match it.
-    pub fn process_planes_with(
+    pub fn process_planes(
         &self,
         planes: &mut [Complex64],
         dir: Direction,
@@ -1924,39 +1846,28 @@ impl Fft2 {
         self.run_planes(planes, PlaneOp::Fft(dir), workspace);
     }
 
-    /// Transforms every active plane of `batch` in place: one shared
-    /// workspace, one set of plans, the twiddle/chirp tables streamed over
-    /// all `B` planes. Bit-identical to `B` separate
-    /// [`Fft2::process_with`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch's plane shape or `workspace` does not match the
-    /// planned shape.
-    pub fn process_batch_with(
-        &self,
-        batch: &mut FieldBatch,
-        dir: Direction,
-        workspace: &mut BatchWorkspace,
-    ) {
+    /// One-plane [`Fft2::process_planes`] on a [`Field`]. Kept for
+    /// perfbench until ROADMAP item 2.
+    pub fn process_with(&self, field: &mut Field, dir: Direction, workspace: &mut Fft2Workspace) {
+        assert_eq!(field.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
+        self.process_planes(field.as_mut_slice(), dir, workspace);
+    }
+
+    /// Forward [`Fft2::process_planes`] over a [`FieldBatch`]. Kept for
+    /// perfbench until ROADMAP item 2.
+    pub fn fft2_batch_with(&self, batch: &mut FieldBatch, workspace: &mut Fft2Workspace) {
         assert_eq!(
             batch.plane_shape(),
             (self.rows, self.cols),
-            "Fft2 batch plane shape mismatch"
+            "Fft2 shape mismatch"
         );
-        self.run_planes(batch.as_mut_slice(), PlaneOp::Fft(dir), &mut workspace.fft);
+        self.process_planes(batch.as_mut_slice(), Direction::Forward, workspace);
     }
 
-    /// Batched forward 2-D FFT over every active plane (see
-    /// [`Fft2::process_batch_with`]).
-    pub fn fft2_batch_with(&self, batch: &mut FieldBatch, workspace: &mut BatchWorkspace) {
-        self.process_batch_with(batch, Direction::Forward, workspace);
-    }
-
-    /// Batched inverse 2-D FFT (scaled by `1/(rows·cols)` per plane; see
-    /// [`Fft2::process_batch_with`]).
-    pub fn ifft2_batch_with(&self, batch: &mut FieldBatch, workspace: &mut BatchWorkspace) {
-        self.process_batch_with(batch, Direction::Inverse, workspace);
+    /// [`Fft2::make_workspace`] under its batched name. Kept for perfbench
+    /// until ROADMAP item 2.
+    pub fn make_batch_workspace(&self) -> Fft2Workspace {
+        self.make_workspace()
     }
 
     /// The pre-optimization 2-D pipeline: transform rows, materialize the
@@ -1984,86 +1895,53 @@ impl Fft2 {
         *field = t.transpose();
     }
 
-    /// Fused `IFFT2( FFT2(field) ⊙ transfer )` — a single-pass free-space
-    /// propagation step. This is the operator-fusion fast path the paper's
-    /// runtime evaluation credits for part of the speedup.
+    /// The fused `IFFT2( FFT2(plane) ⊙ transfer )` — a single-pass
+    /// free-space propagation step — on each of `B ≥ 1` row-major planes
+    /// in place, every plane multiplied by the same transfer kernel. This
+    /// is the operator-fusion fast path the paper's runtime evaluation
+    /// credits for part of the speedup. Bitwise identical per plane at
+    /// every plane count and dispatch level; zero heap allocation (in
+    /// sequential mode). An empty slice is a no-op.
     ///
     /// # Panics
     ///
-    /// Panics if shapes do not match.
-    pub fn convolve_spectrum(&self, field: &mut Field, transfer: &Field) {
-        assert_eq!(field.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
-        with_tls_workspace(self, |fft, ws| {
-            fft.convolve_spectrum_batch_with(field.as_mut_slice(), transfer, ws)
-        });
+    /// Panics if `planes` does not hold whole planes of the planned shape,
+    /// or `transfer` or `workspace` does not match it.
+    pub fn convolve_planes(
+        &self,
+        planes: &mut [Complex64],
+        transfer: &Field,
+        workspace: &mut Fft2Workspace,
+    ) {
+        self.run_planes(planes, self.convolve_op(transfer, false), workspace);
     }
 
-    /// Adjoint of [`Fft2::convolve_spectrum`]: propagates a gradient with the
+    /// Adjoint of [`Fft2::convolve_planes`]: propagates gradients with the
     /// conjugated transfer function. Under the `(1, 1/N)` normalization the
     /// adjoint of `F⁻¹ diag(H) F` is exactly `F⁻¹ diag(H̄) F`.
     ///
     /// # Panics
     ///
-    /// Panics if shapes do not match.
-    pub fn convolve_spectrum_adjoint(&self, grad: &mut Field, transfer: &Field) {
-        assert_eq!(grad.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
-        with_tls_workspace(self, |fft, ws| {
-            fft.convolve_spectrum_adjoint_batch_with(grad.as_mut_slice(), transfer, ws)
-        });
-    }
-
-    /// The fused `IFFT2( FFT2(plane) ⊙ transfer )` propagation step over a
-    /// contiguous run of row-major planes (one plane for a per-sample
-    /// call), every plane multiplied by the cached transfer kernel.
-    /// Bitwise identical per plane at every batch size and dispatch level.
-    /// Zero heap allocation once `workspace` is sized (sequential mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `transfer`, `planes` or `workspace` does not match the
-    /// planned shape.
-    pub fn convolve_spectrum_batch_with(
+    /// As [`Fft2::convolve_planes`].
+    pub fn convolve_planes_adjoint(
         &self,
         planes: &mut [Complex64],
         transfer: &Field,
         workspace: &mut Fft2Workspace,
     ) {
-        self.convolve_planes(planes, transfer, false, workspace);
+        self.run_planes(planes, self.convolve_op(transfer, true), workspace);
     }
 
-    /// Gradient propagation with the conjugated transfer function: the
-    /// adjoint of [`Fft2::convolve_spectrum_batch_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `transfer`, `planes` or `workspace` does not match the
-    /// planned shape.
-    pub fn convolve_spectrum_adjoint_batch_with(
-        &self,
-        planes: &mut [Complex64],
-        transfer: &Field,
-        workspace: &mut Fft2Workspace,
-    ) {
-        self.convolve_planes(planes, transfer, true, workspace);
-    }
-
-    fn convolve_planes(
-        &self,
-        planes: &mut [Complex64],
-        transfer: &Field,
-        adjoint: bool,
-        ws: &mut Fft2Workspace,
-    ) {
+    fn convolve_op<'a>(&self, transfer: &'a Field, adjoint: bool) -> PlaneOp<'a> {
         assert_eq!(
             transfer.shape(),
             (self.rows, self.cols),
             "transfer shape mismatch"
         );
-        let op = PlaneOp::Convolve {
+        PlaneOp::Convolve {
             transfer: transfer.as_slice(),
             adjoint,
-        };
-        self.run_planes(planes, op, ws);
+        }
     }
 
     /// True when one plane's row/column passes split across the worker
@@ -2339,8 +2217,6 @@ unsafe impl Sync for PlanePtr {}
 thread_local! {
     /// Per-thread pool of scratch buffers for the parallel FFT loops.
     static THREAD_SCRATCH: RefCell<Vec<Vec<Complex64>>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread [`Fft2Workspace`] cache backing the implicit entry points.
-    static TLS_WORKSPACES: RefCell<Vec<Fft2Workspace>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Lends a per-thread scratch buffer of length exactly `min_len` to `f`.
@@ -2362,27 +2238,6 @@ fn with_thread_scratch<R>(min_len: usize, f: impl FnOnce(&mut Vec<Complex64>) ->
         let mut pool = pool.borrow_mut();
         if pool.len() < 8 {
             pool.push(buf);
-        }
-    });
-    out
-}
-
-/// Lends the thread-local workspace for `fft`'s shape to `f`, creating it
-/// on first use for that shape on this thread.
-fn with_tls_workspace<R>(fft: &Fft2, f: impl FnOnce(&Fft2, &mut Fft2Workspace) -> R) -> R {
-    let shape = fft.shape();
-    let mut ws = TLS_WORKSPACES.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        match cache.iter().position(|w| w.shape() == shape) {
-            Some(i) => cache.swap_remove(i),
-            None => fft.make_workspace(),
-        }
-    });
-    let out = f(fft, &mut ws);
-    TLS_WORKSPACES.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.len() < 8 {
-            cache.push(ws);
         }
     });
     out
@@ -2412,6 +2267,11 @@ pub fn dft_naive(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One 2-D transform of `field` through a fresh workspace.
+    fn fft2(fft: &Fft2, field: &mut Field, dir: Direction) {
+        fft.process_planes(field.as_mut_slice(), dir, &mut fft.make_workspace());
+    }
 
     fn roundtrip(n: usize) {
         let plan = FftPlan::new(n);
@@ -2600,25 +2460,37 @@ mod tests {
                 Complex64::new((i * c + j) as f64, (i + j) as f64)
             });
             let mut g = f.clone();
-            fft.forward(&mut g);
-            fft.inverse(&mut g);
+            fft2(&fft, &mut g, Direction::Forward);
+            fft2(&fft, &mut g, Direction::Inverse);
             assert!(f.distance(&g) < 1e-8, "fft2 roundtrip {r}x{c}");
         }
     }
 
+    /// A workspace carries no state between calls: after serving other
+    /// planes, transforms and convolves, a reused workspace gives the bits
+    /// of a fresh one.
     #[test]
-    fn fft2_workspace_path_matches_implicit_path() {
+    fn reused_workspace_matches_fresh_workspace() {
         for &(r, c) in &[(8, 8), (5, 12), (33, 50)] {
             let fft = Fft2::new(r, c);
             let f = Field::from_fn(r, c, |i, j| {
                 Complex64::new((i as f64 * 0.7).cos(), (j as f64 * 0.3).sin())
             });
-            let mut implicit = f.clone();
-            fft.forward(&mut implicit);
+            let h = Field::from_fn(r, c, |i, j| Complex64::cis((i * j) as f64 * 0.01));
             let mut ws = fft.make_workspace();
-            let mut explicit = f.clone();
-            fft.process_with(&mut explicit, Direction::Forward, &mut ws);
-            assert_eq!(implicit, explicit, "workspace path diverged at {r}x{c}");
+            let mut other = Field::from_fn(r, c, |i, j| Complex64::new(j as f64, i as f64));
+            fft.process_planes(other.as_mut_slice(), Direction::Inverse, &mut ws);
+            fft.convolve_planes_adjoint(other.as_mut_slice(), &h, &mut ws);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let (mut fresh, mut reused) = (f.clone(), f.clone());
+                fft2(&fft, &mut fresh, dir);
+                fft.process_planes(reused.as_mut_slice(), dir, &mut ws);
+                assert_eq!(fresh, reused, "{dir:?} diverged at {r}x{c}");
+            }
+            let (mut fresh, mut reused) = (f.clone(), f.clone());
+            fft.convolve_planes(fresh.as_mut_slice(), &h, &mut fft.make_workspace());
+            fft.convolve_planes(reused.as_mut_slice(), &h, &mut ws);
+            assert_eq!(fresh, reused, "convolve diverged at {r}x{c}");
         }
     }
 
@@ -2631,7 +2503,7 @@ mod tests {
             });
             for dir in [Direction::Forward, Direction::Inverse] {
                 let mut fast = f.clone();
-                fft.process(&mut fast, dir);
+                fft2(&fft, &mut fast, dir);
                 let mut slow = f.clone();
                 fft.process_reference(&mut slow, dir);
                 let scale = slow.max_norm().max(1.0);
@@ -2652,7 +2524,7 @@ mod tests {
         let fft = Fft2::new(8, 8);
         let mut f = Field::zeros(8, 8);
         f[(0, 0)] = Complex64::ONE;
-        fft.forward(&mut f);
+        fft2(&fft, &mut f, Direction::Forward);
         for z in f.as_slice() {
             assert!((*z - Complex64::ONE).norm() < 1e-12);
         }
@@ -2664,17 +2536,17 @@ mod tests {
         let f = Field::from_fn(6, 10, |i, j| Complex64::new(i as f64, j as f64));
         let total = f.sum();
         let mut g = f.clone();
-        fft.forward(&mut g);
+        fft2(&fft, &mut g, Direction::Forward);
         assert!((g[(0, 0)] - total).norm() < 1e-9);
     }
 
     #[test]
-    fn convolve_spectrum_identity_transfer() {
+    fn convolve_identity_transfer() {
         let fft = Fft2::new(8, 8);
         let f = Field::from_fn(8, 8, |i, j| Complex64::new(i as f64, j as f64));
         let h = Field::ones(8, 8);
         let mut g = f.clone();
-        fft.convolve_spectrum(&mut g, &h);
+        fft.convolve_planes(g.as_mut_slice(), &h, &mut fft.make_workspace());
         assert!(f.distance(&g) < 1e-9);
     }
 
@@ -2689,10 +2561,11 @@ mod tests {
             Complex64::new((i * j) as f64 * 0.1, i as f64 - j as f64)
         });
         let y = Field::from_fn(8, 8, |i, j| Complex64::new((i + 2 * j) as f64 * 0.05, 1.0));
+        let mut ws = fft.make_workspace();
         let mut ax = x.clone();
-        fft.convolve_spectrum(&mut ax, &h);
+        fft.convolve_planes(ax.as_mut_slice(), &h, &mut ws);
         let mut ahy = y.clone();
-        fft.convolve_spectrum_adjoint(&mut ahy, &h);
+        fft.convolve_planes_adjoint(ahy.as_mut_slice(), &h, &mut ws);
         let lhs = ax.inner(&y);
         let rhs = x.inner(&ahy);
         assert!(
@@ -2737,9 +2610,9 @@ mod tests {
                 );
             }
             let mut f = Field::from_fn(rows, cols, |r, c| Complex64::new(r as f64, c as f64));
-            fft.process_with(&mut f, Direction::Forward, &mut ws);
+            fft.process_planes(f.as_mut_slice(), Direction::Forward, &mut ws);
             let transfer = Field::ones(rows, cols);
-            fft.convolve_spectrum_batch_with(f.as_mut_slice(), &transfer, &mut ws);
+            fft.convolve_planes(f.as_mut_slice(), &transfer, &mut ws);
             assert_eq!(ws.resident_bytes(), before, "{rows}x{cols} workspace grew");
         }
     }
@@ -2848,10 +2721,10 @@ mod tests {
         // single-core machine (the caller then claims every task itself).
         parallel::set_threads(4);
         let mut par = f.clone();
-        fft.forward(&mut par);
+        fft2(&fft, &mut par, Direction::Forward);
         parallel::set_threads(1);
         let mut seq = f.clone();
-        fft.forward(&mut seq);
+        fft2(&fft, &mut seq, Direction::Forward);
         parallel::set_threads(0);
         assert_eq!(
             par, seq,
@@ -2873,10 +2746,10 @@ mod tests {
             });
             batch.copy_plane_from(b, &f);
         }
-        let mut ws = fft.make_batch_workspace();
+        let mut ws = fft.make_workspace();
         set_kernel_profiling(true);
         reset_kernel_profile();
-        fft.fft2_batch_with(&mut batch, &mut ws);
+        fft.process_planes(batch.as_mut_slice(), Direction::Forward, &mut ws);
         set_kernel_profiling(false);
         let profile = kernel_profile();
         let cell = simd_cell(simd::dispatch());

@@ -91,24 +91,6 @@ impl Field {
         Field::from_vec(rows, cols, data)
     }
 
-    /// Re-encodes real amplitudes into this field in place (phase zero) —
-    /// the allocation-free counterpart of [`Field::from_amplitudes`] for
-    /// buffer-reusing batch loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitudes.len() != rows * cols`.
-    pub fn set_amplitudes(&mut self, amplitudes: &[f64]) {
-        assert_eq!(
-            amplitudes.len(),
-            self.data.len(),
-            "buffer length must equal rows*cols"
-        );
-        for (z, &a) in self.data.iter_mut().zip(amplitudes) {
-            *z = Complex64::from_real(a);
-        }
-    }
-
     /// Builds a field by evaluating `f(row, col)` at every sample.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> Complex64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -181,11 +163,6 @@ impl Field {
     #[inline(always)]
     pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
         &mut self.data
-    }
-
-    /// Consumes the field, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<Complex64> {
-        self.data
     }
 
     /// Immutable view of one row.
@@ -303,14 +280,6 @@ impl Field {
         self.data.iter().map(|z| z.norm_sqr()).collect()
     }
 
-    /// [`Field::intensity`] into a caller-owned buffer (allocation-free
-    /// once `out`'s capacity covers the field) — the serving and deployed
-    /// capture hot paths reuse one buffer per worker.
-    pub fn intensity_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.data.iter().map(|z| z.norm_sqr()));
-    }
-
     /// Per-sample amplitude `|U|`.
     pub fn amplitude(&self) -> Vec<f64> {
         self.data.iter().map(|z| z.norm()).collect()
@@ -393,18 +362,6 @@ impl Field {
             out.row_mut(r).copy_from_slice(src);
         }
         out
-    }
-
-    /// Nearest-neighbour upsampling by integer factors — how a 28×28 image
-    /// is blown up onto a 200×200 SLM in the paper's experiments.
-    pub fn upsample(&self, factor_r: usize, factor_c: usize) -> Field {
-        assert!(
-            factor_r > 0 && factor_c > 0,
-            "upsample factors must be nonzero"
-        );
-        let rows = self.rows * factor_r;
-        let cols = self.cols * factor_c;
-        Field::from_fn(rows, cols, |r, c| self[(r / factor_r, c / factor_c)])
     }
 
     /// Transposes the field (rows ↔ cols).
@@ -646,16 +603,6 @@ mod tests {
         assert_eq!(padded.total_power(), f.total_power());
         let back = padded.crop_centered(3, 4);
         assert_eq!(back, f);
-    }
-
-    #[test]
-    fn upsample_replicates() {
-        let f = Field::from_fn(2, 2, |r, c| Complex64::new((r * 2 + c) as f64, 0.0));
-        let u = f.upsample(2, 3);
-        assert_eq!(u.shape(), (4, 6));
-        assert_eq!(u[(0, 0)], f[(0, 0)]);
-        assert_eq!(u[(1, 2)], f[(0, 0)]);
-        assert_eq!(u[(3, 5)], f[(1, 1)]);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Batched-FFT contract: the batched 2-D entry points
-//! (`fft2_batch_with`/`ifft2_batch_with`) must be **bit-identical** to
-//! per-plane `process_with` for every plane, across batch sizes, shapes
-//! (square and non-square), and FFT code paths (radix-2, mixed-radix
-//! Stockham, Rader, and Bluestein) — and every forced SIMD dispatch level
-//! must be bitwise identical to forced scalar (1-lane groups). This is the
-//! invariant the whole batched propagation stack inherits.
+//! Batched-FFT contract: the plane-slice entry points (`process_planes`,
+//! `convolve_planes`) over `B` planes must be **bit-identical** to `B`
+//! one-plane calls, across batch sizes, shapes (square and non-square),
+//! and FFT code paths (radix-2, mixed-radix Stockham, Rader, and
+//! Bluestein) — and every forced SIMD dispatch level must be bitwise
+//! identical to forced scalar (1-lane groups). This is the invariant the
+//! whole batched propagation stack inherits. The entry points reject a
+//! slice of partial planes and a workspace or transfer of another shape.
 
-use lr_tensor::{Complex64, Direction, Fft2, Field, FieldBatch};
+use lr_tensor::{Complex64, Direction, Fft2, Fft2Workspace, Field, FieldBatch};
 use proptest::prelude::*;
 
 fn plane_value(b: usize, r: usize, c: usize, seed: u64) -> Complex64 {
@@ -16,7 +17,9 @@ fn plane_value(b: usize, r: usize, c: usize, seed: u64) -> Complex64 {
     )
 }
 
-/// Runs both paths over a fresh batch and asserts exact equality.
+/// Runs both paths over a fresh batch and asserts exact equality. The
+/// forward pass goes through the `FieldBatch` / `Field` forwards perfbench
+/// calls, which proves they match.
 fn assert_batched_matches_per_plane(batch_size: usize, rows: usize, cols: usize, seed: u64) {
     let fft = Fft2::new(rows, cols);
     let mut batch = FieldBatch::zeros(batch_size, rows, cols);
@@ -40,9 +43,9 @@ fn assert_batched_matches_per_plane(batch_size: usize, rows: usize, cols: usize,
         );
     }
 
-    fft.ifft2_batch_with(&mut batch, &mut batch_ws);
+    fft.process_planes(batch.as_mut_slice(), Direction::Inverse, &mut batch_ws);
     for (b, f) in fields.iter_mut().enumerate() {
-        fft.process_with(f, Direction::Inverse, &mut plane_ws);
+        fft.process_planes(f.as_mut_slice(), Direction::Inverse, &mut plane_ws);
         assert_eq!(
             batch.plane(b),
             f.as_slice(),
@@ -80,9 +83,9 @@ fn batched_roundtrip_recovers_input() {
         batch.copy_plane_from(b, &f);
     }
     let orig = batch.clone();
-    let mut ws = fft.make_batch_workspace();
-    fft.fft2_batch_with(&mut batch, &mut ws);
-    fft.ifft2_batch_with(&mut batch, &mut ws);
+    let mut ws = fft.make_workspace();
+    fft.process_planes(batch.as_mut_slice(), Direction::Forward, &mut ws);
+    fft.process_planes(batch.as_mut_slice(), Direction::Inverse, &mut ws);
     for b in 0..4 {
         for (x, y) in batch.plane(b).iter().zip(orig.plane(b)) {
             assert!((*x - *y).norm() < 1e-9, "roundtrip failed at plane {b}");
@@ -92,11 +95,11 @@ fn batched_roundtrip_recovers_input() {
 
 #[test]
 fn one_workspace_serves_shrinking_and_growing_batches() {
-    // The same BatchWorkspace must serve any active batch size at its
-    // shape — the serving runtime reuses one per (worker, model) across
+    // The same workspace must serve any active batch size at its shape —
+    // the serving runtime reuses one per (worker, model) across
     // micro-batches of every size.
     let fft = Fft2::new(22, 20);
-    let mut ws = fft.make_batch_workspace();
+    let mut ws = fft.make_workspace();
     let mut batch = FieldBatch::with_capacity(8, 22, 20);
     for &n in &[8usize, 1, 5, 2] {
         batch.set_batch(n);
@@ -104,11 +107,11 @@ fn one_workspace_serves_shrinking_and_growing_batches() {
             let f = Field::from_fn(22, 20, |r, c| plane_value(b, r, c, n as u64));
             batch.copy_plane_from(b, &f);
         }
-        fft.fft2_batch_with(&mut batch, &mut ws);
+        fft.process_planes(batch.as_mut_slice(), Direction::Forward, &mut ws);
         let mut plane_ws = fft.make_workspace();
         for b in 0..n {
             let mut f = Field::from_fn(22, 20, |r, c| plane_value(b, r, c, n as u64));
-            fft.process_with(&mut f, Direction::Forward, &mut plane_ws);
+            fft.process_planes(f.as_mut_slice(), Direction::Forward, &mut plane_ws);
             assert_eq!(batch.plane(b), f.as_slice());
         }
     }
@@ -171,12 +174,11 @@ fn forced_simd_levels_bitwise_match_scalar_oracle() {
             simd::force(Some(SimdLevel::Scalar));
             let mut oracle_fft = FieldBatch::zeros(batch_size, rows, cols);
             fill(&mut oracle_fft);
-            let mut ws = fft.make_batch_workspace();
-            fft.fft2_batch_with(&mut oracle_fft, &mut ws);
+            let mut ws = fft.make_workspace();
+            fft.process_planes(oracle_fft.as_mut_slice(), Direction::Forward, &mut ws);
             let mut oracle_conv = FieldBatch::zeros(batch_size, rows, cols);
             fill(&mut oracle_conv);
-            let mut plane_ws = fft.make_workspace();
-            fft.convolve_spectrum_batch_with(oracle_conv.as_mut_slice(), &transfer, &mut plane_ws);
+            fft.convolve_planes(oracle_conv.as_mut_slice(), &transfer, &mut ws);
 
             parallel::set_threads(threads);
             for level in [SimdLevel::X2, SimdLevel::X4] {
@@ -187,7 +189,7 @@ fn forced_simd_levels_bitwise_match_scalar_oracle() {
                 }
                 let mut got = FieldBatch::zeros(batch_size, rows, cols);
                 fill(&mut got);
-                fft.fft2_batch_with(&mut got, &mut ws);
+                fft.process_planes(got.as_mut_slice(), Direction::Forward, &mut ws);
                 for b in 0..batch_size {
                     assert_eq!(
                         got.plane(b),
@@ -198,7 +200,7 @@ fn forced_simd_levels_bitwise_match_scalar_oracle() {
                 }
                 let mut got = FieldBatch::zeros(batch_size, rows, cols);
                 fill(&mut got);
-                fft.convolve_spectrum_batch_with(got.as_mut_slice(), &transfer, &mut plane_ws);
+                fft.convolve_planes(got.as_mut_slice(), &transfer, &mut ws);
                 for b in 0..batch_size {
                     assert_eq!(
                         got.plane(b),
@@ -212,6 +214,84 @@ fn forced_simd_levels_bitwise_match_scalar_oracle() {
     }
     simd::force(None);
     parallel::set_threads(0);
+}
+
+/// The three entry points, each over `planes` with `transfer` and `ws`.
+fn each_entry_point(
+    fft: &Fft2,
+    planes: &mut [Complex64],
+    transfer: &Field,
+    ws: &mut Fft2Workspace,
+) {
+    fft.process_planes(planes, Direction::Forward, ws);
+    fft.convolve_planes(planes, transfer, ws);
+    fft.convolve_planes_adjoint(planes, transfer, ws);
+}
+
+#[test]
+#[should_panic(expected = "Fft2 plane length mismatch")]
+fn process_planes_rejects_a_partial_plane() {
+    let fft = Fft2::new(4, 6);
+    let mut planes = vec![Complex64::ONE; 2 * 24 + 6];
+    fft.process_planes(&mut planes, Direction::Forward, &mut fft.make_workspace());
+}
+
+#[test]
+#[should_panic(expected = "Fft2 plane length mismatch")]
+fn convolve_planes_rejects_a_partial_plane() {
+    let fft = Fft2::new(4, 6);
+    let mut planes = vec![Complex64::ONE; 23];
+    fft.convolve_planes(&mut planes, &Field::ones(4, 6), &mut fft.make_workspace());
+}
+
+/// A workspace of another shape is rejected even when its planes hold as
+/// many samples.
+#[test]
+#[should_panic(expected = "Fft2 workspace shape mismatch")]
+fn process_planes_rejects_a_workspace_of_another_shape() {
+    let fft = Fft2::new(4, 6);
+    let mut planes = vec![Complex64::ONE; 24];
+    let mut ws = Fft2::new(6, 4).make_workspace();
+    fft.process_planes(&mut planes, Direction::Inverse, &mut ws);
+}
+
+#[test]
+#[should_panic(expected = "Fft2 workspace shape mismatch")]
+fn convolve_planes_rejects_a_workspace_of_another_shape() {
+    let fft = Fft2::new(4, 6);
+    let mut planes = vec![Complex64::ONE; 48];
+    let mut ws = Fft2::new(8, 3).make_workspace();
+    fft.convolve_planes_adjoint(&mut planes, &Field::ones(4, 6), &mut ws);
+}
+
+#[test]
+#[should_panic(expected = "transfer shape mismatch")]
+fn convolve_planes_rejects_a_transfer_of_another_shape() {
+    let fft = Fft2::new(4, 6);
+    let mut planes = vec![Complex64::ONE; 24];
+    fft.convolve_planes(&mut planes, &Field::ones(6, 4), &mut fft.make_workspace());
+}
+
+/// A zero-plane slice is the empty batch: every entry point returns
+/// without touching the workspace.
+#[test]
+fn zero_plane_slice_is_a_no_op() {
+    let fft = Fft2::new(20, 23);
+    let mut ws = fft.make_workspace();
+    let bytes = ws.resident_bytes();
+    each_entry_point(&fft, &mut [], &Field::ones(20, 23), &mut ws);
+    assert_eq!(ws.resident_bytes(), bytes);
+    // The workspace still serves a real plane afterwards.
+    let mut plane = Field::from_fn(20, 23, |r, c| plane_value(0, r, c, 1));
+    let mut expect = plane.clone();
+    each_entry_point(&fft, plane.as_mut_slice(), &Field::ones(20, 23), &mut ws);
+    each_entry_point(
+        &fft,
+        expect.as_mut_slice(),
+        &Field::ones(20, 23),
+        &mut fft.make_workspace(),
+    );
+    assert_eq!(plane, expect);
 }
 
 proptest! {

@@ -81,10 +81,11 @@ proptest! {
             Complex64::new(((r + c) % 3) as f64, ((r as u64 * c as u64 + seed) % 4) as f64)
         });
         let fftp = Fft2::new(n, n);
+        let mut ws = fftp.make_workspace();
         let mut spectral = x.clone();
         let mut hf = h.clone();
-        fftp.forward(&mut hf);
-        fftp.convolve_spectrum(&mut spectral, &hf);
+        fftp.process_planes(hf.as_mut_slice(), Direction::Forward, &mut ws);
+        fftp.convolve_planes(spectral.as_mut_slice(), &hf, &mut ws);
 
         // Direct circular convolution.
         let mut direct = Field::zeros(n, n);

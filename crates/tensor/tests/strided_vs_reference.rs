@@ -22,9 +22,10 @@ fn test_field(rows: usize, cols: usize, seed: u64) -> Field {
 fn assert_matches_reference(rows: usize, cols: usize, seed: u64) {
     let fft = Fft2::new(rows, cols);
     let base = test_field(rows, cols, seed);
+    let mut ws = fft.make_workspace();
     for dir in [Direction::Forward, Direction::Inverse] {
         let mut fast = base.clone();
-        fft.process(&mut fast, dir);
+        fft.process_planes(fast.as_mut_slice(), dir, &mut ws);
         let mut slow = base.clone();
         fft.process_reference(&mut slow, dir);
         let scale = slow.max_norm().max(1e-30);
@@ -107,9 +108,10 @@ fn roundtrip_at_paper_resolutions() {
     for &n in &[200usize, 350] {
         let fft = Fft2::new(n, n);
         let base = test_field(n, n, 11);
+        let mut ws = fft.make_workspace();
         let mut f = base.clone();
-        fft.forward(&mut f);
-        fft.inverse(&mut f);
+        fft.process_planes(f.as_mut_slice(), Direction::Forward, &mut ws);
+        fft.process_planes(f.as_mut_slice(), Direction::Inverse, &mut ws);
         let err = f.distance(&base) / base.total_power().sqrt();
         assert!(err < 1e-10, "roundtrip error {err:.3e} at {n}²");
     }
@@ -148,14 +150,15 @@ fn fft2_bit_identical_across_thread_counts() {
     let n = 256;
     let fft = Fft2::new(n, n);
     let base = test_field(n, n, 12);
+    let mut ws = fft.make_workspace();
     parallel::set_threads(1);
     let mut seq = base.clone();
-    fft.forward(&mut seq);
+    fft.process_planes(seq.as_mut_slice(), Direction::Forward, &mut ws);
     // Force threads() > 1 so the pooled branch runs even on a single-core
     // machine (the caller claims every task itself if no workers exist).
     parallel::set_threads(4);
     let mut par = base.clone();
-    fft.forward(&mut par);
+    fft.process_planes(par.as_mut_slice(), Direction::Forward, &mut ws);
     parallel::set_threads(0);
     assert_eq!(seq, par, "pooled FFT2 differs from sequential FFT2");
 }

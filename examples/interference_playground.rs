@@ -22,7 +22,9 @@ fn main() {
         Distance::from_mm(40.0),
         Approximation::RayleighSommerfeld,
     );
-    prop.propagate(&mut u);
+    // Every hop below runs on this grid, so one scratch serves them all.
+    let mut scratch = prop.make_scratch();
+    prop.propagate_with(&mut u, &mut scratch);
     println!("double-slit interference at 40 mm:");
     println!("{}", viz::view_intensity(&u, 48));
 
@@ -36,7 +38,7 @@ fn main() {
             Distance::from_mm(z_mm),
             Approximation::RayleighSommerfeld,
         );
-        prop.propagate(&mut beam);
+        prop.propagate_with(&mut beam, &mut scratch);
         println!("Gaussian beam intensity after {z_mm} mm:");
         println!("{}", viz::view_intensity(&beam, 40));
     }
@@ -45,20 +47,13 @@ fn main() {
     println!("circular-aperture diffraction, Rayleigh-Sommerfeld vs Fresnel at 40 mm:");
     let mut rs = aperture::circular(&grid, 150e-6);
     let mut fr = rs.clone();
-    FreeSpace::new(
-        grid,
-        lambda,
-        Distance::from_mm(40.0),
-        Approximation::RayleighSommerfeld,
-    )
-    .propagate(&mut rs);
-    FreeSpace::new(
-        grid,
-        lambda,
-        Distance::from_mm(40.0),
-        Approximation::Fresnel,
-    )
-    .propagate(&mut fr);
+    for (u, approx) in [
+        (&mut rs, Approximation::RayleighSommerfeld),
+        (&mut fr, Approximation::Fresnel),
+    ] {
+        FreeSpace::new(grid, lambda, Distance::from_mm(40.0), approx)
+            .propagate_with(u, &mut scratch);
+    }
     println!(
         "{}",
         viz::side_by_side(

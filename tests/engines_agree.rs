@@ -57,14 +57,15 @@ fn trained_donn_forward_matches_lightpipes_reference() {
     let (img, _) = &data[0];
 
     // LightRidge path (manual, band-limit off).
+    let mut scratch = prop.make_scratch();
     let mut u = Field::from_amplitudes(size, size, img);
     for mask in &masks {
-        prop.propagate(&mut u);
+        prop.propagate_with(&mut u, &mut scratch);
         for (zv, &p) in u.as_mut_slice().iter_mut().zip(mask) {
             *zv *= lr_tensor::Complex64::cis(p);
         }
     }
-    prop.propagate(&mut u);
+    prop.propagate_with(&mut u, &mut scratch);
     let lr_logits = model.detector().read(&u);
 
     // LightPipes path: same masks, same physics, naive engine.
