@@ -10,7 +10,7 @@
 //! and therefore the artifact — is reproducible run to run; only the
 //! measured latencies vary with the machine.
 //!
-//! Four scenarios run on a mixed two-model registry (an emulation-readout
+//! Three scenarios run on a mixed two-model registry (an emulation-readout
 //! stack and a deployed-readout stack of a different geometry), sharded
 //! across `--shards N` dispatchers (default 2):
 //!
@@ -21,21 +21,14 @@
 //!   exercises admission control; the artifact records how much was
 //!   rejected and how far p99 stretches under saturation.
 //! * `colocated_partitioned` — steady serving while a training loop
-//!   hammers the **global** pool; shards run on their own dedicated
-//!   [`PoolMode::Partitioned`] partitions, so training cannot
-//!   head-of-line-block serving.
-//! * `colocated_shared` — the same co-located training load, but serving
-//!   executes on the shared global pool under the bounded submission wait
-//!   ([`PoolMode::SharedGlobal`]): contention shows up as inflated tails
-//!   and, when the pool stays stuck past `pool_wait`, as pool-timeout
-//!   sheds instead of hangs. Diffing this scenario against
-//!   `colocated_partitioned` is the isolation argument in numbers.
+//!   hammers the **global** pool; shards run on their own dedicated pool
+//!   partitions, so training cannot head-of-line-block serving.
 //!
 //! Every scenario block includes **per-shard** completion/steal counters
 //! and p50/p95/p99, so shard imbalance and work stealing are visible in
 //! the artifact.
 //!
-//! A fifth scenario, `churn`, exercises the **memory lifecycle**: a
+//! A fourth scenario, `churn`, exercises the **memory lifecycle**: a
 //! register→serve→retire→reclaim loop over fresh model versions (the
 //! DSE-sweep / per-perturbation-retraining deployment shape) against a
 //! long-lived survivor. Its `resident_workspace_bytes` records the
@@ -44,9 +37,9 @@
 //! count when it leaks, which is why `lr-bench compare` gates on it
 //! (lower is better).
 //!
-//! A sixth scenario, `chaos`, runs the **fault-tolerance contract** under
-//! a seeded [`FaultPlan`]: injected worker panics, stalls, submit
-//! timeouts, queue-full bursts, and one mid-run dispatcher kill, layered
+//! A fifth scenario, `chaos`, runs the **fault-tolerance contract** under
+//! a seeded [`FaultPlan`]: injected worker panics, stalls, queue-full
+//! bursts, and one mid-run dispatcher kill, layered
 //! over a register→retire→reclaim churn loop, all while client threads
 //! hammer a survivor model. Its `unresolved_requests` (requests that
 //! neither returned Ok nor a typed error before the watchdog) and
@@ -57,7 +50,7 @@
 //! survivor's successful requests paid under the fault mix
 //! (informational).
 //!
-//! A seventh scenario, `socket_tcp`, drives the same steady mixed load
+//! A sixth scenario, `socket_tcp`, drives the same steady mixed load
 //! through the **network front end** ([`Server::listen`], loopback TCP,
 //! the `lr-net` wire protocol) instead of the in-process client. Its
 //! latencies are **coordinated-omission-safe**: each request's latency is
@@ -76,8 +69,8 @@ use lr_bench::json::{write_json, Json};
 use lr_optics::{Distance, Grid, PixelPitch, Wavelength};
 use lr_serve::{
     AdmissionPolicy, BatchPolicy, FaultKind, FaultPlan, LatencyHistogram, LatencySummary, ModelId,
-    ModelRegistry, NetBind, NetClient, NetConfig, NetStats, PoolMode, ReadoutMode, Server,
-    ServerStats, StageLatency, TraceConfig, TraceSnapshot, Transport,
+    ModelRegistry, NetBind, NetClient, NetConfig, NetStats, ReadoutMode, Server, ServerStats,
+    StageLatency, TraceConfig, TraceSnapshot, Transport,
 };
 use lr_tensor::{parallel, Complex64, Field};
 use rand::rngs::StdRng;
@@ -472,7 +465,6 @@ struct ChaosOutcome {
     dispatcher_respawns: u64,
     shed: u64,
     rejected: u64,
-    pool_timeouts: u64,
     reclaimed_models: u64,
     resident_workspace_bytes: u64,
     p99_survivor_ns: u64,
@@ -481,7 +473,7 @@ struct ChaosOutcome {
 
 /// Runs the fault-tolerance contract under load: `threads` clients hammer
 /// a survivor model while a seeded fault plan injects panics, stalls,
-/// submit timeouts, and queue-full bursts, one dispatcher is killed
+/// and queue-full bursts, one dispatcher is killed
 /// mid-run, and a churn thread register→serve→retire→reclaims fresh
 /// versions throughout. Client threads are **detached** (not scoped) so a
 /// hung request cannot hang the bench: a watchdog counts whatever never
@@ -522,7 +514,6 @@ fn run_chaos(
         FaultPlan::new(0xC4A05)
             .with_rate(FaultKind::PanicInForward, 50)
             .with_rate(FaultKind::SlowWorker, 10)
-            .with_rate(FaultKind::SubmitTimeout, 20)
             .with_rate(FaultKind::QueueFull, 15)
             .with_stall(Duration::from_millis(1)),
     );
@@ -706,7 +697,6 @@ fn run_chaos(
         dispatcher_respawns: stats.dispatcher_respawns,
         shed: stats.shed,
         rejected: stats.rejected,
-        pool_timeouts: stats.pool_timeouts,
         reclaimed_models: stats.reclaimed_models,
         resident_workspace_bytes: stats.resident_workspace_bytes,
         p99_survivor_ns,
@@ -726,7 +716,6 @@ struct ServeRun {
     steady: ScenarioOutcome,
     overload: ScenarioOutcome,
     colocated_partitioned: ScenarioOutcome,
-    colocated_shared: ScenarioOutcome,
     churn: ChurnOutcome,
     chaos: ChaosOutcome,
     socket: SocketOutcome,
@@ -801,7 +790,6 @@ fn scenario_json(o: &ScenarioOutcome) -> Json {
         ("completed", s.completed.into()),
         ("rejected", s.rejected.into()),
         ("shed", s.shed.into()),
-        ("pool_timeouts", s.pool_timeouts.into()),
         ("throughput_rps", throughput_rps(o.ok, o.wall_secs)),
         ("mean_batch_size", s.mean_batch_size.into()),
         ("batched_samples", s.batched_samples.into()),
@@ -844,7 +832,6 @@ fn chaos_json(o: &ChaosOutcome) -> Json {
         ("dispatcher_respawns", o.dispatcher_respawns.into()),
         ("shed", o.shed.into()),
         ("rejected", o.rejected.into()),
-        ("pool_timeouts", o.pool_timeouts.into()),
         ("reclaimed_models", o.reclaimed_models.into()),
         (
             "resident_workspace_bytes",
@@ -907,7 +894,6 @@ fn serve_artifact(quick: bool, run: &ServeRun) -> Json {
                     "colocated_partitioned",
                     scenario_json(&run.colocated_partitioned),
                 ),
-                ("colocated_shared", scenario_json(&run.colocated_shared)),
                 ("churn", churn_json(&run.churn)),
                 ("chaos", chaos_json(&run.chaos)),
                 ("socket_tcp", socket_json(&run.socket)),
@@ -1013,28 +999,10 @@ fn measure_serve(quick: bool, shards: usize, trace: bool) -> ServeRun {
         &model_b,
         false,
     );
-    // Co-located training: same steady load, once isolated on dedicated
-    // partitions and once contending on the shared global pool under the
-    // bounded submission wait. The delta is the partitioning argument.
+    // Co-located training: the same steady load while a training loop
+    // runs on the global pool; each shard serves on its own partition.
     let colocated_partitioned = run_scenario(
-        BatchPolicy {
-            pool: PoolMode::Partitioned,
-            ..steady_policy.clone()
-        },
-        0.5 * capacity_rps,
-        threads,
-        per_thread.div_ceil(2),
-        44,
-        &model_a,
-        &model_b,
-        true,
-    );
-    let colocated_shared = run_scenario(
-        BatchPolicy {
-            pool: PoolMode::SharedGlobal,
-            pool_wait: Duration::from_millis(100),
-            ..steady_policy.clone()
-        },
+        steady_policy.clone(),
         0.5 * capacity_rps,
         threads,
         per_thread.div_ceil(2),
@@ -1105,7 +1073,6 @@ fn measure_serve(quick: bool, shards: usize, trace: bool) -> ServeRun {
         steady,
         overload,
         colocated_partitioned,
-        colocated_shared,
         churn,
         chaos,
         socket,
@@ -1155,7 +1122,6 @@ pub fn run(args: &[String]) {
     print_stage_table("steady_mixed", &run.steady.stats);
     print_stage_table("overload_shed", &run.overload.stats);
     print_stage_table("colocated_partitioned", &run.colocated_partitioned.stats);
-    print_stage_table("colocated_shared", &run.colocated_shared.stats);
 
     if let Some((path, mut file)) = trace_out {
         let snapshot = run
@@ -1210,7 +1176,6 @@ mod tests {
             steady: scenario(),
             overload: scenario(),
             colocated_partitioned: scenario(),
-            colocated_shared: scenario(),
             churn: ChurnOutcome::default(),
             chaos: ChaosOutcome::default(),
             socket: SocketOutcome {

@@ -23,7 +23,7 @@
 //!        │ to direct infer │ · EDF shed + expiry │ │   when a sibling  │
 //!        │                 │ · dispatcher thread │ │   queue runs hot  │
 //!        │                 │ · micro-batcher     │ │  ⚡KillDispatcher  │
-//!        │                 │ · staged batch      │ │  ⚡SubmitTimeout   │
+//!        │                 │ · staged batch      │ │                   │
 //!        │                 └───────────┬─────────┘ └─────────┬─────────┘
 //!        │                             │ per-worker per-model│
 //!        │      ┌────────────────┐     │ workspaces (0-alloc)│
@@ -34,14 +34,12 @@
 //!        │      │   ChannelClosed│     │                     │
 //!        │      │ · quarantine   │     │                     │
 //!        │      │   flips        │     │                     │
-//!        │      │ · AutoAfter    │     │                     │
-//!        │      │   reclaim tick │     │                     │
 //!        │      └────────────────┘     │                     │
 //!        │                 ┌───────────▼─────────┐ ┌─────────▼─────────┐
 //!        │                 │ PoolPartition 0     │ │ PoolPartition N-1 │
-//!        │                 │ (disjoint workers;  │ │ (or SharedGlobal  │
-//!        │                 │  isolated from      │ │  with bounded-    │
-//!        │                 │  training)          │ │  wait submission) │
+//!        │                 │ (disjoint workers;  │ │ (disjoint workers;│
+//!        │                 │  isolated from      │ │  isolated from    │
+//!        │                 │  training)          │ │  training)        │
 //!        │                 └───────────┬─────────┘ └─────────┬─────────┘
 //!        │                             └─────────┬───────────┘
 //!        │                          ┌────────────▼──────────────────────┐
@@ -92,7 +90,8 @@
 //!   loads are `Arc` refcount bumps, and the latency histograms are fixed
 //!   arrays of atomics. Enforced by the counting-allocator test
 //!   `tests/zero_alloc_serve.rs` at the workspace root (≥2 shards, with a
-//!   mid-run live version flip, and coalesced runs of a physical variant).
+//!   mid-run live version flip, coalesced runs of a physical variant, and
+//!   warmed TCP and UDS sessions across typed errors and a reconnect).
 //! * **True batched execution.** A dispatcher executes each coalesced
 //!   micro-batch as **single batched forwards**: the drained slots are
 //!   split into maximal same-model runs, each staged into the per-worker
@@ -118,17 +117,17 @@
 //!   visible.
 //! * **Bounded memory and graceful overload.** Per-shard queue depth is
 //!   capped; past the cap, admission either rejects the new request or
-//!   sheds the oldest queued one ([`AdmissionPolicy`]), per-model
-//!   in-flight caps stop one hot model from starving the rest, and under
-//!   [`PoolMode::SharedGlobal`] a stuck shared pool sheds the batch after
-//!   [`BatchPolicy::pool_wait`] instead of hanging.
+//!   sheds the oldest queued one ([`AdmissionPolicy`]), and per-model
+//!   in-flight caps stop one hot model from starving the rest. Each shard
+//!   executes on its own pool partition, so a training job on the global
+//!   pool never holds a serving batch up.
 //! * **Flat memory under registry churn.** [`Server::retire`] collapses a
 //!   slot to a slim tombstone (the entry `Arc` — parameters, plans — is
 //!   released with the last in-flight pinner), and [`Server::reclaim`]
-//!   (or [`ReclaimPolicy::AutoOnRetire`]) frees the rest behind a
-//!   **drain fence**: each dispatcher's epoch fence plus the global
-//!   in-flight counters prove no request admitted before the retire flip
-//!   is queued or executing anywhere, then every shard drops the model's
+//!   frees the rest behind a **drain fence**: each dispatcher's epoch
+//!   fence plus the global in-flight counters prove no request admitted
+//!   before the retire flip is queued or executing anywhere, then every
+//!   shard drops the model's
 //!   per-worker workspaces and the registry-tied cache sweeps evict its
 //!   orphaned FFT plans and transfer kernels. Cache entries pinned by
 //!   live models are never evicted, so survivors keep flat first-request
@@ -172,11 +171,10 @@
 //!   supervisor thread: the staged batch's waiters resolve with
 //!   [`ServeError::ChannelClosed`] (retry-safe) instead of hanging, fresh
 //!   warmed contexts are rebuilt, resident-byte accounting stays exact,
-//!   and a new dispatcher takes over the shard's queue.
-//! * **Background reclaim.** Under [`ReclaimPolicy::AutoAfter`] the
-//!   supervisor runs the same drain-fenced reclaim for any tombstone
-//!   older than the configured age — no manual [`Server::reclaim`] call,
-//!   same quiescence proof, no fence violations.
+//!   and a new dispatcher takes over the shard's queue. A
+//!   [`Server::reclaim`] waiting on the dead shard's fence returns
+//!   `false` instead of hanging, and succeeds when retried after the
+//!   respawn.
 //!
 //! ## The observability contract
 //!
@@ -307,8 +305,7 @@ pub use registry::{
     ModelId, ModelLifecycle, ModelRegistry, ReadoutMode, RegisteredModel, ServableVariant,
 };
 pub use server::{
-    AdmissionPolicy, BatchPolicy, InProcessClient, PoolMode, ReclaimPolicy, ServeError, Server,
-    TraceSnapshot, Transport,
+    AdmissionPolicy, BatchPolicy, InProcessClient, ServeError, Server, TraceSnapshot, Transport,
 };
 
 // Tracing building blocks, re-exported so serving users configure

@@ -316,12 +316,10 @@ pub struct ServerStats {
     /// [`crate::AdmissionPolicy::RejectNew`], or a per-model cap).
     pub rejected: u64,
     /// Queued requests dropped to make room
-    /// ([`crate::AdmissionPolicy::ShedOldest`]) or shed because the shared
-    /// pool stayed busy past the bounded submission wait.
+    /// ([`crate::AdmissionPolicy::ShedOldest`]).
     pub shed: u64,
-    /// Batches abandoned because the shared global pool's job slot stayed
-    /// busy past [`crate::BatchPolicy::pool_wait`] (each abandoned batch
-    /// also counts its requests under `shed`).
+    /// Always 0: no batch waits on a shared pool any more. Kept for
+    /// perfbench until ROADMAP item 2.
     pub pool_timeouts: u64,
     /// Requests failed with [`crate::ServeError::Deadline`]: refused at
     /// admission already expired, or skipped by a dispatcher because
@@ -417,7 +415,6 @@ pub(crate) struct MetricsCore {
     completed: AtomicU64,
     rejected: AtomicU64,
     shed: AtomicU64,
-    pool_timeouts: AtomicU64,
     deadline_expired: AtomicU64,
     worker_panics: AtomicU64,
     quarantined_models: AtomicU64,
@@ -443,7 +440,6 @@ impl MetricsCore {
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            pool_timeouts: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             quarantined_models: AtomicU64::new(0),
@@ -505,10 +501,6 @@ impl MetricsCore {
 
     pub(crate) fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_pool_timeout(&self) {
-        self.pool_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_deadline_expired(&self) {
@@ -578,7 +570,7 @@ impl MetricsCore {
             completed,
             rejected: self.rejected.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            pool_timeouts: self.pool_timeouts.load(Ordering::Relaxed),
+            pool_timeouts: 0,
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             quarantined_models: self.quarantined_models.load(Ordering::Relaxed),

@@ -31,7 +31,6 @@ use lightridge::deploy::{HardwareEnvironment, PhysicalDonn};
 use lightridge::{BatchWorkspace, CodesignMode, DonnModel};
 use lr_tensor::Field;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Opaque handle to one registered model variant; cheap to copy and valid
 /// for the registry (and any [`crate::Server`] built from it) forever.
@@ -391,10 +390,6 @@ pub(crate) enum EntrySlot {
         /// Epoch of the snapshot that made this id invisible. Every
         /// request pinning this entry was admitted at an earlier epoch.
         retired_at: u64,
-        /// Wall-clock instant of the retire flip — the age the
-        /// background auto-reclaimer ([`crate::ReclaimPolicy::AutoAfter`])
-        /// measures tombstones by.
-        retired_when: Instant,
     },
     /// Tombstone whose per-worker workspaces have been dropped and whose
     /// orphaned cache entries have been swept.
@@ -433,7 +428,7 @@ impl EntrySlot {
             EntrySlot::Quarantined { quarantined_at, .. } => ModelLifecycle::Quarantined {
                 quarantined_at: *quarantined_at,
             },
-            EntrySlot::Retired { retired_at, .. } => ModelLifecycle::Retired {
+            EntrySlot::Retired { retired_at } => ModelLifecycle::Retired {
                 retired_at: *retired_at,
             },
             EntrySlot::Reclaimed { retired_at } => ModelLifecycle::Reclaimed {

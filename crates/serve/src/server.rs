@@ -21,12 +21,10 @@
 //!    **idle** dispatcher whose queue stays empty steals the front half of
 //!    a hot sibling's queue instead of sleeping (requests are not pinned:
 //!    every shard holds workspaces for every model).
-//! 4. The batch executes across the shard's worker contexts — on the
-//!    shard's own [`PoolPartition`] under [`PoolMode::Partitioned`]
-//!    (isolated from training on the global pool), or on the global pool
-//!    with a **bounded submission wait** under [`PoolMode::SharedGlobal`]
-//!    (a stuck training batch surfaces as shed requests after
-//!    [`BatchPolicy::pool_wait`], never as a hang).
+//! 4. The batch executes across the shard's worker contexts on the
+//!    shard's own [`PoolPartition`] (isolated from training on the global
+//!    pool); a shard with one context serves the batch inline on its
+//!    dispatcher thread.
 //! 5. The worker writes logits into the slot, records latency (global +
 //!    per-shard histograms), and wakes the waiting client.
 //!
@@ -46,7 +44,7 @@ use arc_swap::ArcSwap;
 use lightridge::deploy::HardwareEnvironment;
 use lightridge::DonnModel;
 use lr_obs::{DrainStats, EventKind, Outcome, TraceConfig, TraceEvent, TraceRing};
-use lr_tensor::parallel::{self, PoolPartition, SubmitTimeout};
+use lr_tensor::parallel::{self, PoolPartition};
 use lr_tensor::Field;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -65,48 +63,6 @@ pub enum AdmissionPolicy {
     /// [`ServeError::Shed`]) and admit the new one — freshest-first
     /// semantics for latency-sensitive front-ends.
     ShedOldest,
-}
-
-/// Which worker pool shard dispatchers execute batches on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PoolMode {
-    /// Each shard owns a dedicated [`PoolPartition`] — disjoint worker
-    /// threads, isolated from the global pool and from sibling shards.
-    /// Co-located training on the global pool cannot head-of-line-block
-    /// serving. The default.
-    #[default]
-    Partitioned,
-    /// All shards execute on the process-global pool, contending with any
-    /// co-located training, but with a **bounded** submission wait
-    /// ([`BatchPolicy::pool_wait`]): when the pool's job slot stays busy
-    /// past the deadline the batch is shed ([`ServeError::Shed`]) instead
-    /// of hanging. Saves the partition threads on small boxes.
-    SharedGlobal,
-}
-
-/// When a retired model's memory (per-worker workspaces, orphaned FFT
-/// plans, orphaned transfer kernels) is reclaimed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReclaimPolicy {
-    /// [`Server::retire`] only tombstones; memory stays resident until an
-    /// explicit [`Server::reclaim`] call. The right default when versions
-    /// may be re-examined (A/B rollbacks) before being let go.
-    #[default]
-    Manual,
-    /// [`Server::retire`] runs the full drain-fenced reclaim before
-    /// returning: the tombstone flip is still atomic and in-flight
-    /// requests still complete on their pinned entry, but `retire` then
-    /// blocks until every shard passes the drain fence and has dropped
-    /// the retired workspaces. The right choice for churn-heavy
-    /// deployments (DSE sweeps, per-perturbation retraining) where every
-    /// retire is final.
-    AutoOnRetire,
-    /// Background auto-reclaim: `retire` only tombstones, and the
-    /// server's supervisor thread runs the drain-fenced reclaim for any
-    /// model that has been tombstoned longer than the given age. The
-    /// middle ground: rollback stays possible for the grace window, but
-    /// long-retired ids stop needing a manual [`Server::reclaim`] call.
-    AutoAfter(Duration),
 }
 
 /// Micro-batching, sharding, and admission configuration.
@@ -129,20 +85,9 @@ pub struct BatchPolicy {
     /// at least one). Defaults to the persistent pool width
     /// ([`parallel::threads`]).
     pub workers: usize,
-    /// Number of shards: dispatcher threads, each with its own queue and
-    /// worker contexts.
+    /// Number of shards: dispatcher threads, each with its own queue,
+    /// worker contexts and [`PoolPartition`].
     pub shards: usize,
-    /// Where batches execute ([`PoolMode`]).
-    pub pool: PoolMode,
-    /// Bounded submission wait for [`PoolMode::SharedGlobal`]: how long a
-    /// dispatcher waits for the global pool's job slot before shedding the
-    /// batch. Ignored under [`PoolMode::Partitioned`].
-    pub pool_wait: Duration,
-    /// Whether [`Server::retire`] reclaims the retired model's memory
-    /// itself ([`ReclaimPolicy::AutoOnRetire`]), the supervisor reclaims
-    /// tombstones past an age ([`ReclaimPolicy::AutoAfter`]), or both are
-    /// left to an explicit [`Server::reclaim`] call (the default).
-    pub reclaim: ReclaimPolicy,
     /// Default per-request deadline, measured from submission. A request
     /// still queued when its deadline passes is failed with
     /// [`ServeError::Deadline`] instead of burning a batched forward;
@@ -158,9 +103,8 @@ pub struct BatchPolicy {
     /// disables quarantining.
     pub quarantine_after: usize,
     /// How often the supervisor thread wakes when idle: the cadence of
-    /// dead-dispatcher detection and of the tombstone-age scan under
-    /// [`ReclaimPolicy::AutoAfter`]. Quarantine requests additionally
-    /// wake it immediately.
+    /// dead-dispatcher detection. Quarantine requests additionally wake it
+    /// immediately.
     pub supervisor_tick: Duration,
     /// Deterministic fault injection plan ([`FaultPlan`]); `None` (the
     /// default) disables every fault seam at the cost of one branch.
@@ -183,9 +127,6 @@ impl Default for BatchPolicy {
             per_model_inflight_cap: 64,
             workers: parallel::threads(),
             shards: 1,
-            pool: PoolMode::Partitioned,
-            pool_wait: Duration::from_millis(250),
-            reclaim: ReclaimPolicy::Manual,
             default_deadline: Duration::from_secs(5),
             quarantine_after: 3,
             supervisor_tick: Duration::from_millis(5),
@@ -204,9 +145,8 @@ pub enum ServeError {
     /// Admission refused the request: the target model is at its
     /// in-flight cap.
     ModelBusy,
-    /// The request was queued, then dropped — to admit newer work
-    /// ([`AdmissionPolicy::ShedOldest`]), or because the shared pool
-    /// stayed busy past [`BatchPolicy::pool_wait`].
+    /// The request was queued, then dropped to admit newer work
+    /// ([`AdmissionPolicy::ShedOldest`]).
     Shed,
     /// The server is shutting (or has shut) down.
     ShuttingDown,
@@ -1198,7 +1138,8 @@ impl Server {
     /// # Panics
     ///
     /// Panics if the registry is empty or the policy has a zero
-    /// `max_batch`, `queue_cap`, `per_model_inflight_cap`, or `shards`.
+    /// `max_batch`, `queue_cap`, `per_model_inflight_cap`, `shards`, or
+    /// `supervisor_tick` (a zero tick would spin the supervisor on a core).
     pub fn start(registry: ModelRegistry, policy: BatchPolicy) -> Server {
         assert!(
             !registry.is_empty(),
@@ -1211,6 +1152,10 @@ impl Server {
             "per_model_inflight_cap must be positive"
         );
         assert!(policy.shards > 0, "shards must be positive");
+        assert!(
+            !policy.supervisor_tick.is_zero(),
+            "supervisor_tick must be positive"
+        );
         let num_shards = policy.shards;
         let total_ctxs = policy.workers.max(1);
         // Spread worker contexts across shards, at least one each.
@@ -1409,9 +1354,8 @@ impl Server {
     /// drain). The slot collapses to a **slim tombstone** — the entry
     /// `Arc` (the model's parameters and plans) is released as soon as the
     /// last in-flight request against it settles; only the per-worker
-    /// workspaces stay resident until [`Server::reclaim`] (or immediately,
-    /// under [`ReclaimPolicy::AutoOnRetire`]). Returns false when `id` was
-    /// not live.
+    /// workspaces stay resident until [`Server::reclaim`]. Returns false
+    /// when `id` was not live.
     pub fn retire(&self, id: ModelId) -> bool {
         let core = &self.core;
         let _write = core.registry.begin_write();
@@ -1424,17 +1368,11 @@ impl Server {
         }
         let retired_at = snapshot.epoch + 1;
         let mut entries = snapshot.entries.clone();
-        entries[id.0] = EntrySlot::Retired {
-            retired_at,
-            retired_when: Instant::now(),
-        };
+        entries[id.0] = EntrySlot::Retired { retired_at };
         core.registry.publish(RegistrySnapshot {
             epoch: retired_at,
             entries,
         });
-        if core.policy.reclaim == ReclaimPolicy::AutoOnRetire {
-            reclaim_locked(core, id, retired_at);
-        }
         true
     }
 
@@ -1462,7 +1400,7 @@ impl Server {
         let _write = core.registry.begin_write();
         let snapshot = core.registry.load();
         match snapshot.slot(id) {
-            Some(EntrySlot::Retired { retired_at, .. }) => reclaim_locked(core, id, *retired_at),
+            Some(EntrySlot::Retired { retired_at }) => reclaim_locked(core, id, *retired_at),
             // Never registered, still live (or quarantined — retire
             // first), or already reclaimed.
             _ => false,
@@ -1598,14 +1536,11 @@ fn build_ctxs(core: &ServerCore, snapshot: &RegistrySnapshot, ctx_count: usize) 
         .collect()
 }
 
-/// Spawns shard `s`'s dispatcher thread over `ctxs`, building its pool
-/// partition per [`PoolMode`]. Shared by startup and respawn.
+/// Spawns shard `s`'s dispatcher thread over `ctxs`, with a pool
+/// partition of one worker per context beyond the first (the dispatcher
+/// drives that one). Shared by startup and respawn.
 fn spawn_dispatcher(core: &Arc<ServerCore>, s: usize, ctxs: Vec<WorkerCtx>) -> JoinHandle<()> {
-    let ctx_count = ctxs.len();
-    let partition = match core.policy.pool {
-        PoolMode::Partitioned if ctx_count > 1 => Some(PoolPartition::new(ctx_count - 1)),
-        _ => None,
-    };
+    let partition = PoolPartition::new(ctxs.len() - 1);
     let dispatcher_core = Arc::clone(core);
     std::thread::Builder::new()
         .name(format!("lr-serve-shard{s}"))
@@ -1644,11 +1579,9 @@ fn any_dispatcher_dead(core: &ServerCore) -> bool {
         })
 }
 
-/// The drain-fenced reclaim body. Caller holds the registry write lock
-/// and guarantees `id` is currently `Retired { retired_at }`. A free
-/// function over the core so both [`Server::reclaim`] (manual,
-/// [`ReclaimPolicy::AutoOnRetire`]) and the supervisor
-/// ([`ReclaimPolicy::AutoAfter`]) drive the same machinery.
+/// The drain-fenced reclaim body behind [`Server::reclaim`]. Caller holds
+/// the registry write lock and guarantees `id` is currently
+/// `Retired { retired_at }`.
 ///
 /// Both waits are event-driven: dispatchers signal `lifecycle_cv` when a
 /// fence rises or resident bytes drop, so surviving traffic is not
@@ -1740,10 +1673,9 @@ fn reclaim_locked(core: &ServerCore, id: ModelId, retired_at: u64) -> bool {
 }
 
 /// The supervisor thread: wakes on its tick (or immediately for a
-/// quarantine request or shutdown) and runs its three duties in severity
-/// order — heal dead dispatchers first (everything else can wait on a
-/// fence only a live dispatcher advances), then quarantine flips, then
-/// the tombstone-age scan under [`ReclaimPolicy::AutoAfter`].
+/// quarantine request or shutdown) and runs its two duties in severity
+/// order — heal dead dispatchers first (a reclaim may be waiting on a
+/// fence only a live dispatcher advances), then quarantine flips.
 fn supervisor_loop(core: Arc<ServerCore>) {
     let tick = core.policy.supervisor_tick;
     loop {
@@ -1768,7 +1700,6 @@ fn supervisor_loop(core: Arc<ServerCore>) {
         }
         respawn_dead_dispatchers(&core);
         apply_quarantines(&core);
-        auto_reclaim_tick(&core);
     }
 }
 
@@ -1904,49 +1835,6 @@ fn apply_quarantines(core: &Arc<ServerCore>) {
     }
 }
 
-/// [`ReclaimPolicy::AutoAfter`] tick: reclaims tombstones older than the
-/// configured age, one at a time, re-validating each candidate under a
-/// non-blocking write attempt (a manual reclaim may have won the race).
-fn auto_reclaim_tick(core: &Arc<ServerCore>) {
-    let ReclaimPolicy::AutoAfter(age) = core.policy.reclaim else {
-        return;
-    };
-    loop {
-        let candidate = core
-            .registry
-            .load()
-            .entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, slot)| match slot {
-                EntrySlot::Retired {
-                    retired_at,
-                    retired_when,
-                } if retired_when.elapsed() >= age => Some((ModelId(i), *retired_at)),
-                _ => None,
-            });
-        let Some((id, retired_at)) = candidate else {
-            return;
-        };
-        let Some(_write) = core.registry.try_begin_write() else {
-            return;
-        };
-        match core.registry.load().slot(id) {
-            // Candidate still valid but the reclaim aborted: shutting
-            // down or a dispatcher died mid-wait — heal first, retry on
-            // a later tick.
-            Some(EntrySlot::Retired { retired_at: r, .. })
-                if *r == retired_at && !reclaim_locked(core, id, retired_at) =>
-            {
-                return;
-            }
-            // Reclaimed, or the candidate changed under us (manual
-            // reclaim won) — rescan for further aged tombstones.
-            _ => {}
-        }
-    }
-}
-
 /// What one `collect_batch` round produced.
 enum Collected {
     /// `batch` holds work; `stolen` of it came from sibling queues.
@@ -1994,7 +1882,7 @@ fn dispatcher_loop(
     core: Arc<ServerCore>,
     shard_idx: usize,
     ctxs: Vec<WorkerCtx>,
-    partition: Option<PoolPartition>,
+    partition: PoolPartition,
 ) {
     let mut guard = CtxGuard {
         core: Arc::clone(&core),
@@ -2086,7 +1974,7 @@ fn dispatcher_loop(
         // in the submission machinery itself. Either way the dispatcher
         // must survive: blocked clients would otherwise hang forever.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_batch(&core, shard_idx, ctxs, partition.as_ref(), &batch);
+            execute_batch(&core, shard_idx, ctxs, &partition, &batch);
         }));
         if outcome.is_err() {
             core.metrics.record_worker_panic();
@@ -2343,66 +2231,29 @@ fn drain_on_shutdown(core: &ServerCore, shard: &Shard, mut q: MutexGuard<'_, Sha
     }
 }
 
-/// Sheds a whole batch because the shared pool's job slot stayed busy past
-/// the bounded submission wait (nothing in the batch has executed).
-fn shed_batch_on_pool_timeout(core: &ServerCore, shard_idx: usize, batch: &[Arc<RequestSlot>]) {
-    core.metrics.record_pool_timeout();
-    for slot in batch {
-        let (model, request) = {
-            let st = slot.lock();
-            (st.model, st.request)
-        };
-        core.inflight_release(model);
-        core.metrics.record_shed();
-        core.trace_instant(EventKind::Shed, shard_idx, model.0, request);
-        slot.fail(ServeError::Shed);
-    }
-}
-
 /// Runs one batch: contiguous sub-ranges per worker context, each executed
-/// as batched forwards over same-model runs ([`serve_range`]). Zero
-/// allocations in steady state.
+/// as batched forwards over same-model runs ([`serve_range`]), on the
+/// shard's own partition (this dispatcher is its only submitter, so the
+/// job slot is always free). Zero allocations in steady state.
 fn execute_batch(
     core: &ServerCore,
     shard_idx: usize,
     ctxs: &mut [WorkerCtx],
-    partition: Option<&PoolPartition>,
+    partition: &PoolPartition,
     batch: &[Arc<RequestSlot>],
 ) {
     let n = batch.len();
     if n == 0 {
         return;
     }
-    // Fault seam: behave exactly as if the pool's job slot stayed busy
-    // past the bounded wait — the whole batch is shed, nothing executes.
-    if core.fault_fires(FaultKind::SubmitTimeout) {
-        shed_batch_on_pool_timeout(core, shard_idx, batch);
-        return;
-    }
-    let workers = ctxs.len().min(n).max(1);
+    let workers = ctxs.len().min(n);
     let per_worker = n.div_ceil(workers);
-    let serve = |w: usize, ctx: &mut WorkerCtx| {
+    partition.par_chunks_mut(&mut ctxs[..workers], |w, ctx| {
         let start = (w * per_worker).min(n);
         let end = ((w + 1) * per_worker).min(n);
         serve_range(core, shard_idx, ctx, &batch[start..end]);
-    };
-    let submitted: Result<(), SubmitTimeout> = if workers <= 1 {
-        serve(0, &mut ctxs[0]);
-        Ok(())
-    } else if let Some(partition) = partition {
-        // Dedicated partition: this dispatcher is the only submitter, so
-        // the job slot is always free.
-        partition.par_chunks_mut(&mut ctxs[..workers], serve);
-        Ok(())
-    } else {
-        // Shared global pool: bounded wait so a long-running training job
-        // holding the slot surfaces as shed requests, never as a hang.
-        parallel::try_par_chunks_mut_for(core.policy.pool_wait, &mut ctxs[..workers], serve)
-    };
-    match submitted {
-        Ok(()) => core.metrics.record_batch(shard_idx),
-        Err(SubmitTimeout) => shed_batch_on_pool_timeout(core, shard_idx, batch),
-    }
+    });
+    core.metrics.record_batch(shard_idx);
 }
 
 /// Serves one worker's contiguous sub-range of a drained micro-batch:

@@ -558,7 +558,6 @@ fn chaos_over_the_wire_resolves_every_request_typed() {
         FaultPlan::new(0xC4A06)
             .with_rate(FaultKind::PanicInForward, 80)
             .with_rate(FaultKind::SlowWorker, 40)
-            .with_rate(FaultKind::SubmitTimeout, 40)
             .with_rate(FaultKind::QueueFull, 40)
             .with_stall(Duration::from_millis(1)),
     );

@@ -13,8 +13,7 @@
 use lightridge::{Detector, DonnBuilder, DonnModel};
 use lr_optics::{Distance, Grid, PixelPitch, Wavelength};
 use lr_serve::{
-    BatchPolicy, ModelLifecycle, ModelRegistry, ReadoutMode, ReclaimPolicy, ServeError, Server,
-    Transport,
+    BatchPolicy, ModelLifecycle, ModelRegistry, ReadoutMode, ServeError, Server, Transport,
 };
 use lr_tensor::{Complex64, Field};
 use std::sync::Arc;
@@ -196,126 +195,5 @@ fn reclaim_sweeps_orphaned_transfer_kernels_and_plans() {
         2,
         "retired model's FFT plan must have been swept"
     );
-    server.shutdown();
-}
-
-/// `ReclaimPolicy::AutoOnRetire` folds the reclaim into `retire`: one call
-/// tombstones, drains, and frees — the churn-deployment ergonomic.
-#[test]
-fn auto_on_retire_policy_reclaims_inside_retire() {
-    let keeper = donn(18, 1, 880, 33.0, 27.0);
-    let keeper_input = sample(18, 0);
-    let keeper_expected = keeper.infer(&keeper_input);
-    let mut registry = ModelRegistry::new();
-    registry.register_emulated("keeper", 1, keeper, ReadoutMode::Emulation);
-    let server = Server::start(
-        registry,
-        BatchPolicy {
-            reclaim: ReclaimPolicy::AutoOnRetire,
-            ..BatchPolicy::default()
-        },
-    );
-    let keeper_id = server.resolve("keeper", None).unwrap();
-    let baseline = server.stats().resident_workspace_bytes;
-
-    let model = donn(18, 2, 881, 33.0, 27.0);
-    let input = sample(18, 1);
-    let expected = model.infer(&input);
-    let id = server.register_emulated("flash", 1, model, ReadoutMode::Emulation);
-    let mut client = server.client();
-    let mut logits = Vec::new();
-    client.infer(id, &input, &mut logits).unwrap();
-    assert_eq!(logits, expected);
-    assert!(server.stats().resident_workspace_bytes > baseline);
-
-    assert!(server.retire(id), "retire itself runs the reclaim");
-    assert!(matches!(
-        server.lifecycle(id),
-        Some(ModelLifecycle::Reclaimed { .. })
-    ));
-    assert_eq!(server.stats().resident_workspace_bytes, baseline);
-    assert!(
-        !server.reclaim(id),
-        "already auto-reclaimed: explicit reclaim is a no-op"
-    );
-
-    client.infer(keeper_id, &keeper_input, &mut logits).unwrap();
-    assert_eq!(logits, keeper_expected);
-    server.shutdown();
-}
-
-/// `ReclaimPolicy::AutoAfter`: the supervisor's background tick reclaims
-/// a tombstone once it has aged past the configured grace period — no
-/// explicit `reclaim` call — while live traffic keeps serving
-/// bit-identically and the drain fence is still honoured (resident bytes
-/// return exactly to baseline, never mid-flight).
-#[test]
-fn auto_after_policy_reclaims_in_background() {
-    let keeper = donn(18, 1, 890, 34.5, 29.0);
-    let keeper_input = sample(18, 2);
-    let keeper_expected = keeper.infer(&keeper_input);
-    let mut registry = ModelRegistry::new();
-    registry.register_emulated("keeper", 1, keeper, ReadoutMode::Emulation);
-    let server = Server::start(
-        registry,
-        BatchPolicy {
-            reclaim: ReclaimPolicy::AutoAfter(Duration::from_millis(50)),
-            supervisor_tick: Duration::from_millis(1),
-            ..BatchPolicy::default()
-        },
-    );
-    let keeper_id = server.resolve("keeper", None).unwrap();
-    let baseline = server.stats().resident_workspace_bytes;
-
-    let model = donn(18, 2, 891, 34.5, 29.0);
-    let input = sample(18, 3);
-    let expected = model.infer(&input);
-    let id = server.register_emulated("aged", 1, model, ReadoutMode::Emulation);
-    let mut client = server.client();
-    let mut logits = Vec::new();
-    client.infer(id, &input, &mut logits).unwrap();
-    assert_eq!(logits, expected);
-    assert!(server.stats().resident_workspace_bytes > baseline);
-
-    assert!(server.retire(id));
-    assert!(matches!(
-        server.lifecycle(id),
-        Some(ModelLifecycle::Retired { .. })
-    ));
-
-    // Keep survivor traffic flowing while the tombstone ages out; the
-    // supervisor must pick it up without anyone calling `reclaim`.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        client.infer(keeper_id, &keeper_input, &mut logits).unwrap();
-        assert_eq!(logits, keeper_expected, "survivor must stay bit-identical");
-        if matches!(server.lifecycle(id), Some(ModelLifecycle::Reclaimed { .. })) {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "background reclaim must age the tombstone out"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(
-        server.lifecycle(id),
-        Some(ModelLifecycle::Reclaimed {
-            retired_at: server.epoch() - 1
-        })
-    );
-    assert_eq!(
-        server.stats().resident_workspace_bytes,
-        baseline,
-        "aged-out model's workspaces must be fully debited"
-    );
-    assert_eq!(server.stats().reclaimed_models, 1);
-    assert!(
-        !server.reclaim(id),
-        "already background-reclaimed: explicit reclaim is a no-op"
-    );
-
-    client.infer(keeper_id, &keeper_input, &mut logits).unwrap();
-    assert_eq!(logits, keeper_expected);
     server.shutdown();
 }

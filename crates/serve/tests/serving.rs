@@ -57,6 +57,22 @@ fn registry_refuses_duplicate_name_version() {
 }
 
 #[test]
+#[should_panic(expected = "supervisor_tick must be positive")]
+fn start_rejects_a_zero_supervisor_tick() {
+    // A zero tick would make the supervisor's timed wait return at once
+    // and spin a core; `start` refuses it like the other zero knobs.
+    let mut registry = ModelRegistry::new();
+    registry.register_emulated("m", 1, donn(16, 1, 1), ReadoutMode::Emulation);
+    let _server = Server::start(
+        registry,
+        BatchPolicy {
+            supervisor_tick: Duration::ZERO,
+            ..BatchPolicy::default()
+        },
+    );
+}
+
+#[test]
 fn served_results_bit_identical_to_direct_inference() {
     let model_a = donn(16, 2, 11);
     let model_b = donn(24, 3, 12);

@@ -7,14 +7,15 @@
 //! stack allocation per worker per batch — measurable at emulation batch
 //! rates. This module instead keeps **persistent worker pools**:
 //!
-//! * The lazily-initialized **process-global pool** serves [`par_for`],
-//!   [`par_map`], and [`par_chunks_mut`] — training, FFT row/column loops,
-//!   and anything else that does not ask for isolation.
+//! * The lazily-initialized **process-global pool** serves [`par_for`]
+//!   and [`par_map`] — training, FFT row/column loops, and anything else
+//!   that does not ask for isolation.
 //! * [`PoolPartition`] carves out a **dedicated, disjoint worker set** with
-//!   its own job slot. Partitions never contend with the global pool or
-//!   with each other, which is what lets latency-sensitive serving shards
-//!   co-exist with long training jobs in one process (the head-of-line
-//!   blocking the single shared job slot used to impose).
+//!   its own job slot, driven through [`PoolPartition::par_chunks_mut`].
+//!   Partitions never contend with the global pool or with each other,
+//!   which is what lets latency-sensitive serving shards co-exist with
+//!   long training jobs in one process (the head-of-line blocking the
+//!   single shared job slot used to impose).
 //!
 //! Mechanics shared by the global pool and every partition:
 //!
@@ -31,11 +32,8 @@
 //!   under batch parallelism.
 //! * Concurrent **top-level** callers serialize on the pool's single job
 //!   slot: the loser blocks until the slot frees and then runs its own job
-//!   on the pool. Callers that cannot afford an unbounded wait (a serving
-//!   dispatcher sharing the global pool with training) use the bounded
-//!   variants [`try_submit_for`] / [`try_par_chunks_mut_for`], which give
-//!   up with [`SubmitTimeout`] when the slot stays busy past a deadline —
-//!   a stuck training batch then surfaces as a shed request, not a hang.
+//!   on the pool. A caller that must not wait behind another top-level job
+//!   (a serving dispatcher next to a training loop) owns a partition.
 //!
 //! ## Panic containment
 //!
@@ -59,7 +57,6 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// Number of worker threads used by [`par_map`] and friends (callers plus
 /// pool workers).
@@ -96,20 +93,6 @@ pub fn in_parallel_region() -> bool {
     IN_PARALLEL_REGION.with(|f| f.get())
 }
 
-/// Bounded-wait submission gave up: the pool's job slot stayed busy past
-/// the caller's deadline (another top-level job — typically a long training
-/// batch — still holds it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubmitTimeout;
-
-impl std::fmt::Display for SubmitTimeout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "pool job slot stayed busy past the submission deadline")
-    }
-}
-
-impl std::error::Error for SubmitTimeout {}
-
 /// Shared, lifetime-erased view of one job. The caller guarantees (by
 /// blocking until `running == 0`) that these pointers outlive every use.
 #[derive(Clone, Copy)]
@@ -145,10 +128,9 @@ struct PoolCore {
     /// True while a job owns this pool's single job slot: a second
     /// top-level caller must not publish (it would overwrite the live job
     /// and race the completion barrier). Contenders **block** on
-    /// `submission_cv` until the slot frees up (or their bounded-wait
-    /// deadline passes) and then run on the pool themselves — a long-lived
-    /// dispatcher thread (e.g. the `lr-serve` micro-batcher) submits jobs
-    /// back to back and must not silently degrade to sequential execution
+    /// `submission_cv` until the slot frees up and then run on the pool
+    /// themselves — a long-lived dispatcher thread submits jobs back to
+    /// back and must not silently degrade to sequential execution
     /// whenever another top-level caller is mid-job. Blocking here is
     /// deadlock-free: the slot is only ever taken by top-level callers
     /// (nested calls short-circuit in [`must_run_sequential`] before
@@ -177,39 +159,19 @@ impl PoolCore {
         }
     }
 
-    /// Claims the job slot, waiting at most `timeout` (forever when
-    /// `None`). Returns whether the slot was claimed.
-    fn acquire_submission(&self, timeout: Option<Duration>) -> bool {
+    /// Claims the job slot, blocking until it is free.
+    fn acquire_submission(&self) {
         let mut busy = self
             .submission
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match timeout {
-            None => {
-                while *busy {
-                    busy = self
-                        .submission_cv
-                        .wait(busy)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            }
-            Some(timeout) => {
-                let deadline = Instant::now() + timeout;
-                while *busy {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return false;
-                    }
-                    let (guard, _) = self
-                        .submission_cv
-                        .wait_timeout(busy, deadline - now)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    busy = guard;
-                }
-            }
+        while *busy {
+            busy = self
+                .submission_cv
+                .wait(busy)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
         *busy = true;
-        true
     }
 
     fn release_submission(&self) {
@@ -334,24 +296,14 @@ impl Drop for SubmissionGuard<'_> {
 
 /// Runs `f(0..len)` on `core` with up to `extra_workers` pool threads
 /// assisting the calling thread. Blocks until every index has been
-/// executed. `Ok` carries whether any worker panicked; `Err(SubmitTimeout)`
-/// means the job slot could not be claimed within `timeout` and **no index
-/// was executed**.
-fn run_job(
-    core: &PoolCore,
-    len: usize,
-    extra_workers: usize,
-    timeout: Option<Duration>,
-    f: &(dyn Fn(usize) + Sync),
-) -> Result<bool, SubmitTimeout> {
+/// executed, and returns whether any worker panicked.
+fn run_job(core: &PoolCore, len: usize, extra_workers: usize, f: &(dyn Fn(usize) + Sync)) -> bool {
     // One job at a time: a concurrent top-level caller would overwrite the
     // job slot and have its job cancelled by our completion barrier.
-    // Contended callers wait for the slot (bounded when `timeout` is set)
-    // instead of degrading to a sequential loop (see the `submission` field
-    // docs for why blocking is sound here).
-    if !core.acquire_submission(timeout) {
-        return Err(SubmitTimeout);
-    }
+    // Contended callers wait for the slot instead of degrading to a
+    // sequential loop (see the `submission` field docs for why blocking is
+    // sound here).
+    core.acquire_submission();
     let _submission = SubmissionGuard { core };
     let next = AtomicUsize::new(0);
     let panicked = AtomicBool::new(false);
@@ -382,7 +334,7 @@ fn run_job(
     }
     drop(caller_region);
     drop(barrier);
-    Ok(panicked.load(Ordering::Relaxed))
+    panicked.load(Ordering::Relaxed)
 }
 
 /// Resets the caller's parallel-region flag even on unwind.
@@ -402,71 +354,11 @@ fn must_run_sequential(len: usize) -> bool {
 /// Drives `f(0..len)` on `core` with `total_threads` participants (caller
 /// included), propagating worker panics. The caller has already ruled out
 /// the sequential path.
-fn pooled_for(
-    core: &PoolCore,
-    total_threads: usize,
-    timeout: Option<Duration>,
-    len: usize,
-    f: &(dyn Fn(usize) + Sync),
-) -> Result<(), SubmitTimeout> {
+fn pooled_for(core: &PoolCore, total_threads: usize, len: usize, f: &(dyn Fn(usize) + Sync)) {
     let workers = total_threads.min(len);
-    if run_job(core, len, workers - 1, timeout, f)? {
+    if run_job(core, len, workers - 1, f) {
         panic!("worker thread panicked");
     }
-    Ok(())
-}
-
-/// `par_chunks_mut` body shared by the global pool and partitions.
-fn pooled_chunks_mut<T, F>(
-    core: &PoolCore,
-    total_threads: usize,
-    timeout: Option<Duration>,
-    items: &mut [T],
-    f: F,
-) -> Result<(), SubmitTimeout>
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    let base = SendPtr(items.as_mut_ptr());
-    let apply = |i: usize| {
-        let base = &base; // capture the Sync wrapper, not the raw field
-                          // SAFETY: disjoint indices, claimed once each.
-        let item = unsafe { &mut *base.0.add(i) };
-        f(i, item);
-    };
-    pooled_for(core, total_threads, timeout, len, &apply)
-}
-
-/// `par_map` body shared by the global pool and partitions.
-fn pooled_map<T, F>(
-    core: &PoolCore,
-    total_threads: usize,
-    len: usize,
-    f: F,
-) -> Result<Vec<T>, SubmitTimeout>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let write = |i: usize| {
-        let out_ptr = &out_ptr; // capture the Sync wrapper, not the raw field
-        let value = f(i);
-        // SAFETY: each index i is claimed by exactly one thread via the
-        // atomic work counter, so no two threads write the same slot, and
-        // the vector outlives the job's completion barrier.
-        unsafe {
-            *out_ptr.0.add(i) = Some(value);
-        }
-    };
-    pooled_for(core, total_threads, None, len, &write)?;
-    Ok(out
-        .into_iter()
-        .map(|v| v.expect("all slots filled"))
-        .collect())
 }
 
 /// Runs `f` for every index in `0..len`, possibly in parallel on the
@@ -487,25 +379,7 @@ where
         }
         return;
     }
-    pooled_for(global_pool(), threads(), None, len, &f)
-        .expect("unbounded submission cannot time out");
-}
-
-/// Like [`par_for`], but waits at most `timeout` for the global pool's job
-/// slot. On [`SubmitTimeout`] **no index has been executed** — the caller
-/// decides whether to retry, degrade, or shed the work. Degrades to an
-/// inline sequential loop (always `Ok`) whenever [`par_for`] would.
-pub fn try_submit_for<F>(timeout: Duration, len: usize, f: F) -> Result<(), SubmitTimeout>
-where
-    F: Fn(usize) + Sync,
-{
-    if must_run_sequential(len) {
-        for i in 0..len {
-            f(i);
-        }
-        return Ok(());
-    }
-    pooled_for(global_pool(), threads(), Some(timeout), len, &f)
+    pooled_for(global_pool(), threads(), len, &f);
 }
 
 /// Applies `f` to every item index in `0..len`, in parallel, collecting
@@ -523,47 +397,22 @@ where
     if must_run_sequential(len) {
         return (0..len).map(f).collect();
     }
-    pooled_map(global_pool(), threads(), len, f).expect("unbounded submission cannot time out")
-}
-
-/// Applies `f` to chunks of `items`, mutating them in place in parallel.
-pub fn par_chunks_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    if must_run_sequential(len) {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
+    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    let write = |i: usize| {
+        let out_ptr = &out_ptr; // capture the Sync wrapper, not the raw field
+        let value = f(i);
+        // SAFETY: each index i is claimed by exactly one thread via the
+        // atomic work counter, so no two threads write the same slot, and
+        // the vector outlives the job's completion barrier.
+        unsafe {
+            *out_ptr.0.add(i) = Some(value);
         }
-        return;
-    }
-    pooled_chunks_mut(global_pool(), threads(), None, items, f)
-        .expect("unbounded submission cannot time out");
-}
-
-/// Like [`par_chunks_mut`], but waits at most `timeout` for the global
-/// pool's job slot. On [`SubmitTimeout`] **no item has been touched**.
-/// Degrades to an inline sequential loop (always `Ok`) whenever
-/// [`par_chunks_mut`] would.
-pub fn try_par_chunks_mut_for<T, F>(
-    timeout: Duration,
-    items: &mut [T],
-    f: F,
-) -> Result<(), SubmitTimeout>
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    if must_run_sequential(len) {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return Ok(());
-    }
-    pooled_chunks_mut(global_pool(), threads(), Some(timeout), items, f)
+    };
+    pooled_for(global_pool(), threads(), len, &write);
+    out.into_iter()
+        .map(|v| v.expect("all slots filled"))
+        .collect()
 }
 
 /// A **dedicated, disjoint partition** of worker threads with its own job
@@ -576,9 +425,10 @@ where
 /// batches. Worker threads are spawned at construction and joined on
 /// [`Drop`].
 ///
-/// A partition of width 0 owns no threads: its `par_*` methods run inline
-/// on the caller (the right configuration for single-core boxes and the
-/// zero-allocation contract tests).
+/// A partition of zero workers owns no threads: its
+/// [`PoolPartition::par_chunks_mut`] runs inline on the caller (the right
+/// configuration for single-core boxes and the zero-allocation contract
+/// tests).
 pub struct PoolPartition {
     core: Arc<PoolCore>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -609,90 +459,40 @@ impl PoolPartition {
         PoolPartition { core, handles }
     }
 
-    /// Number of dedicated worker threads (0 means all work runs inline on
-    /// the submitting thread).
-    pub fn width(&self) -> usize {
-        self.core.workers
-    }
-
     /// Threads that participate in one of this partition's jobs: the
     /// dedicated workers plus the submitting caller.
     pub fn threads(&self) -> usize {
         self.core.workers + 1
     }
 
-    /// True when a call on this partition should degrade to a sequential
-    /// inline loop.
-    fn must_run_sequential(&self, len: usize) -> bool {
-        len <= 1 || self.core.workers == 0 || in_parallel_region()
-    }
-
-    /// Partition-local [`par_for`].
-    pub fn par_for<F>(&self, len: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if self.must_run_sequential(len) {
-            for i in 0..len {
-                f(i);
-            }
-            return;
-        }
-        pooled_for(&self.core, self.threads(), None, len, &f)
-            .expect("unbounded submission cannot time out");
-    }
-
-    /// Partition-local [`par_map`].
-    pub fn par_map<T, F>(&self, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.must_run_sequential(len) {
-            return (0..len).map(f).collect();
-        }
-        pooled_map(&self.core, self.threads(), len, f)
-            .expect("unbounded submission cannot time out")
-    }
-
-    /// Partition-local [`par_chunks_mut`].
+    /// Applies `f` to every item of `items` in place, in parallel on this
+    /// partition's workers and the calling thread. Runs inline when the
+    /// partition owns no threads, there is at most one item, or the caller
+    /// is already inside a parallel region.
+    ///
+    /// # Panics
+    ///
+    /// Propagates (as a panic) any panic raised by `f` on a worker thread.
     pub fn par_chunks_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
         let len = items.len();
-        if self.must_run_sequential(len) {
+        if len <= 1 || self.core.workers == 0 || in_parallel_region() {
             for (i, item) in items.iter_mut().enumerate() {
                 f(i, item);
             }
             return;
         }
-        pooled_chunks_mut(&self.core, self.threads(), None, items, f)
-            .expect("unbounded submission cannot time out");
-    }
-
-    /// Partition-local [`try_par_chunks_mut_for`]: bounded wait on this
-    /// partition's job slot. On [`SubmitTimeout`] **no item has been
-    /// touched**.
-    pub fn try_par_chunks_mut_for<T, F>(
-        &self,
-        timeout: Duration,
-        items: &mut [T],
-        f: F,
-    ) -> Result<(), SubmitTimeout>
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let len = items.len();
-        if self.must_run_sequential(len) {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            return Ok(());
-        }
-        pooled_chunks_mut(&self.core, self.threads(), Some(timeout), items, f)
+        let base = SendPtr(items.as_mut_ptr());
+        let apply = |i: usize| {
+            let base = &base; // capture the Sync wrapper, not the raw field
+                              // SAFETY: disjoint indices, claimed once each.
+            let item = unsafe { &mut *base.0.add(i) };
+            f(i, item);
+        };
+        pooled_for(&self.core, self.threads(), len, &apply);
     }
 }
 
@@ -745,8 +545,9 @@ mod tests {
 
     #[test]
     fn par_chunks_mut_updates_all() {
+        let part = PoolPartition::new(2);
         let mut v = vec![0usize; 64];
-        par_chunks_mut(&mut v, |i, x| *x = i * 3);
+        part.par_chunks_mut(&mut v, |i, x| *x = i * 3);
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i * 3);
         }
@@ -811,9 +612,9 @@ mod tests {
         });
         let side = std::thread::spawn(|| {
             for round in 0..150usize {
-                let mut buf = vec![0usize; 29];
-                par_chunks_mut(&mut buf, |i, x| *x = i + round);
-                assert_eq!(buf[28], 28 + round);
+                let buf: Vec<AtomicUsize> = (0..29).map(|_| AtomicUsize::new(0)).collect();
+                par_for(buf.len(), |i| buf[i].store(i + round, Ordering::Relaxed));
+                assert_eq!(buf[28].load(Ordering::Relaxed), 28 + round);
             }
         });
         for round in 0..150usize {
@@ -841,18 +642,14 @@ mod tests {
     #[test]
     fn partition_runs_jobs_and_matches_sequential() {
         let part = PoolPartition::new(2);
-        assert_eq!(part.width(), 2);
-        let v = part.par_map(37, |i| i * 5);
+        assert_eq!(part.threads(), 3);
+        let mut v = vec![0usize; 37];
+        part.par_chunks_mut(&mut v, |i, x| *x = i * 5);
         let expected: Vec<usize> = (0..37).map(|i| i * 5).collect();
         assert_eq!(v, expected);
-        let mut buf = vec![0usize; 23];
-        part.par_chunks_mut(&mut buf, |i, x| *x = i + 1);
-        assert!(buf.iter().enumerate().all(|(i, &x)| x == i + 1));
-        let counts: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        part.par_for(counts.len(), |i| {
-            counts[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        let mut visits = vec![0usize; 64];
+        part.par_chunks_mut(&mut visits, |_, x| *x += 1);
+        assert!(visits.iter().all(|&x| x == 1));
     }
 
     #[test]
@@ -862,13 +659,14 @@ mod tests {
         // jobs run normally on the same partition.
         let part = PoolPartition::new(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            part.par_for(32, |i| {
+            part.par_chunks_mut(&mut [0usize; 32], |i, _| {
                 assert!(i != 17, "boom");
             });
         }));
         assert!(result.is_err(), "panic in a partition item must propagate");
         for _ in 0..3 {
-            let v = part.par_map(16, |i| i + 1);
+            let mut v = vec![0usize; 16];
+            part.par_chunks_mut(&mut v, |i, x| *x = i + 1);
             assert_eq!(v, (1..=16).collect::<Vec<_>>());
         }
     }
@@ -876,11 +674,11 @@ mod tests {
     #[test]
     fn zero_width_partition_runs_inline() {
         let part = PoolPartition::new(0);
-        assert_eq!(part.width(), 0);
-        assert_eq!(
-            part.par_map(9, |i| i * i),
-            (0..9).map(|i| i * i).collect::<Vec<_>>()
-        );
+        assert_eq!(part.threads(), 1);
+        let caller = std::thread::current().id();
+        let mut ran_on = vec![None; 9];
+        part.par_chunks_mut(&mut ran_on, |_, t| *t = Some(std::thread::current().id()));
+        assert!(ran_on.iter().all(|&t| t == Some(caller)));
     }
 
     #[test]
@@ -892,7 +690,7 @@ mod tests {
         let release = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let slow = scope.spawn(|| {
-                a.par_for(2, |_| {
+                a.par_chunks_mut(&mut [(); 2], |_, _| {
                     while !release.load(Ordering::Relaxed) {
                         std::thread::yield_now();
                     }
@@ -900,7 +698,8 @@ mod tests {
             });
             // While A is blocked, B must make progress.
             for round in 0..20usize {
-                let v = b.par_map(8, move |i| i + round);
+                let mut v = vec![0usize; 8];
+                b.par_chunks_mut(&mut v, |i, x| *x = i + round);
                 assert_eq!(v[7], 7 + round);
             }
             release.store(true, Ordering::Relaxed);
@@ -925,7 +724,8 @@ mod tests {
             // The global job slot is held indefinitely; partition jobs must
             // still complete immediately.
             for round in 0..20usize {
-                let v = part.par_map(8, move |i| i * 2 + round);
+                let mut v = vec![0usize; 8];
+                part.par_chunks_mut(&mut v, |i, x| *x = i * 2 + round);
                 assert_eq!(v[7], 14 + round);
             }
             release.store(true, Ordering::Relaxed);
@@ -935,63 +735,11 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_times_out_while_slot_is_held_then_recovers() {
-        let _guard = thread_count_test_guard();
-        set_threads(4); // force the pooled path even on single-core boxes
-        let release = AtomicBool::new(false);
-        let holder_started = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let holder = scope.spawn(|| {
-                par_for(4, |_| {
-                    holder_started.store(true, Ordering::Relaxed);
-                    while !release.load(Ordering::Relaxed) {
-                        std::thread::yield_now();
-                    }
-                });
-            });
-            while !holder_started.load(Ordering::Relaxed) {
-                std::thread::yield_now();
-            }
-            // The slot is busy: a bounded-wait submission must give up
-            // without running anything.
-            let touched = AtomicUsize::new(0);
-            let result = try_submit_for(Duration::from_millis(20), 8, |_| {
-                touched.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(result, Err(SubmitTimeout));
-            assert_eq!(
-                touched.load(Ordering::Relaxed),
-                0,
-                "timed-out job must not run"
-            );
-
-            let mut items = vec![0usize; 8];
-            let chunks = try_par_chunks_mut_for(Duration::from_millis(20), &mut items, |i, x| {
-                *x = i;
-            });
-            assert_eq!(chunks, Err(SubmitTimeout));
-            assert!(
-                items.iter().all(|&x| x == 0),
-                "timed-out job must not touch items"
-            );
-
-            release.store(true, Ordering::Relaxed);
-            holder.join().expect("holder must finish");
-            // Slot free again: bounded submission now succeeds.
-            let ok = try_par_chunks_mut_for(Duration::from_millis(500), &mut items, |i, x| {
-                *x = i + 1;
-            });
-            assert_eq!(ok, Ok(()));
-            assert!(items.iter().enumerate().all(|(i, &x)| x == i + 1));
-        });
-        set_threads(0);
-    }
-
-    #[test]
     fn dropping_partition_joins_workers() {
         let part = PoolPartition::new(3);
-        let v = part.par_map(16, |i| i);
-        assert_eq!(v.len(), 16);
+        let mut v = vec![0usize; 16];
+        part.par_chunks_mut(&mut v, |i, x| *x = i);
+        assert_eq!(v[15], 15);
         drop(part); // must not hang
     }
 }

@@ -30,10 +30,18 @@
 //! zero), so the measured windows also prove the injection seams
 //! themselves are allocation-free when quiet.
 //!
-//! The last server serves a **physical** (hardware-emulated) variant:
+//! A later server serves a **physical** (hardware-emulated) variant:
 //! bursts of 1..=`max_batch` concurrent requests coalesce into staged
 //! batched runs of the deployed system, and the steady state must be
 //! allocation-free and bitwise equal to `PhysicalDonn::infer`.
+//!
+//! The last phases go **over the wire**: the two-model workload served
+//! through `Server::listen` on loopback TCP, then on a Unix-domain socket.
+//! Each warmed session must stay allocation-free across steady requests,
+//! typed request errors (`ShapeMismatch`, which keeps the connection
+//! open) alternating with good requests, and — after the client
+//! reconnects and re-warms its new connection — a second steady window.
+//! The net event-loop thread is inside the count like every other thread.
 //!
 //! Like `zero_alloc.rs`, this must stay a single-test binary: the counting
 //! allocator is process-global. Sequential mode is forced
@@ -45,8 +53,8 @@ use lightridge::deploy::{HardwareEnvironment, PhysicalDonn};
 use lightridge::{Detector, DonnBuilder, DonnModel};
 use lr_optics::{Distance, Grid, PixelPitch, Wavelength};
 use lr_serve::{
-    BatchPolicy, FaultKind, FaultPlan, ModelRegistry, ReadoutMode, ServeError, Server,
-    StageLatency, TraceConfig, Transport,
+    BatchPolicy, FaultKind, FaultPlan, ModelId, ModelRegistry, NetBind, NetClient, NetConfig,
+    NetError, ReadoutMode, ServeError, Server, StageLatency, TraceConfig, Transport,
 };
 use lr_tensor::{parallel, Complex64, Field};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -91,6 +99,101 @@ fn assert_no_overflow(stage: &StageLatency, ctx: &str) {
     ] {
         assert_eq!(s.overflow, 0, "{ctx}: {name} histogram must not overflow");
     }
+}
+
+/// One model's request stream for the socket phases.
+struct Stream<'a> {
+    model: ModelId,
+    input: &'a Field,
+    reference: &'a [f64],
+}
+
+/// Allocations made while `f` runs, on any thread.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// One warmed socket session per stream (a connection's request slot
+/// holds one input shape, like an in-process client's): steady requests,
+/// then `ShapeMismatch` errors alternating with good requests, then a
+/// reconnect and a re-warmed steady window. Every measured window must
+/// count zero allocations and every reply must be bit-identical.
+fn socket_sessions_allocate_nothing(
+    transport: &str,
+    connect: &dyn Fn() -> NetClient,
+    a: &Stream<'_>,
+    b: &Stream<'_>,
+) {
+    let mut logits = Vec::new();
+    let mut serve = |client: &mut NetClient, s: &Stream<'_>| {
+        client.infer(s.model, s.input, &mut logits).unwrap();
+        assert_eq!(
+            logits, s.reference,
+            "{transport}: reply must be bit-identical"
+        );
+    };
+    // `b`'s plane sent to `a`'s model: a request-level error that leaves
+    // the connection usable.
+    let mismatch = |client: &mut NetClient| {
+        let mut logits = Vec::new();
+        let outcome = client.infer(a.model, b.input, &mut logits);
+        assert!(
+            matches!(
+                outcome,
+                Err(NetError::Serve(ServeError::ShapeMismatch { .. }))
+            ),
+            "{transport}: a wrong-shaped plane must fail typed, got {outcome:?}"
+        );
+    };
+    let (mut client_a, mut client_b) = (connect(), connect());
+    // Warm-up: sizes both connections' slots and wire buffers, including
+    // the larger error-path frame on `a`'s connection.
+    for _ in 0..4 {
+        serve(&mut client_a, a);
+        serve(&mut client_b, b);
+        mismatch(&mut client_a);
+    }
+    let steady = allocations_during(|| {
+        for _ in 0..10 {
+            serve(&mut client_a, a);
+            serve(&mut client_b, b);
+        }
+    });
+    assert_eq!(
+        steady, 0,
+        "{transport}: steady socket path must not allocate (got {steady} over 20 requests)"
+    );
+    let errors = allocations_during(|| {
+        for _ in 0..10 {
+            mismatch(&mut client_a);
+            serve(&mut client_a, a);
+        }
+    });
+    assert_eq!(
+        errors, 0,
+        "{transport}: typed errors must not allocate (got {errors} over 10 error+ok pairs)"
+    );
+    // Reconnect: the old connections close and new ones are accepted
+    // (both allocate, outside the window), then re-warm and measure again.
+    drop((client_a, client_b));
+    let (mut client_a, mut client_b) = (connect(), connect());
+    for _ in 0..4 {
+        serve(&mut client_a, a);
+        serve(&mut client_b, b);
+    }
+    let rewarmed = allocations_during(|| {
+        for _ in 0..10 {
+            serve(&mut client_a, a);
+            serve(&mut client_b, b);
+        }
+    });
+    assert_eq!(
+        rewarmed, 0,
+        "{transport}: steady state after a reconnect must not allocate \
+         (got {rewarmed} over 20 requests)"
+    );
 }
 
 fn donn(n: usize, depth: usize, seed: u64) -> DonnModel {
@@ -525,5 +628,60 @@ fn steady_state_sharded_serve_path_allocates_nothing() {
         physical_stats.batched_samples
     );
     physical.shutdown();
+
+    // ---- Over the wire: TCP, then UDS --------------------------------
+    let mut registry = ModelRegistry::new();
+    registry.register_emulated("a", 1, model_a.clone(), ReadoutMode::Emulation);
+    registry.register_emulated("b", 1, model_b.clone(), ReadoutMode::Deployed);
+    let served = Server::start(
+        registry,
+        BatchPolicy {
+            shards: 2,
+            max_batch: 4,
+            max_delay: Duration::ZERO,
+            ..BatchPolicy::default()
+        },
+    );
+    let a = Stream {
+        model: served.resolve("a", None).unwrap(),
+        input: &input_a,
+        reference: &reference_a,
+    };
+    let b = Stream {
+        model: served.resolve("b", None).unwrap(),
+        input: &input_b,
+        reference: &reference_b,
+    };
+    let mut tcp = served
+        .listen(
+            NetBind::Tcp(([127, 0, 0, 1], 0).into()),
+            NetConfig::default(),
+        )
+        .expect("bind a loopback TCP listener");
+    let addr = tcp.local_addr().expect("TCP listener has an address");
+    socket_sessions_allocate_nothing(
+        "tcp",
+        &|| NetClient::connect_tcp(addr).expect("connect over TCP"),
+        &a,
+        &b,
+    );
+    tcp.shutdown();
+    let path = std::env::temp_dir().join(format!("lr-zero-alloc-{}.sock", std::process::id()));
+    let mut uds = served
+        .listen(NetBind::Unix(path.clone()), NetConfig::default())
+        .expect("bind a Unix-domain listener");
+    socket_sessions_allocate_nothing(
+        "uds",
+        &|| NetClient::connect_unix(&path).expect("connect over UDS"),
+        &a,
+        &b,
+    );
+    uds.shutdown();
+    let served_stats = served.stats();
+    // Per transport: 8 warm-up + 20 steady, 10 good requests between the
+    // errors, 8 re-warm + 20 after the reconnect.
+    assert_eq!(served_stats.completed, 2 * 66);
+    assert_no_overflow(&served_stats.stage_latency, "socket server");
+    served.shutdown();
     parallel::set_threads(0);
 }
